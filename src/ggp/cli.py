@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import GgpError, IoError, ParseError, ValidationError
 from .experiments import (
@@ -66,6 +66,8 @@ _REQUIRED_KEYS = {
     "slln": {"d", "alpha", "beta", "a", "k_max", "p", "i"},
     "concentration": {"d", "alpha", "beta", "lambda", "y_grid"},
 }
+# Smallest value of each integer run field, in the config file or on the command line.
+_RUN_INT_MIN = {"seed": 0, "reps": 1, "workers": 1}
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,29 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _run_int(field: str, value) -> int:
+    """Check seed, reps or workers; bools are rejected, though Python counts them as ints."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < _RUN_INT_MIN[field]:
+        raise ValidationError(field, f"must be an integer >= {_RUN_INT_MIN[field]}")
+    return value
+
+
+def _check_number(field: str, value, integer: bool = False):
+    """Reject a JSON value that is not a number (or not an integer), bools included."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValidationError(field, f"must be {'an integer' if integer else 'a number'}, "
+                                     f"got {value!r}")
+
+
+def _check_number_list(field: str, value, length: int | None = None):
+    """Reject anything but a JSON list of numbers (of the given length)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ValidationError(field, "must be a list of numbers" if length is None
+                              else f"must be a list of {length} numbers")
+    for x in value:
+        _check_number(field, x)
+
+
 def _validate_model_fields(opts: dict):
     """Run the model-parameter validators so bad fields are named early."""
     from .errors import (
@@ -107,6 +132,16 @@ def _validate_model_fields(opts: dict):
         BetaOutOfRange: "beta",
         NonpositiveIntensity: "lambda",
     }
+    for key in ("d", "alpha", "beta", "lambda"):
+        if key in opts:
+            _check_number(key, opts[key], integer=key == "d")
+    if "lambda_grid" in opts:
+        _check_number_list("lambda_grid", opts["lambda_grid"])
+    if "alphas_betas" in opts:
+        if not isinstance(opts["alphas_betas"], list):
+            raise ValidationError("alphas_betas", "must be a list of [alpha, beta] pairs")
+        for pair in opts["alphas_betas"]:
+            _check_number_list("alphas_betas", pair, length=2)
     lams = []
     if "lambda" in opts:
         lams = [opts["lambda"]]
@@ -147,15 +182,9 @@ def parse_config(source: str) -> RunConfig:
     for key in _REQUIRED_KEYS[experiment] | {"seed", "reps"}:
         if key not in raw:
             raise ValidationError(key, "missing required key")
-    seed = raw["seed"]
-    if not isinstance(seed, int) or seed < 0:
-        raise ValidationError("seed", "must be a non-negative integer")
-    reps = raw["reps"]
-    if not isinstance(reps, int) or reps < 1:
-        raise ValidationError("reps", "must be a positive integer")
-    workers = raw.get("workers", default_workers())
-    if not isinstance(workers, int) or workers < 1:
-        raise ValidationError("workers", "must be a positive integer")
+    seed = _run_int("seed", raw["seed"])
+    reps = _run_int("reps", raw["reps"])
+    workers = _run_int("workers", raw["workers"] if "workers" in raw else default_workers())
     output_format = raw.get("output_format", "csv")
     if output_format not in ("csv", "json"):
         raise ValidationError("output_format", "must be 'csv' or 'json'")
@@ -163,10 +192,13 @@ def parse_config(source: str) -> RunConfig:
     options.pop("experiment", None)
     if experiment != "gumbel":
         _validate_model_fields(options)
-    elif not options["alpha"] > -1:
-        raise ValidationError("alpha", "must be > -1")
-    elif not options["beta"] >= 1:
-        raise ValidationError("beta", "must be >= 1")
+    else:
+        for key in ("alpha", "beta", "n"):
+            _check_number(key, options[key])
+        if not options["alpha"] > -1:
+            raise ValidationError("alpha", "must be > -1")
+        if not options["beta"] >= 1:
+            raise ValidationError("beta", "must be >= 1")
     if "window" in options:
         w = options["window"]
         for k in ("spatial_radius", "h_min", "h_max"):
@@ -379,11 +411,9 @@ def main(argv=None) -> int:
             print(f"ok: {config.experiment} (seed {config.seed}, reps {config.reps})")
             return 0
         if args.seed is not None:
-            config = RunConfig(config.experiment, args.seed, config.reps, config.workers,
-                               config.output_format, config.output_path, config.options)
+            config = replace(config, seed=_run_int("seed", args.seed))
         if args.workers is not None:
-            config = RunConfig(config.experiment, config.seed, config.reps, args.workers,
-                               config.output_format, config.output_path, config.options)
+            config = replace(config, workers=_run_int("workers", args.workers))
         return run(config, out_dir=args.out)
     except ParseError as exc:
         print(f"error: parse failure at line {exc.line} column {exc.column}: {exc}",

@@ -7,6 +7,11 @@ lower half-space {s <= s0 + <v0, v - v0>}, so a point admits an empty
 downward paraboloid through it exactly when its lift is a vertex of the
 lower convex hull of the lifted point set. The festoon boundary at v is the
 lower hull height minus ||v||^2/2, a piecewise parabolic function.
+
+One geometry path serves every spatial dimension m >= 1: the lower hull
+is read off Qhull's merged facets of the lifted points (the grouping that
+hull.convex_hull uses too), and affinely degenerate lifts fall back to the
+exact convex-combination LP of hull.is_convex_combination.
 """
 
 from __future__ import annotations
@@ -14,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import EmptyInput, OutsideSupport
-from .hull import Polytope, radial_function_batch
+from .hull import Polytope, facet_groups, is_convex_combination, radial_function_batch
 from .params import ModelParams
 from .rescale import QuasiGrain, ScaledPoint, exp_map, grain_boundary
 
@@ -71,70 +75,17 @@ def lift(w):
     return out[0] if single else out
 
 
-def _lower_hull_1d(lifted: np.ndarray):
-    """Monotone-chain lower hull for spatial dimension 1.
-
-    Returns (vertex indices into `lifted`, sorted by spatial coordinate).
-    Collinear interior points are not vertices; exact duplicates in the
-    spatial coordinate keep only the lowest lift.
-    """
-    order = np.lexsort((lifted[:, 1], lifted[:, 0]))
-    chain: list[int] = []
-    last_v = None
-    for idx in order:
-        v, s = lifted[idx]
-        if last_v is not None and v == last_v:
-            continue  # same spatial location, higher lift
-        last_v = v
-        while len(chain) >= 2:
-            v1, s1 = lifted[chain[-2]]
-            v2, s2 = lifted[chain[-1]]
-            # keep only strict right turns of the lower chain
-            if (v2 - v1) * (s - s1) - (s2 - s1) * (v - v1) <= 0.0:
-                chain.pop()
-            else:
-                break
-        chain.append(int(idx))
-    return np.array(chain, dtype=int)
-
-
-def _lower_hull_vertex_lp(lifted: np.ndarray, index: int) -> bool:
-    """Exact fallback: is lifted[index] a vertex of the lower hull?
-
-    A point fails to be one iff it is a convex combination of the other
-    lifted points plus a non-negative push straight up.
-    """
-    others = np.delete(lifted, index, axis=0)
-    if len(others) == 0:
-        return True
-    m = lifted.shape[1]
-    up = np.zeros(m)
-    up[-1] = 1.0
-    a_eq = np.vstack([np.column_stack([others.T, up]), np.append(np.ones(len(others)), 0.0)])
-    b_eq = np.concatenate([lifted[index], [1.0]])
-    res = linprog(
-        c=np.zeros(len(others) + 1),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status == 0:
-        return False
-    if res.status == 2:
-        return True
-    raise RuntimeError(f"LP solver failure: status {res.status}")
-
-
 @dataclass(frozen=True)
 class Festoon:
     """Extreme points of a scaled point set plus the lifted lower-hull data.
 
     `points` are the input rows (v.., h); `extreme_indices` index into them.
-    `lifted_lower_hull` stores what boundary evaluation needs: for spatial
-    dimension 1 the sorted extreme (v, s) arrays, otherwise the affine
-    pieces (gradients, intercepts) of the lower facets together with the
-    spatial hull inequalities of the extreme points.
+    `lifted_lower_hull` stores what boundary evaluation needs, in every
+    spatial dimension: "planes", the affine pieces (gradients, intercepts)
+    of the lower facets, None when the lift is affinely degenerate; and
+    "spatial_hull", the inequalities of the extreme points' spatial hull,
+    None in spatial dimension 1 or when that hull is degenerate. Spatial
+    dimension 1 evaluates by interpolating the extreme lifts instead.
     """
 
     points: np.ndarray
@@ -151,70 +102,58 @@ def extreme_points(points) -> Festoon:
     """Extreme points via the parabolic lifting.
 
     The extreme set is the vertex set of the lower convex hull of the lifted
-    points (the hull extended upward in the lift direction). Exact duplicate
-    rows are removed first; ties keep the first occurrence.
+    points (the hull extended upward in the lift direction), for every
+    spatial dimension m >= 1. Exact duplicate rows are removed first; ties
+    keep the first occurrence.
     """
     arr = _as_scaled_array(points)
     _, first = np.unique(arr, axis=0, return_index=True)
     keep = np.sort(first)
     arr = arr[keep]
-    m = arr.shape[1] - 1
-    lifted = lift(arr)
-
-    if m == 1:
-        chain = _lower_hull_1d(lifted)
-        ext = np.sort(chain)
-        hull_data = {
-            "vx": lifted[chain, 0],
-            "vs": lifted[chain, 1],
-        }
-        return Festoon(points=arr, extreme_indices=ext, spatial_dim=1, lifted_lower_hull=hull_data)
-
-    ext_idx, planes = _lower_hull_nd(lifted)
-    spatial = arr[ext_idx, :-1]
-    hull_data = {"planes": planes, "spatial_hull": _spatial_hull(spatial)}
-    return Festoon(
-        points=arr, extreme_indices=np.sort(ext_idx), spatial_dim=m, lifted_lower_hull=hull_data
-    )
+    ext_idx, planes = _lower_hull(lift(arr))
+    hull_data = {"planes": planes, "spatial_hull": _spatial_hull(arr[ext_idx, :-1])}
+    return Festoon(points=arr, extreme_indices=ext_idx, spatial_dim=arr.shape[1] - 1,
+                   lifted_lower_hull=hull_data)
 
 
-def _lower_hull_nd(lifted: np.ndarray):
-    """Lower-hull vertices and facet affine pieces for spatial dimension >= 2.
+def _lower_hull(lifted: np.ndarray):
+    """Lower-hull vertices (sorted indices into `lifted`) and the affine
+    pieces (gradients, intercepts) of the lower facets.
 
-    Falls back to per-point LP tests when the lifted set is affinely
-    degenerate (then no affine facet pieces are available).
+    The lower facets are the Qhull facets whose outward normal points down
+    in s; Qhull's facet merging keeps points inside a lower facet (collinear
+    or coplanar lifts) out of the vertex set. When the lifted set is
+    affinely degenerate, each point gets the exact LP test instead and no
+    affine pieces are available (planes is None): a point is not a vertex
+    iff it is a convex combination of the others plus a push straight up.
     """
     n, mp1 = lifted.shape
-    if n <= mp1:
-        ext = np.array([i for i in range(n) if _lower_hull_vertex_lp(lifted, i)], dtype=int)
-        return ext, None
     try:
-        qh = ConvexHull(lifted)
+        qh = ConvexHull(lifted) if n > mp1 else None
     except QhullError:
-        ext = np.array([i for i in range(n) if _lower_hull_vertex_lp(lifted, i)], dtype=int)
-        return ext, None
-    eqs, inverse = np.unique(qh.equations, axis=0, return_inverse=True)
-    lower = eqs[:, mp1 - 1] < -1e-12  # outward normal points downward in s
-    members = [[] for _ in range(len(eqs))]
-    for row, grp in enumerate(inverse):
-        members[grp].append(row)
-    ext_set: set[int] = set()
-    grads, icpts = [], []
-    for grp in np.flatnonzero(lower):
-        pts = np.unique(qh.simplices[np.array(members[grp])])
-        ext_set.update(int(p) for p in pts)
-        normal, off = eqs[grp, :-1], eqs[grp, -1]
-        # n_v . v + n_s s + off = 0  ->  s = -(off + n_v . v)/n_s
-        grads.append(-normal[:-1] / normal[-1])
-        icpts.append(-off / normal[-1])
-    planes = (np.array(grads), np.array(icpts))
-    return np.array(sorted(ext_set), dtype=int), planes
+        qh = None
+    if qh is None:
+        up = np.zeros(mp1)
+        up[-1] = 1.0
+        ext = [i for i in range(n)
+               if not is_convex_combination(np.delete(lifted, i, axis=0), lifted[i], ray=up)]
+        return np.array(ext, dtype=int), None
+    eqs, members = facet_groups(qh)
+    lower = eqs[:, -2] < -1e-12  # outward normal points downward in s
+    normals, offsets = eqs[lower, :-1], eqs[lower, -1]
+    # n_v . v + n_s s + off = 0  ->  s = -(off + n_v . v)/n_s
+    planes = (-normals[:, :-1] / normals[:, -1:], -offsets / normals[:, -1])
+    ext = np.unique(np.concatenate([members[g] for g in np.flatnonzero(lower)]))
+    return ext, planes
 
 
 def _spatial_hull(spatial: np.ndarray):
-    """Inequalities <a, v> <= b describing the hull of the extreme spatial
-    coordinates (None when degenerate; membership then checked by LP)."""
-    if len(spatial) <= spatial.shape[1]:
+    """Inequalities <a, v> + b <= 0 describing the hull of the extreme
+    spatial coordinates; None in spatial dimension 1 (the support is the
+    interval between the extreme v's) and when degenerate (membership is
+    then checked by LP)."""
+    m = spatial.shape[1]
+    if m == 1 or len(spatial) <= m:
         return None
     try:
         qh = ConvexHull(spatial)
@@ -223,80 +162,46 @@ def _spatial_hull(spatial: np.ndarray):
     return qh.equations
 
 
-def _inside_spatial_hull(f: Festoon, v: np.ndarray, tol: float) -> bool:
-    spatial = f.extreme_points[:, :-1]
-    eqs = f.lifted_lower_hull.get("spatial_hull")
-    if eqs is not None:
-        return bool(np.all(eqs[:, :-1] @ v + eqs[:, -1] <= tol))
-    # degenerate spatial support: membership via convex-combination LP
-    res = linprog(
-        c=np.zeros(len(spatial)),
-        A_eq=np.vstack([spatial.T, np.ones(len(spatial))]),
-        b_eq=np.concatenate([v, [1.0]]),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    return res.status == 0
-
-
 def phi_boundary(f: Festoon, v):
-    """Festoon boundary height at spatial location v.
-
-    Equals the lifted lower-hull height minus ||v||^2/2; raises
-    OutsideSupport when v leaves the spatial hull of the extreme points
-    (there the boundary is unbounded).
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(f.extreme_points[:, :-1]))) if f.extreme_indices.size else 1.0)
-    tol = 1e-9 * scale
-    if f.spatial_dim == 1:
-        vx = f.lifted_lower_hull["vx"]
-        vs = f.lifted_lower_hull["vs"]
-        x = float(v[0])
-        if x < vx[0] - tol or x > vx[-1] + tol:
-            raise OutsideSupport(f"v = {x:.4g} outside [{vx[0]:.4g}, {vx[-1]:.4g}]")
-        s = float(np.interp(x, vx, vs))
-        return s - 0.5 * x * x
-    if not _inside_spatial_hull(f, v, tol):
-        raise OutsideSupport("query outside the extreme points' spatial hull")
-    planes = f.lifted_lower_hull.get("planes")
-    if planes is None or len(planes[0]) == 0:
-        # degenerate lower hull: all extreme lifts lie on one affine piece
-        lifted = lift(f.extreme_points)
-        g, res, *_ = np.linalg.lstsq(
-            np.column_stack([lifted[:, :-1], np.ones(len(lifted))]), lifted[:, -1], rcond=None
-        )
-        s = float(np.concatenate([v, [1.0]]) @ g)
-    else:
-        grads, icpts = planes
-        s = float(np.max(grads @ v + icpts))
-    return s - 0.5 * float(v @ v)
+    """Festoon boundary height at one spatial location v (see phi_boundary_batch)."""
+    return float(phi_boundary_batch(f, v)[0])
 
 
 def phi_boundary_batch(f: Festoon, grid: np.ndarray) -> np.ndarray:
     """Festoon boundary over a (k, m) batch of spatial locations.
 
-    Raises OutsideSupport if any location leaves the extreme points' spatial
-    hull; the batch path avoids per-point Python overhead on dense grids.
+    Equals the lifted lower-hull height minus ||v||^2/2; raises
+    OutsideSupport if any location leaves the spatial hull of the extreme
+    points (there the boundary is unbounded).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(f.extreme_points[:, :-1]))))
-    tol = 1e-9 * scale
+    spatial = f.extreme_points[:, :-1]
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(spatial))))
     if f.spatial_dim == 1:
-        vx = f.lifted_lower_hull["vx"]
-        vs = f.lifted_lower_hull["vs"]
+        lifted = lift(f.extreme_points)
+        order = np.argsort(lifted[:, 0])
+        vx, vs = lifted[order, 0], lifted[order, 1]
         x = grid[:, 0]
         if np.any(x < vx[0] - tol) or np.any(x > vx[-1] + tol):
             raise OutsideSupport("grid leaves the extreme points' spatial hull")
         return np.interp(x, vx, vs) - 0.5 * x * x
-    eqs = f.lifted_lower_hull.get("spatial_hull")
-    planes = f.lifted_lower_hull.get("planes")
-    if eqs is None or planes is None or len(planes[0]) == 0:
-        return np.array([phi_boundary(f, row) for row in grid])
-    if np.any(grid @ eqs[:, :-1].T + eqs[None, :, -1] > tol):
+    eqs = f.lifted_lower_hull["spatial_hull"]
+    if eqs is not None:
+        outside = np.any(grid @ eqs[:, :-1].T + eqs[None, :, -1] > tol, axis=1)
+    else:  # degenerate spatial support: membership via convex-combination LP
+        outside = [not is_convex_combination(spatial, v) for v in grid]
+    if np.any(outside):
         raise OutsideSupport("grid leaves the extreme points' spatial hull")
-    grads, icpts = planes
-    s = np.max(grid @ grads.T + icpts[None, :], axis=1)
+    planes = f.lifted_lower_hull["planes"]
+    if planes is None or len(planes[0]) == 0:
+        # degenerate lower hull: all extreme lifts lie on one affine piece
+        lifted = lift(f.extreme_points)
+        ones = np.ones(len(lifted))
+        g = np.linalg.lstsq(np.column_stack([lifted[:, :-1], ones]), lifted[:, -1], rcond=None)[0]
+        s = np.column_stack([grid, np.ones(len(grid))]) @ g
+    else:
+        grads, icpts = planes
+        s = np.max(grid @ grads.T + icpts[None, :], axis=1)
     return s - 0.5 * np.sum(grid**2, axis=1)
 
 
@@ -372,21 +277,17 @@ def ball_grid(L: float, grid_n: int, m: int) -> np.ndarray:
 def sup_distance(f, g, L: float, grid_n: int, spatial_dim: int = 1) -> float:
     """Max |f - g| over a deterministic grid of the spatial L-ball.
 
-    f and g map a batch (k, m) of locations to (k,) heights; callables that
-    only take single points are applied row by row.
+    f and g map a batch (k, m) of locations to (k,) heights; each is called
+    once on the whole grid, and any other result shape raises ValueError.
     """
     grid = ball_grid(L, grid_n, spatial_dim)
-
-    def evaluate(fun):
-        try:
-            out = np.asarray(fun(grid), dtype=float)
-            if out.shape == (len(grid),):
-                return out
-        except Exception:
-            pass
-        return np.array([float(fun(row)) for row in grid])
-
-    return float(np.max(np.abs(evaluate(f) - evaluate(g))))
+    heights = []
+    for fun in (f, g):
+        out = np.asarray(fun(grid), dtype=float)
+        if out.shape != (len(grid),):
+            raise ValueError(f"expected heights of shape ({len(grid)},), got {out.shape}")
+        heights.append(out)
+    return float(np.max(np.abs(heights[0] - heights[1])))
 
 
 def windowed_festoon(scaled_points: np.ndarray, L: float, spatial_limit: float | None = None):

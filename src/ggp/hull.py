@@ -4,6 +4,8 @@ Hull construction is delegated to Qhull (scipy.spatial.ConvexHull), which
 merges coplanar facets; the merged facet planes drive face counting, the
 radial function and all containment checks. Two independent vertex oracles
 (an LP feasibility test and a covering-balls test) cross-validate the hull.
+The facet grouping (facet_groups) and the convex-combination LP
+(is_convex_combination) also serve the festoon's lifted lower hull.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 from scipy.special import binom
@@ -95,45 +98,51 @@ def _as_points(cloud) -> np.ndarray:
     return pts
 
 
+def facet_groups(qh):
+    """Qhull's merged facets: (unique plane equations, vertex index arrays).
+
+    Qhull assigns each output simplex the plane of its merged facet, so
+    grouping simplices by exact equation equality recovers the merged
+    facets. Entry g of the list holds the sorted indices, into the points
+    Qhull was given, of the vertices of facet g.
+    """
+    eqs, inverse = np.unique(qh.equations, axis=0, return_inverse=True)
+    n_points = len(qh.points)
+    width = qh.simplices.shape[1]
+    keys = np.unique(np.repeat(inverse.reshape(-1), width) * n_points + qh.simplices.ravel())
+    groups, members = np.divmod(keys, n_points)
+    return eqs, np.split(members, np.searchsorted(groups, np.arange(1, len(eqs))))
+
+
+def _pairs_at_least(gram, k: int) -> int:
+    """Number of index pairs i < j with gram[i, j] >= k."""
+    return int(np.count_nonzero(sparse.triu(gram, k=1).data >= k))
+
+
 def _count_faces(dim, n_vertices, facet_vertex_sets):
     """f-vector from merged facets; exact for d <= 4.
 
-    A vertex pair spans an edge iff its pair of containing facets has size
-    >= d-1 (>= 2 in d=3, >= 3 in d=4: the minimal common face of a non-edge
-    pair is at least 2-dimensional and lies in fewer facets). A ridge in d=4
-    is a facet pair sharing >= 3 vertices.
+    With M the sparse facet-vertex incidence matrix, a vertex pair spans an
+    edge iff it lies in >= d-1 common facets, (M^T M)_ij >= d-1 (>= 2 in
+    d=3, >= 3 in d=4: the minimal common face of a non-edge pair is at
+    least 2-dimensional and lies in fewer facets). A ridge in d=4 is a
+    facet pair sharing >= 3 vertices, (M M^T)_ij >= 3.
     """
     n_facets = len(facet_vertex_sets)
     if dim == 2:
         return (n_vertices, n_vertices)
+    if dim > 4:
+        return (n_vertices,) + (None,) * (dim - 2) + (n_facets,)
+    sizes = [len(vs) for vs in facet_vertex_sets]
+    incidence = sparse.csr_array(
+        (np.ones(sum(sizes), dtype=np.int64),
+         (np.repeat(np.arange(n_facets), sizes), np.concatenate(facet_vertex_sets))),
+        shape=(n_facets, n_vertices),
+    )
+    f1 = _pairs_at_least(incidence.T @ incidence, dim - 1)
     if dim == 3:
-        pair_count = {}
-        for vs in facet_vertex_sets:
-            vs = sorted(vs)
-            for i in range(len(vs)):
-                for j in range(i + 1, len(vs)):
-                    key = (vs[i], vs[j])
-                    pair_count[key] = pair_count.get(key, 0) + 1
-        f1 = sum(1 for c in pair_count.values() if c >= 2)
         return (n_vertices, f1, n_facets)
-    if dim == 4:
-        pair_count = {}
-        for vs in facet_vertex_sets:
-            vs = sorted(vs)
-            for i in range(len(vs)):
-                for j in range(i + 1, len(vs)):
-                    key = (vs[i], vs[j])
-                    pair_count[key] = pair_count.get(key, 0) + 1
-        f1 = sum(1 for c in pair_count.values() if c >= 3)
-        f2 = 0
-        sets = [set(vs) for vs in facet_vertex_sets]
-        for i in range(n_facets):
-            for j in range(i + 1, n_facets):
-                if len(sets[i] & sets[j]) >= 3:
-                    f2 += 1
-        return (n_vertices, f1, f2, n_facets)
-    mid = (None,) * (dim - 2)
-    return (n_vertices,) + mid + (n_facets,)
+    return (n_vertices, f1, _pairs_at_least(incidence @ incidence.T, 3), n_facets)
 
 
 def convex_hull(cloud, assume_unique=False) -> Polytope:
@@ -158,39 +167,49 @@ def convex_hull(cloud, assume_unique=False) -> Polytope:
         raise DegenerateInput(f"affinely dependent input: {exc}") from exc
 
     vert_idx = qh.vertices  # indices into deduped points
-    vertices = points[vert_idx]
-    to_local = {int(p): i for i, p in enumerate(vert_idx)}
-
-    # Qhull assigns each output simplex the plane of its merged facet, so
-    # grouping by exact equation equality recovers the merged facets.
-    eqs, inverse = np.unique(qh.equations, axis=0, return_inverse=True)
-    facet_members = [[] for _ in range(len(eqs))]
-    for simplex_row, group in enumerate(inverse):
-        facet_members[group].append(simplex_row)
-    facets = []
-    facet_vertex_sets = []
-    for group, rows in enumerate(facet_members):
-        pts = np.unique(qh.simplices[np.array(rows)])
-        local = np.array(sorted(to_local[int(p)] for p in pts))
-        facets.append(
-            Facet(
-                normal=eqs[group, :-1].copy(),
-                offset=-float(eqs[group, -1]),
-                vertex_indices=local,
-            )
-        )
-        facet_vertex_sets.append(local.tolist())
-
-    f_vec = _count_faces(dim, len(vertices), facet_vertex_sets)
+    to_local = np.empty(n, dtype=int)
+    to_local[vert_idx] = np.arange(len(vert_idx))
+    eqs, members = facet_groups(qh)
+    facets = [
+        Facet(normal=eq[:-1].copy(), offset=-float(eq[-1]), vertex_indices=np.sort(to_local[pts]))
+        for eq, pts in zip(eqs, members)
+    ]
+    f_vec = _count_faces(dim, len(vert_idx), [f.vertex_indices for f in facets])
     return Polytope(
         dim=dim,
-        vertices=vertices,
+        vertices=points[vert_idx],
         facets=facets,
         f_vector=f_vec,
         vertex_input_indices=orig_idx[vert_idx],
         _volume=float(qh.volume),
         _area=float(qh.area),
     )
+
+
+def is_convex_combination(points: np.ndarray, target: np.ndarray, ray=None) -> bool:
+    """LP test: is target a convex combination of the rows of points, plus a
+    non-negative multiple of ray when one is given?
+
+    Exact up to the LP solver tolerance (~1e-9). Raises RuntimeError when
+    the solver neither finds a combination nor proves that none exists.
+    """
+    if len(points) == 0:
+        return False
+    a_eq = np.vstack([points.T, np.ones(len(points))])
+    if ray is not None:
+        a_eq = np.column_stack([a_eq, np.append(ray, 0.0)])
+    res = linprog(
+        c=np.zeros(a_eq.shape[1]),
+        A_eq=a_eq,
+        b_eq=np.append(target, 1.0),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status == 0:
+        return True
+    if res.status == 2:
+        return False  # infeasible
+    raise RuntimeError(f"LP solver failure: status {res.status} ({res.message})")
 
 
 def is_vertex_lp(cloud, index: int) -> bool:
@@ -200,24 +219,7 @@ def is_vertex_lp(cloud, index: int) -> bool:
     n, dim = points.shape
     if not 0 <= index < n:
         raise IndexOutOfRange(f"index {index} out of range for {n} points")
-    others = np.delete(points, index, axis=0)
-    if len(others) == 0:
-        return True
-    target = points[index]
-    a_eq = np.vstack([others.T, np.ones(len(others))])
-    b_eq = np.concatenate([target, [1.0]])
-    res = linprog(
-        c=np.zeros(len(others)),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status == 0:
-        return False  # representable: interior or on a face
-    if res.status == 2:
-        return True  # infeasible: extreme
-    raise RuntimeError(f"LP solver failure: status {res.status} ({res.message})")
+    return not is_convex_combination(np.delete(points, index, axis=0), points[index])
 
 
 _sphere_cache: dict = {}

@@ -25,6 +25,10 @@ MINIMAL_GUMBEL = {
     "reps": 150,
     "seed": 42,
 }
+CLT = {"experiment": "clt", "d": 2, "alpha": 0.0, "beta": 2.0, "lambda": 100.0,
+       "reps": 1000, "seed": 1}
+SCALING = {"experiment": "scaling_limit", "d": 2, "alphas_betas": [[0, 2]],
+           "lambda_grid": [1e3], "L": 1.0, "reps": 2, "seed": 1}
 
 
 class TestParseConfig:
@@ -39,6 +43,13 @@ class TestParseConfig:
         monkeypatch.setenv("GGP_WORKERS", "3")
         cfg = parse_config(json.dumps(MINIMAL_GUMBEL))
         assert cfg.workers == 3
+
+    def test_explicit_workers_ignore_env(self, monkeypatch):
+        monkeypatch.setenv("GGP_WORKERS", "abc")
+        assert parse_config(json.dumps(dict(MINIMAL_GUMBEL, workers=2))).workers == 2
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(MINIMAL_GUMBEL))
+        assert exc.value.field == "GGP_WORKERS"
 
     def test_alpha_out_of_range_names_field(self):
         bad = dict(MINIMAL_GUMBEL, alpha=-2.0)
@@ -72,6 +83,45 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(json.dumps(cfg))
         assert exc.value.field == "d"
+
+    @pytest.mark.parametrize("field", ["seed", "reps", "workers"])
+    def test_bool_rejected_where_integer_wanted(self, field):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(dict(MINIMAL_GUMBEL, **{field: True})))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", "x"), ("beta", None), ("n", True), ("alpha", [0.0]),
+    ])
+    def test_non_numeric_gumbel_field_named(self, field, value):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(dict(MINIMAL_GUMBEL, **{field: value})))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("config, field", [
+        (dict(CLT, alpha="x"), "alpha"),
+        (dict(CLT, beta=True), "beta"),
+        (dict(CLT, **{"lambda": "abc"}), "lambda"),
+        (dict(CLT, d=True), "d"),
+        (dict(CLT, d="3"), "d"),
+        (dict(SCALING, lambda_grid=["a"]), "lambda_grid"),
+        (dict(SCALING, lambda_grid=5), "lambda_grid"),
+        (dict(SCALING, lambda_grid="abc"), "lambda_grid"),
+        (dict(SCALING, alphas_betas=[[0]]), "alphas_betas"),
+        (dict(SCALING, alphas_betas=[["x", 2]]), "alphas_betas"),
+        (dict(SCALING, alphas_betas=[[0, True]]), "alphas_betas"),
+        (dict(SCALING, alphas_betas=3), "alphas_betas"),
+    ])
+    def test_non_numeric_model_field_named(self, config, field):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(config))
+        assert exc.value.field == field
+
+    def test_malformed_model_field_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CLT, **{"lambda": "abc"})))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "lambda" in capsys.readouterr().err
 
 
 class TestRunAndDeterminism:
@@ -109,6 +159,16 @@ class TestRunAndDeterminism:
         a = (tmp_path / "x" / "gumbel_records.csv").read_bytes()
         b = (tmp_path / "y" / "gumbel_records.csv").read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--workers", "-3"), ("--seed", "-1"),
+    ])
+    def test_bad_override_exits_2_naming_field(self, tmp_path, capsys, flag, value):
+        cfg = self.config_path(tmp_path, MINIMAL_GUMBEL)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"), flag, value])
+        assert code == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "blocker"

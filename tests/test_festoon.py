@@ -22,7 +22,7 @@ from ggp.rescale import ScaledPoint, transform, transform_batch
 from ggp.sampling import RngStream, sample_direction, sample_polytope_input
 
 
-def brute_force_extremes(points, tie_tol=1e-7):
+def brute_force_extremes(points, tie_tol=1e-7, endpoints_only=False):
     """Apex-scan oracle for the extreme set, independent of any hull code.
 
     For a candidate apex a, the downward paraboloid lowered until it touches
@@ -31,6 +31,11 @@ def brute_force_extremes(points, tie_tol=1e-7):
     the apices where two (spatial dim 1) or three (dim 2) points tie, plus a
     far ring for the unbounded witness regions, reaches every extreme
     point's witness region for generic inputs.
+
+    In spatial dim 1 the points touched at one apex lift onto one segment,
+    of which only the endpoints are lower-hull vertices; endpoints_only
+    keeps just the leftmost and rightmost touched point, so collinear lifts
+    (integer grids) are judged as vertexship rather than as touching.
     """
     pts = np.asarray(points, dtype=float)
     v, h = pts[:, :-1], pts[:, -1]
@@ -67,7 +72,12 @@ def brute_force_extremes(points, tie_tol=1e-7):
         a = apices[start:start + 4096]
         depth = h[None, :] + 0.5 * np.sum((v[None, :, :] - a[:, None, :]) ** 2, axis=2)
         tied = depth <= depth.min(axis=1, keepdims=True) + tie_tol * scale**2
-        found.update(np.flatnonzero(tied.any(axis=0)).tolist())
+        if endpoints_only:
+            spread = np.where(tied, v[None, :, 0], np.nan)
+            found.update(np.nanargmin(spread, axis=1).tolist())
+            found.update(np.nanargmax(spread, axis=1).tolist())
+        else:
+            found.update(np.flatnonzero(tied.any(axis=0)).tolist())
     return sorted(found)
 
 
@@ -133,6 +143,19 @@ class TestExtremePoints:
             ])
             f = extreme_points(pts)
             assert list(f.extreme_indices) == brute_force_extremes(pts), pts
+
+    def test_spatial_dim_one_collinear_lifts_and_integer_grids(self):
+        # lifts (v, v): one lower segment, of which only the ends are vertices
+        line = np.array([[-2.0, -4.0], [0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
+        assert list(extreme_points(line).extreme_indices) == [0, 3]
+        above = np.vstack([line, [[0.0, 3.0], [1.5, 2.0]]])
+        assert list(extreme_points(above).extreme_indices) == [0, 3]
+        # integer grids: many collinear lifts and shared spatial coordinates
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            pts = rng.integers(-3, 4, (int(rng.integers(1, 30)), 2)).astype(float)
+            f = extreme_points(pts)
+            assert list(f.extreme_indices) == brute_force_extremes(f.points, endpoints_only=True)
 
     def test_insertion_never_raises_boundary(self):
         rng = np.random.default_rng(3)
@@ -209,6 +232,35 @@ class TestPhiBoundary:
         v = np.array([-1.5])
         assert phi_boundary(f, v) == pytest.approx(-0.375, abs=1e-12)
         assert psi_boundary(pts, v) == pytest.approx(-1.875, abs=1e-12)
+
+    def test_scalar_equals_batch_on_degenerate_festoons(self):
+        # one or two points and collinear/coplanar lifts: the LP membership
+        # and least-squares paths; on each support phi(v) = s(v) - |v|^2/2
+        # with s the affine function through the lifts
+        coplanar = np.array([[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
+        cases = [
+            (np.array([[0.3, -1.0]]), [[0.3]], lambda v: -1.0 + 0.045 - 0.5 * v @ v),
+            (np.array([[-1.0, 0.0], [1.0, 0.0]]), [[-1.0], [0.2], [1.0]],
+             lambda v: 0.5 - 0.5 * v @ v),
+            (np.array([[-2.0, -4.0], [0.0, 0.0], [2.0, 0.0]]), [[-1.5], [0.5]],
+             lambda v: v[0] - 0.5 * v @ v),
+            (np.array([[0.1, 0.2, -1.0]]), [[0.1, 0.2]], lambda v: -1.0 + 0.025 - 0.5 * v @ v),
+            (np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), [[-0.5, 0.0], [1.0, 0.0]],
+             lambda v: 0.5 - 0.5 * v @ v),
+            (np.column_stack([coplanar, 0.5 * coplanar[:, 0] - coplanar[:, 1] + 1.0
+                              - 0.5 * np.sum(coplanar**2, axis=1)]),
+             [[0.0, 0.0], [-0.7, 0.4], [1.0, 1.0]],
+             lambda v: 0.5 * v[0] - v[1] + 1.0 - 0.5 * v @ v),
+        ]
+        for pts, locations, expected in cases:
+            f = extreme_points(pts)
+            for v in np.array(locations):
+                batch = phi_boundary_batch(f, v[None])[0]
+                assert phi_boundary(f, v) == batch
+                assert batch == pytest.approx(expected(v), abs=1e-9)
+        two = extreme_points(np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        with pytest.raises(OutsideSupport):
+            phi_boundary(two, np.array([0.0, 0.5]))
 
 
 class TestPsiBoundaries:
@@ -319,6 +371,28 @@ class TestSupDistance:
         coarse = sup_distance(phi, psi, 1.0, 20, 1)
         fine = sup_distance(phi, psi, 1.0, 40, 1)
         assert abs(fine - coarse) <= 0.1 * max(fine, 1e-9)
+
+    def test_each_callable_evaluated_once(self):
+        calls = []
+
+        def f(grid):
+            calls.append(grid.shape)
+            return np.zeros(len(grid))
+
+        sup_distance(f, f, 1.0, 21, 2)
+        assert calls == [ball_grid(1.0, 21, 2).shape] * 2
+
+    def test_wrong_shape_rejected(self):
+        zeros = lambda g: np.zeros(len(g))
+        for bad in (lambda g: np.zeros((len(g), 1)), lambda g: 0.0, lambda g: np.zeros(3)):
+            with pytest.raises(ValueError):
+                sup_distance(zeros, bad, 1.0, 21, 1)
+
+    def test_outside_support_propagates(self):
+        f = extreme_points(np.array([[-0.5, 0.0], [0.5, 0.0]]))
+        phi = lambda grid: phi_boundary_batch(f, grid)
+        with pytest.raises(OutsideSupport):
+            sup_distance(phi, lambda g: np.zeros(len(g)), 1.0, 21, 1)
 
 
 class TestWindowedFestoon:

@@ -94,6 +94,27 @@ class TestConvexHull:
             f0, f1, f2 = convex_hull(pts).f_vector
             assert f0 - f1 + f2 == 2
 
+    def test_euler_and_dehn_sommerville_random_4d(self):
+        # random clouds have simplicial hulls: each ridge lies in two
+        # tetrahedral facets, so f2 = 2 f3, and with Euler f1 = f0 + f3
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = convex_hull(rng.standard_normal((int(rng.integers(6, 400)), 4)))
+            assert all(len(f.vertex_indices) == 4 for f in p.facets)
+            f0, f1, f2, f3 = p.f_vector
+            assert f0 - f1 + f2 - f3 == 0
+            assert f2 == 2 * f3
+            assert f1 == f0 + f3
+
+    def test_euler_relation_integer_grids(self):
+        # grid clouds have merged, non-simplicial facets
+        rng = np.random.default_rng(12)
+        for d, euler in ((3, 2), (4, 0)):
+            for _ in range(30):
+                pts = rng.integers(-2, 3, (int(rng.integers(d + 3, 60)), d)).astype(float)
+                f_vec = convex_hull(pts).f_vector
+                assert sum((-1) ** i * f for i, f in enumerate(f_vec)) == euler
+
     def test_f0_equals_f1_random_2d(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
