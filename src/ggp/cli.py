@@ -68,6 +68,11 @@ _REQUIRED_KEYS = {
 }
 # Smallest value of each integer run field, in the config file or on the command line.
 _RUN_INT_MIN = {"seed": 0, "reps": 1, "workers": 1}
+# JSON types of the experiment keys outside the model fields.
+_INTEGER_KEYS = ("k_max", "i", "grid_n")
+_NUMBER_KEYS = ("L", "p", "a", "M")
+_NUMBER_LIST_KEYS = ("t_grid", "y_grid")
+_WINDOW_KEYS = ("spatial_radius", "h_min", "h_max")
 
 
 @dataclass(frozen=True)
@@ -108,13 +113,38 @@ def _check_number(field: str, value, integer: bool = False):
                                      f"got {value!r}")
 
 
-def _check_number_list(field: str, value, length: int | None = None):
-    """Reject anything but a JSON list of numbers (of the given length)."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        raise ValidationError(field, "must be a list of numbers" if length is None
-                              else f"must be a list of {length} numbers")
+def _check_number_list(field: str, value, length: int | None = None, integer: bool = False):
+    """Reject anything but a non-empty JSON list of numbers or integers (of the given length)."""
+    kind = "integers" if integer else "numbers"
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        raise ValidationError(field, f"must be a non-empty list of {kind}" if length is None
+                              else f"must be a list of {length} {kind}")
     for x in value:
-        _check_number(field, x)
+        _check_number(field, x, integer=integer)
+
+
+def _check_experiment_fields(opts: dict):
+    """Type-check the experiment keys that are not model fields."""
+    for key in _INTEGER_KEYS:
+        if key in opts:
+            _check_number(key, opts[key], integer=True)
+    for key in _NUMBER_KEYS:
+        if key in opts:
+            _check_number(key, opts[key])
+    for key in _NUMBER_LIST_KEYS:
+        if key in opts:
+            _check_number_list(key, opts[key])
+    if "bins" in opts:
+        _check_number_list("bins", opts["bins"], length=2, integer=True)
+    if "window" in opts:
+        w = opts["window"]
+        if not isinstance(w, dict):
+            raise ValidationError("window", "must be an object with keys "
+                                            + ", ".join(_WINDOW_KEYS))
+        for k in _WINDOW_KEYS:
+            if k not in w:
+                raise ValidationError("window", f"missing {k}")
+            _check_number(f"window.{k}", w[k])
 
 
 def _validate_model_fields(opts: dict):
@@ -199,11 +229,7 @@ def parse_config(source: str) -> RunConfig:
             raise ValidationError("alpha", "must be > -1")
         if not options["beta"] >= 1:
             raise ValidationError("beta", "must be >= 1")
-    if "window" in options:
-        w = options["window"]
-        for k in ("spatial_radius", "h_min", "h_max"):
-            if k not in w:
-                raise ValidationError("window", f"missing {k}")
+    _check_experiment_fields(options)
     return RunConfig(
         experiment=experiment,
         seed=seed,

@@ -39,6 +39,8 @@ from .sampling import (
     PointCloud,
     RngStream,
     ScaledWindow,
+    radial_tail,
+    radial_tail_inverse,
     sample_polytope_input,
     sample_standardized_max,
 )
@@ -61,6 +63,11 @@ __all__ = [
 ]
 
 AGGREGATE_REPLICATION = -1  # replication index reserved for run-level metrics
+# Expected point count of the outer shell that a polytope replication samples
+# first; at or below this intensity it samples the whole cloud.
+SHELL_POINTS = 1024
+# Distinct grid points a slope or trend check needs; below this it reports INFO.
+MIN_TREND_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,14 @@ def _check(name, ok, detail) -> CheckOutcome:
 
 def _info(name, detail) -> CheckOutcome:
     return CheckOutcome(name=name, status="INFO", detail=detail)
+
+
+def _too_short(grid):
+    """Why a slope or trend check over grid cannot be judged, or None if it can."""
+    distinct = len(np.unique(grid))
+    if distinct < MIN_TREND_POINTS:
+        return f"not judged: {distinct} distinct grid point(s), need {MIN_TREND_POINTS}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -444,23 +459,63 @@ def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=41) -> RunRe
 # ---------------------------------------------------------------------------
 
 
+def _hull_or_none(points, d: int):
+    """Hull of the points, or None when they cannot span R^d."""
+    if len(points) < d + 1:
+        return None
+    try:
+        return convex_hull(points, assume_unique=True)
+    except GgpError:
+        return None  # affinely dependent input
+
+
+def _sample_hull(rng: RngStream, params: ModelParams):
+    """Hull (or None) and point count of one Poisson cloud, sampling only
+    the points that can be hull vertices.
+
+    Up to SHELL_POINTS expected points the whole cloud is sampled. Above,
+    round 1 samples the shell ||x|| > r0 holding SHELL_POINTS points in
+    expectation and hulls it. The hull contains the ball B(rho), rho its
+    smallest facet offset; if rho (1 - 1e-9) >= r0, every inner point lies
+    in it and hull(all) = hull(shell). Otherwise round 2 samples the annulus
+    rho' < ||x|| <= r0, rho' = max(rho (1 - 1e-9), 0), and hulls shell and
+    annulus together, which contains B(rho'); rho' = 0 (a degenerate shell
+    or the origin outside its hull) samples the whole cloud. The points left
+    inside the inner ball are counted by an independent Poisson draw.
+    Poisson restriction makes the counts on the three disjoint regions
+    independent, so the hull and the count have the law of the full cloud.
+    """
+    if params.lam <= SHELL_POINTS:
+        cloud = sample_polytope_input(rng, params)
+        return _hull_or_none(cloud, params.d), len(cloud)
+    g = rng.generator()
+    r0 = float(radial_tail_inverse(params, SHELL_POINTS / params.lam))
+    points = sample_polytope_input(g, params, r_min=r0).points
+    poly = _hull_or_none(points, params.d)
+    # radius of a ball about the origin inside hull(shell), safe against rounding
+    inball = 0.0 if poly is None else (1.0 - 1e-9) * float(np.min(poly.facet_offsets))
+    inner = r0
+    if inball < r0:
+        inner = max(inball, 0.0)
+        annulus = sample_polytope_input(g, params, r_min=inner, r_max=r0).points
+        points = np.vstack([points, annulus])
+        poly = _hull_or_none(points, params.d)
+    n_inner = int(g.poisson(params.lam * (1.0 - radial_tail(params, inner))))
+    return poly, len(points) + n_inner
+
+
 def _polytope_task(task):
     seed, stream_id, params = task
     t0 = time.perf_counter()
-    rng = RngStream(seed, stream_id)
-    cloud = sample_polytope_input(rng, params)
+    poly, n_points = _sample_hull(RngStream(seed, stream_id), params)
     out = {"skipped": 1.0}
-    if len(cloud) >= params.d + 1:
-        try:
-            poly = convex_hull(cloud, assume_unique=True)
-            out = {"skipped": 0.0, "n_points": float(len(cloud))}
-            for j, fj in enumerate(poly.f_vector):
-                if fj is not None:
-                    out[f"f{j}"] = float(fj)
-            out[f"v{params.d}"] = poly._volume
-            out[f"v{params.d - 1}"] = poly._area / 2.0
-        except GgpError:
-            pass
+    if poly is not None:
+        out = {"skipped": 0.0, "n_points": float(n_points)}
+        for j, fj in enumerate(poly.f_vector):
+            if fj is not None:
+                out[f"f{j}"] = float(fj)
+        out[f"v{params.d}"] = poly._volume
+        out[f"v{params.d - 1}"] = poly._area / 2.0
     return stream_id, out, time.perf_counter() - t0
 
 
@@ -536,34 +591,39 @@ def run_moments(
             ratios.append(np.mean(vals) / expected_intrinsic_scale(params_grid[pi], d))
         increasing = all(ratios[k + 1] > ratios[k] for k in range(len(ratios) - 1))
         in_band = ratio_band[0] <= ratios[-1] <= ratio_band[1]
-        result.checks.append(
-            _check(
-                f"moments_volume_ratio{tag}",
-                in_band and increasing,
-                f"E[V_{d}]/scale = " + ", ".join(f"{r:.4f}" for r in ratios)
-                + f" (band {ratio_band} at top, increasing)",
+        ratio_detail = (f"E[V_{d}]/scale = " + ", ".join(f"{r:.4f}" for r in ratios)
+                        + f" (band {ratio_band} at top, increasing)")
+        short = _too_short(lams)
+        if short:
+            result.checks.append(_info(f"moments_volume_ratio{tag}", f"{short}; {ratio_detail}"))
+            result.checks.append(_info(f"moments_f0_slope{tag}", short))
+            result.checks.append(_info(f"moments_var_f0_slope{tag}", short))
+        else:
+            result.checks.append(
+                _check(f"moments_volume_ratio{tag}", in_band and increasing, ratio_detail)
             )
-        )
-        log_bl = np.log(beta * np.log(lams))
-        mean_f0 = np.array([np.mean(per_param[pi]["f0"]) for pi in pis])
-        var_f0 = np.array([np.var(per_param[pi]["f0"], ddof=1) for pi in pis])
-        target = (d - 1) / 2.0
-        slope_e, _, r2_e = fit_line(log_bl, np.log(mean_f0))
-        slope_v, _, r2_v = fit_line(log_bl, np.log(var_f0))
-        result.checks.append(
-            _check(
-                f"moments_f0_slope{tag}",
-                abs(slope_e - target) <= f0_slope_band,
-                f"log E[f0] slope = {slope_e:.3f} vs {target} +- {f0_slope_band} (r2 = {r2_e:.3f})",
+            log_bl = np.log(beta * np.log(lams))
+            mean_f0 = np.array([np.mean(per_param[pi]["f0"]) for pi in pis])
+            var_f0 = np.array([np.var(per_param[pi]["f0"], ddof=1) for pi in pis])
+            target = (d - 1) / 2.0
+            slope_e, _, r2_e = fit_line(log_bl, np.log(mean_f0))
+            slope_v, _, r2_v = fit_line(log_bl, np.log(var_f0))
+            result.checks.append(
+                _check(
+                    f"moments_f0_slope{tag}",
+                    abs(slope_e - target) <= f0_slope_band,
+                    f"log E[f0] slope = {slope_e:.3f} vs {target} +- {f0_slope_band} "
+                    f"(r2 = {r2_e:.3f})",
+                )
             )
-        )
-        result.checks.append(
-            _check(
-                f"moments_var_f0_slope{tag}",
-                abs(slope_v - target) <= var_slope_band,
-                f"log var[f0] slope = {slope_v:.3f} vs {target} +- {var_slope_band} (r2 = {r2_v:.3f})",
+            result.checks.append(
+                _check(
+                    f"moments_var_f0_slope{tag}",
+                    abs(slope_v - target) <= var_slope_band,
+                    f"log var[f0] slope = {slope_v:.3f} vs {target} +- {var_slope_band} "
+                    f"(r2 = {r2_v:.3f})",
+                )
             )
-        )
         for pi in pis:
             params = params_grid[pi]
             agg = {}
@@ -697,10 +757,12 @@ def run_tails(
     monotone = bool(np.all(np.diff(probs) <= 0))
     positive = probs > 0
     agg = {f"p_ge_{t:g}": float(p) for t, p in zip(t_grid, probs)}
-    if positive.sum() >= 2:
-        slope, _, r2 = fit_line(t_grid[positive], np.log(probs[positive]))
-    else:
+    # the fit runs over the thresholds with a positive probability
+    short = _too_short(t_grid[positive])
+    if short:
         slope, r2 = math.nan, math.nan
+    else:
+        slope, _, r2 = fit_line(t_grid[positive], np.log(probs[positive]))
     agg["tail_slope"] = slope
     agg["tail_r2"] = r2
     result.records.append(
@@ -717,7 +779,7 @@ def run_tails(
         )
     )
     result.checks.append(
-        _check(
+        _info("tails_exponential_shape", short) if short else _check(
             "tails_exponential_shape",
             (slope < 0) and (r2 > r2_threshold),
             f"slope = {slope:.3f} (< 0), r2 = {r2:.3f} (> {r2_threshold})",

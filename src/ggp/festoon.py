@@ -98,18 +98,19 @@ class Festoon:
         return self.points[self.extreme_indices]
 
 
-def extreme_points(points) -> Festoon:
+def extreme_points(points, assume_unique=False) -> Festoon:
     """Extreme points via the parabolic lifting.
 
     The extreme set is the vertex set of the lower convex hull of the lifted
     points (the hull extended upward in the lift direction), for every
     spatial dimension m >= 1. Exact duplicate rows are removed first; ties
-    keep the first occurrence.
+    keep the first occurrence. assume_unique skips that row sort, as in
+    hull.convex_hull, for points drawn from a continuous law.
     """
     arr = _as_scaled_array(points)
-    _, first = np.unique(arr, axis=0, return_index=True)
-    keep = np.sort(first)
-    arr = arr[keep]
+    if not assume_unique:
+        _, first = np.unique(arr, axis=0, return_index=True)
+        arr = arr[np.sort(first)]
     ext_idx, planes = _lower_hull(lift(arr))
     hull_data = {"planes": planes, "spatial_hull": _spatial_hull(arr[ext_idx, :-1])}
     return Festoon(points=arr, extreme_indices=ext_idx, spatial_dim=arr.shape[1] - 1,
@@ -295,7 +296,8 @@ def windowed_festoon(scaled_points: np.ndarray, L: float, spatial_limit: float |
 
     The construction window is B(o, L + guard) with guard 2 sqrt(2 |h_min|),
     h_min the lowest height seen inside B(o, L + 1); the band suppresses
-    edge bias when the boundary is later evaluated on B(o, L) only.
+    edge bias when the boundary is later evaluated on B(o, L) only. The
+    rows are taken as distinct, as sampled points are almost surely.
     Returns (festoon, kept indices, window radius).
     """
     arr = _as_scaled_array(scaled_points)
@@ -309,4 +311,4 @@ def windowed_festoon(scaled_points: np.ndarray, L: float, spatial_limit: float |
     kept = np.flatnonzero(vnorm <= win)
     if kept.size == 0:
         raise EmptyInput("no scaled points inside the construction window")
-    return extreme_points(arr[kept]), kept, win
+    return extreme_points(arr[kept], assume_unique=True), kept, win

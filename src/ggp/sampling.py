@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc, gammainccinv
 
 from .errors import ValidationError
 from .params import ModelParams, gumbel_centering, unit_ball_volume
@@ -22,6 +23,8 @@ __all__ = [
     "ScaledWindow",
     "sample_radius",
     "sample_direction",
+    "radial_tail",
+    "radial_tail_inverse",
     "sample_polytope_input",
     "sample_limit_process",
     "sample_standardized_max",
@@ -127,13 +130,42 @@ def sample_direction(rng, d: int, size=None):
     return u / n
 
 
-def sample_polytope_input(rng, params: ModelParams) -> PointCloud:
-    """Poisson(lambda) many isotropic points with the generalized gamma radial law."""
+def radial_tail(params: ModelParams, r: float) -> float:
+    """P(||X|| > r) for one point: the regularized upper incomplete gamma
+    Q((d+alpha)/beta, r^beta/beta)."""
+    shape = (params.d + params.alpha) / params.beta
+    return float(gammaincc(shape, r**params.beta / params.beta))
+
+
+def radial_tail_inverse(params: ModelParams, q):
+    """Radius r with P(||X|| > r) = q, elementwise for q in (0, 1]."""
+    shape = (params.d + params.alpha) / params.beta
+    return (params.beta * gammainccinv(shape, q)) ** (1.0 / params.beta)
+
+
+def sample_polytope_input(rng, params: ModelParams, r_min: float = 0.0,
+                          r_max: float = math.inf) -> PointCloud:
+    """Poisson(lambda) many isotropic points with the generalized gamma radial law,
+    restricted to the annulus r_min < ||x|| <= r_max.
+
+    By Poisson restriction the points in the annulus form a Poisson process
+    of mean lambda (Q(t_min) - Q(t_max)), independent of those outside it
+    (Q as in radial_tail). The unrestricted defaults draw exactly what they
+    always drew; a restricted call draws its radii by inverting Q at
+    Q(t_min) - U (Q(t_min) - Q(t_max)), U uniform on [0, 1), which never
+    reaches Q(t_max) = 0 (an infinite radius).
+    """
+    if not 0.0 <= r_min < r_max:
+        raise ValidationError("r_min", f"need 0 <= r_min < r_max, got ({r_min}, {r_max})")
     g = _gen(rng)
-    n = int(g.poisson(params.lam))
-    if n == 0:
-        return PointCloud(dim=params.d, points=np.empty((0, params.d)))
-    r = sample_radius(g, params.d, params.alpha, params.beta, size=n)
+    if r_min > 0.0 or r_max < math.inf:
+        q_lo, q_hi = radial_tail(params, r_max), radial_tail(params, r_min)
+        n = int(g.poisson(params.lam * (q_hi - q_lo)))
+        r = radial_tail_inverse(params, q_hi - g.random(n) * (q_hi - q_lo))
+    else:
+        n = int(g.poisson(params.lam))
+        r = sample_radius(g, params.d, params.alpha, params.beta, size=n)
+    # size-0 draws leave the generator untouched, so an empty cloud needs no branch
     u = sample_direction(g, params.d, size=n)
     return PointCloud(dim=params.d, points=u * r[:, None])
 

@@ -29,6 +29,15 @@ CLT = {"experiment": "clt", "d": 2, "alpha": 0.0, "beta": 2.0, "lambda": 100.0,
        "reps": 1000, "seed": 1}
 SCALING = {"experiment": "scaling_limit", "d": 2, "alphas_betas": [[0, 2]],
            "lambda_grid": [1e3], "L": 1.0, "reps": 2, "seed": 1}
+SLLN = {"experiment": "slln", "d": 2, "alpha": 0.0, "beta": 2.0, "a": 4.0, "k_max": 4,
+        "p": 0.6, "i": 2, "reps": 10, "seed": 1}
+TAILS = {"experiment": "tails", "d": 2, "alpha": 0.0, "beta": 2.0, "lambda": 1e3,
+         "M": 1.0, "t_grid": [1, 2, 3], "reps": 500, "seed": 1}
+CONCENTRATION = {"experiment": "concentration", "d": 2, "alpha": 0.0, "beta": 2.0,
+                 "lambda": 1e3, "y_grid": [1, 2], "i": 2, "reps": 2000, "seed": 1}
+INTENSITY = {"experiment": "intensity", "d": 2, "alpha": 0.0, "beta": 2.0, "lambda": 1e3,
+             "window": {"spatial_radius": 2.0, "h_min": -5.0, "h_max": 1.0},
+             "bins": [1, 4], "reps": 10, "seed": 1}
 
 
 class TestParseConfig:
@@ -122,6 +131,48 @@ class TestParseConfig:
         path.write_text(json.dumps(dict(CLT, **{"lambda": "abc"})))
         assert main(["validate", "--config", str(path)]) == 2
         assert "lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, field", [
+        (dict(SCALING, L="x"), "L"),
+        (dict(SCALING, L=True), "L"),
+        (dict(SCALING, grid_n=True), "grid_n"),
+        (dict(SCALING, grid_n=41.0), "grid_n"),
+        (dict(SLLN, k_max=True), "k_max"),
+        (dict(SLLN, k_max=4.5), "k_max"),
+        (dict(SLLN, i="2"), "i"),
+        (dict(SLLN, p=None), "p"),
+        (dict(SLLN, a=False), "a"),
+        (dict(TAILS, M="1"), "M"),
+        (dict(TAILS, M=True), "M"),
+        (dict(TAILS, t_grid=[1, True]), "t_grid"),
+        (dict(TAILS, t_grid=[]), "t_grid"),
+        (dict(TAILS, t_grid=3), "t_grid"),
+        (dict(CONCENTRATION, y_grid=["a"]), "y_grid"),
+        (dict(CONCENTRATION, i=True), "i"),
+        (dict(CONCENTRATION, i=None), "i"),
+        (dict(INTENSITY, bins=[1, True]), "bins"),
+        (dict(INTENSITY, bins=[1, 2.5]), "bins"),
+        (dict(INTENSITY, bins=[4]), "bins"),
+        (dict(INTENSITY, window=3), "window"),
+        (dict(INTENSITY, window={"spatial_radius": 2.0, "h_min": -5.0}), "window"),
+        (dict(INTENSITY, window=dict(INTENSITY["window"], h_max="1")), "window.h_max"),
+        (dict(INTENSITY, window=dict(INTENSITY["window"], spatial_radius=True)),
+         "window.spatial_radius"),
+    ])
+    def test_bad_experiment_field_exits_2_naming_it(self, tmp_path, capsys, config, field):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(config))
+        assert exc.value.field == field
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [SLLN, TAILS, CONCENTRATION, INTENSITY, SCALING])
+    def test_well_typed_experiment_fields_accepted(self, config):
+        assert parse_config(json.dumps(config)).options == {
+            k: v for k, v in config.items() if k not in ("experiment", "reps", "seed")}
 
 
 class TestRunAndDeterminism:

@@ -1,6 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+from ggp import experiments
 from ggp.errors import ValidationError
 from ggp.experiments import (
     concentration_check,
@@ -15,7 +20,7 @@ from ggp.experiments import (
 )
 from ggp.hull import convex_hull
 from ggp.params import validate_params
-from ggp.sampling import RngStream, ScaledWindow, sample_polytope_input
+from ggp.sampling import RngStream, ScaledWindow, radial_tail_inverse, sample_polytope_input
 
 
 def record_key(records):
@@ -86,6 +91,20 @@ class TestMomentsRunner:
         b = run_moments(grid, 200, seed=3, workers=2)
         assert record_key(a.records) == record_key(b.records)
 
+    def test_short_grid_reports_info_without_fit(self):
+        # one or two distinct intensities cannot carry a slope or a trend
+        for lams in ((100.0,), (100.0, 100.0, 300.0)):
+            grid = [validate_params(2, 0, 2, lam) for lam in lams]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run_moments(grid, 200, seed=2)
+            assert [(c.name.split("[")[0], c.status) for c in result.checks] == [
+                ("moments_volume_ratio", "INFO"),
+                ("moments_f0_slope", "INFO"),
+                ("moments_var_f0_slope", "INFO"),
+            ]
+            assert all("not judged" in c.detail for c in result.checks)
+
     def test_expected_scale_gaussian(self):
         p = validate_params(2, 0, 2, 10**6)
         assert expected_intrinsic_scale(p, 2) == pytest.approx(
@@ -124,6 +143,15 @@ class TestTailsRunner:
     def test_reps_precondition(self):
         with pytest.raises(ValidationError):
             run_tails(validate_params(2, 0, 2, 1e4), 1.0, [1, 2], reps=100, seed=1)
+
+    def test_two_thresholds_report_info_without_fit(self):
+        p = validate_params(2, 0, 2, 1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_tails(p, 1.0, [1, 2], reps=500, seed=6, grid_n=11)
+        shape = next(c for c in result.checks if c.name == "tails_exponential_shape")
+        assert shape.status == "INFO" and "not judged" in shape.detail
+        assert math.isnan(result.records[-1].metrics["tail_slope"])
 
 
 class TestSllnRunner:
@@ -171,3 +199,65 @@ class TestCltRunner:
     def test_reps_precondition(self):
         with pytest.raises(ValidationError):
             run_clt(validate_params(2, 0, 2, 1000.0), 500, seed=1)
+
+
+def polytope_metrics(cloud, d):
+    """_polytope_task's metrics computed directly from a whole cloud."""
+    poly = convex_hull(cloud, assume_unique=True)
+    out = {"skipped": 0.0, "n_points": float(len(cloud))}
+    out.update({f"f{j}": float(fj) for j, fj in enumerate(poly.f_vector) if fj is not None})
+    out[f"v{d}"] = poly._volume
+    out[f"v{d - 1}"] = poly._area / 2.0
+    return out
+
+
+class TestShellSampling:
+    def test_small_intensity_records_match_full_path(self):
+        # at lambda <= SHELL_POINTS a replication hulls its whole cloud, draw for draw
+        for d, lam in ((2, float(experiments.SHELL_POINTS)), (3, 300.0), (4, 200.0)):
+            p = validate_params(d, 0, 2, lam)
+            for sid in range(5):
+                cloud = sample_polytope_input(RngStream(5, sid), p)
+                _, got, _ = experiments._polytope_task((5, sid, p))
+                assert got == polytope_metrics(cloud, d)
+
+    @pytest.mark.parametrize("d, lam, shell", [
+        (2, 3000.0, 32), (2, 2e4, 40), (3, 3000.0, 128), (3, 1e4, 160), (4, 3000.0, 384),
+    ])
+    def test_certified_shell_hull_equals_full_hull(self, d, lam, shell):
+        # split one whole cloud at r0: a certified shell hull is the whole hull;
+        # the shell sizes leave about half of the clouds uncertified
+        p = validate_params(d, 0, 2, lam)
+        r0 = float(radial_tail_inverse(p, shell / lam))
+        certified = 0
+        for sid in range(20):
+            pts = sample_polytope_input(RngStream(13, sid), p).points
+            outer = pts[np.linalg.norm(pts, axis=1) > r0]
+            if len(outer) < d + 1:
+                continue
+            part = convex_hull(outer, assume_unique=True)
+            if (1.0 - 1e-9) * part.facet_offsets.min() < r0:
+                continue
+            certified += 1
+            whole = convex_hull(pts, assume_unique=True)
+            assert sorted(map(tuple, part.vertices)) == sorted(map(tuple, whole.vertices))
+            assert part.f_vector == whole.f_vector
+            assert part._volume == pytest.approx(whole._volume, rel=1e-12)
+            assert part._area == pytest.approx(whole._area, rel=1e-12)
+        assert certified >= 5
+
+    @pytest.mark.parametrize("d, lam, reps", [(2, 5000.0, 300), (3, 3000.0, 300), (4, 2000.0, 200)])
+    def test_shell_path_matches_full_path_in_law(self, monkeypatch, d, lam, reps):
+        p = validate_params(d, 0, 2, lam)
+
+        def sample(seed, shell_points):
+            monkeypatch.setattr(experiments, "SHELL_POINTS", shell_points)
+            return [experiments._polytope_task((seed, sid, p))[1] for sid in range(reps)]
+
+        full = sample(41, math.inf)
+        # 1024 certifies in round 1; 8 often needs round 2 or the whole cloud
+        for seed, shell_points in ((42, 1024), (43, 8)):
+            shell = sample(seed, shell_points)
+            for key in ("f0", f"v{d}", "n_points"):
+                a, b = [m[key] for m in full], [m[key] for m in shell]
+                assert ks_2samp(a, b).pvalue > 1e-3, (shell_points, key)

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
-from scipy.stats import chi2
+from scipy.stats import chi2, kstest
 
 from ggp.errors import ValidationError
 from ggp.sampling import (
     PointCloud,
     RngStream,
     ScaledWindow,
+    radial_tail,
+    radial_tail_inverse,
     sample_direction,
     sample_limit_process,
     sample_polytope_input,
@@ -140,6 +142,54 @@ class TestPolytopeInput:
             PointCloud(dim=2, points=np.zeros((3, 3)))
         with pytest.raises(ValidationError):
             PointCloud(dim=2, points=np.array([[np.inf, 0.0]]))
+
+
+class TestRestrictedPolytopeInput:
+    def test_unrestricted_path_draws_as_before(self):
+        # count, gamma radii, normalized Gaussian directions: the historical draw order
+        p = validate_params(3, 0.5, 1.5, 500.0)
+        for k in range(5):
+            g = RngStream(21, k).generator()
+            n = int(g.poisson(p.lam))
+            r = (p.beta * g.gamma((p.d + p.alpha) / p.beta, size=n)) ** (1.0 / p.beta)
+            u = g.standard_normal((n, p.d))
+            u = u / np.linalg.norm(u, axis=1, keepdims=True)
+            got = sample_polytope_input(RngStream(21, k), p).points
+            np.testing.assert_array_equal(got, u * r[:, None])
+
+    def test_radial_tail_against_quadrature(self):
+        for d, alpha, beta in ((2, 0.0, 2.0), (3, -0.5, 1.0), (2, -0.5, 3.0)):
+            p = validate_params(d, alpha, beta, 10.0)
+            cdf = radial_cdf_oracle(d, alpha, beta)
+            for r in (0.3, 1.0, 2.0, 3.5):
+                assert radial_tail(p, r) == pytest.approx(1.0 - cdf(r), abs=1e-6)
+            assert radial_tail(p, 0.0) == 1.0 and radial_tail(p, math.inf) == 0.0
+            for q in (0.9, 0.1, 1e-3, 1e-6):
+                assert radial_tail(p, radial_tail_inverse(p, q)) == pytest.approx(q, rel=1e-9)
+
+    @pytest.mark.parametrize("d, alpha, beta", [
+        (2, 0.0, 2.0), (3, -0.5, 1.0), (4, 1.0, 3.0), (2, -0.5, 3.0),
+    ])
+    def test_radii_follow_truncated_cdf(self, d, alpha, beta):
+        p = validate_params(d, alpha, beta, 4000.0)
+        cdf = radial_cdf_oracle(d, alpha, beta)
+        r_lo, r_hi = float(radial_tail_inverse(p, 0.6)), float(radial_tail_inverse(p, 0.01))
+        # an inner annulus, and the outer shell beyond the 99% radial quantile
+        for r_min, r_max, streams in ((r_lo, r_hi, 2), (r_hi, math.inf, 60)):
+            clouds = [sample_polytope_input(RngStream(31, k), p, r_min, r_max)
+                      for k in range(streams)]
+            r = np.linalg.norm(np.vstack([c.points for c in clouds]), axis=1)
+            assert np.all((r > r_min) & (r <= r_max))
+            lo, hi = float(cdf(r_min)), 1.0 if math.isinf(r_max) else float(cdf(r_max))
+            assert kstest(r, lambda x: (cdf(x) - lo) / (hi - lo)).pvalue > 1e-3
+            mean = streams * p.lam * (hi - lo)
+            assert abs(len(r) - mean) < 4.0 * math.sqrt(mean)
+
+    def test_annulus_bounds_validated(self):
+        p = validate_params(2, 0.0, 2.0, 100.0)
+        for r_min, r_max in ((-1.0, 2.0), (2.0, 2.0), (3.0, 1.0)):
+            with pytest.raises(ValidationError):
+                sample_polytope_input(RngStream(1, 0), p, r_min, r_max)
 
 
 class TestLimitProcess:
