@@ -124,7 +124,7 @@ def _check_number_list(field: str, value, length: int | None = None, integer: bo
 
 
 def _check_experiment_fields(opts: dict):
-    """Type-check the experiment keys that are not model fields."""
+    """Type- and range-check the experiment keys that are not model fields."""
     for key in _INTEGER_KEYS:
         if key in opts:
             _check_number(key, opts[key], integer=True)
@@ -136,6 +136,12 @@ def _check_experiment_fields(opts: dict):
             _check_number_list(key, opts[key])
     if "bins" in opts:
         _check_number_list("bins", opts["bins"], length=2, integer=True)
+        if min(opts["bins"]) < 1:
+            raise ValidationError("bins", "both bin counts must be >= 1")
+    if "L" in opts and not opts["L"] > 0:
+        raise ValidationError("L", "must be > 0")
+    if "grid_n" in opts and opts["grid_n"] < 2:
+        raise ValidationError("grid_n", "must be >= 2")
     if "window" in opts:
         w = opts["window"]
         if not isinstance(w, dict):
@@ -168,8 +174,8 @@ def _validate_model_fields(opts: dict):
     if "lambda_grid" in opts:
         _check_number_list("lambda_grid", opts["lambda_grid"])
     if "alphas_betas" in opts:
-        if not isinstance(opts["alphas_betas"], list):
-            raise ValidationError("alphas_betas", "must be a list of [alpha, beta] pairs")
+        if not isinstance(opts["alphas_betas"], list) or not opts["alphas_betas"]:
+            raise ValidationError("alphas_betas", "must be a non-empty list of [alpha, beta] pairs")
         for pair in opts["alphas_betas"]:
             _check_number_list("alphas_betas", pair, length=2)
     lams = []

@@ -532,6 +532,12 @@ def expected_intrinsic_scale(params, i: int) -> float:
     )
 
 
+def _check_intrinsic_index(i: int, d: int):
+    """Polytope records carry only V_{d-1} and V_d, so no other i can be judged."""
+    if i not in (d - 1, d):
+        raise ValidationError("i", f"need i in {{{d - 1}, {d}}} for d = {d}, got {i}")
+
+
 def _collect_polytope_metrics(params_list, reps, seed, workers, experiment):
     tasks = []
     for pi, params in enumerate(params_list):
@@ -796,6 +802,7 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
     (4i - beta(d+3)) / (4i) and a > 1.
     """
     d, alpha, beta = params_base.d, params_base.alpha, params_base.beta
+    _check_intrinsic_index(i, d)
     threshold = (4 * i - beta * (d + 3)) / (4 * i)
     if not p > threshold:
         raise ValidationError("p", f"need p > {threshold:.4f}")
@@ -846,6 +853,7 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     params = validate_params(params.d, params.alpha, params.beta, params.lam)
     d = params.d
     i = d if i is None else int(i)
+    _check_intrinsic_index(i, d)
     records, per_param = _collect_polytope_metrics([params], reps, seed, workers, "concentration")
     result = RunResult(experiment="concentration", records=records)
     vals = np.asarray(per_param[0][f"v{i}"])

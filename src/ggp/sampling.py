@@ -199,9 +199,14 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
     """Standardized maximum of n iid draws from the 1-d generalized gamma density.
 
     The sign of each draw is symmetric, so the maximum is the largest of the
-    Binomial(n, 1/2) many positive-side radii (or minus the smallest radius in
-    the all-negative corner case). Returns
-    (beta log n)^((beta-1)/beta) * (M_n - a_n).
+    k ~ Binomial(n, 1/2) positive-side radii, or minus the smallest of all n
+    radii in the all-negative corner k = 0. Each is drawn exactly from one
+    uniform u by inverting its order-statistic law in t = r^beta / beta,
+    t ~ Gamma((1+alpha)/beta) with upper tail Q (Devroye 1986, ch. V):
+    the maximum of k has CDF (1 - Q(t))^k, so Q(t) = 1 - u^(1/k); the minimum
+    of n has P(min > t) = Q(t)^n, so Q(t) = (1 - u)^(1/n). u = 0 maps to
+    t = 0 in both branches, so every value is finite. Returns
+    (beta log n)^((beta-1)/beta) * (M_n - a_n), a float for size=None.
     """
     if n < 2:
         raise ValidationError("n", f"n = {n} < 2")
@@ -210,16 +215,11 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
     g = _gen(rng)
     a_n, scale = gumbel_centering(n, alpha, beta)
     shape = (1.0 + alpha) / beta
-
-    def one() -> float:
-        k = int(g.binomial(n, 0.5))
-        if k == 0:
-            # all points negative: the maximum is the least-negative one
-            m = -(beta * np.min(g.gamma(shape, size=n))) ** (1.0 / beta)
-        else:
-            m = (beta * np.max(g.gamma(shape, size=k))) ** (1.0 / beta)
-        return scale * (m - a_n)
-
-    if size is None:
-        return one()
-    return np.array([one() for _ in range(size)])
+    k = g.binomial(n, 0.5, size)
+    u = g.random(size)
+    neg = k == 0
+    with np.errstate(divide="ignore"):  # log(0) = -inf gives Q = 1, t = 0
+        q = np.where(neg, np.exp(np.log1p(-u) / n), -np.expm1(np.log(u) / np.maximum(k, 1)))
+    m = np.where(neg, -1.0, 1.0) * (beta * gammainccinv(shape, q)) ** (1.0 / beta)
+    out = scale * (m - a_n)
+    return float(out) if size is None else out

@@ -22,7 +22,7 @@ MINIMAL_GUMBEL = {
     "alpha": 0.0,
     "beta": 1.0,
     "n": 1000,
-    "reps": 150,
+    "reps": 2000,
     "seed": 42,
 }
 CLT = {"experiment": "clt", "d": 2, "alpha": 0.0, "beta": 2.0, "lambda": 100.0,
@@ -158,6 +158,15 @@ class TestParseConfig:
         (dict(INTENSITY, window=dict(INTENSITY["window"], h_max="1")), "window.h_max"),
         (dict(INTENSITY, window=dict(INTENSITY["window"], spatial_radius=True)),
          "window.spatial_radius"),
+        # out of range
+        (dict(INTENSITY, bins=[0, 4]), "bins"),
+        (dict(INTENSITY, bins=[1, -2]), "bins"),
+        (dict(SCALING, L=-1), "L"),
+        (dict(SCALING, L=0), "L"),
+        (dict(SCALING, grid_n=0), "grid_n"),
+        (dict(SCALING, grid_n=1), "grid_n"),
+        (dict(SCALING, alphas_betas=[]), "alphas_betas"),
+        (dict(SCALING, lambda_grid=[]), "lambda_grid"),
     ])
     def test_bad_experiment_field_exits_2_naming_it(self, tmp_path, capsys, config, field):
         with pytest.raises(ValidationError) as exc:
@@ -167,6 +176,17 @@ class TestParseConfig:
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [
+        dict(SLLN, i=5), dict(SLLN, i=0), dict(CONCENTRATION, i=9), dict(CONCENTRATION, i=0),
+    ])
+    def test_unjudgeable_intrinsic_index_exits_2_naming_it(self, tmp_path, capsys, config):
+        # records carry only V_{d-1} and V_d; the runner refuses before sampling
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "i:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config", [SLLN, TAILS, CONCENTRATION, INTENSITY, SCALING])

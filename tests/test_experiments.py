@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 from scipy.stats import ks_2samp
 
 from ggp import experiments
@@ -64,7 +65,7 @@ class TestMomentsRunner:
             run_moments(grid, 50, seed=1)
 
     def test_cross_oracle_tiny_intensity(self):
-        # E[f0] from the runner pipeline vs an independent direct loop
+        # E[f0] from the runner pipeline vs a direct loop on raw Qhull, sharing no ggp code
         lam = 20.0
         grid = [validate_params(2, 0, 2, lam)]
         result = run_moments(grid, 2000, seed=11)
@@ -79,7 +80,7 @@ class TestMomentsRunner:
             if n < 3:
                 continue
             pts = rng.standard_normal((n, 2))
-            direct.append(len(convex_hull(pts).vertices))
+            direct.append(len(ConvexHull(pts).vertices))
         direct_mean = np.mean(direct)
         direct_se = np.std(direct, ddof=1) / np.sqrt(len(direct))
         combined = np.hypot(pipeline_se, direct_se)
@@ -154,6 +155,15 @@ class TestTailsRunner:
         assert math.isnan(result.records[-1].metrics["tail_slope"])
 
 
+@pytest.fixture
+def no_polytope_sampling(monkeypatch):
+    """Fail the test if a runner reaches its replications."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before validating the input")
+
+    monkeypatch.setattr(experiments, "_collect_polytope_metrics", refuse)
+
+
 class TestSllnRunner:
     def test_invalid_p_rejected(self):
         p = validate_params(2, 0, 2, 1.0)
@@ -171,6 +181,15 @@ class TestSllnRunner:
         with pytest.raises(ValidationError):
             run_slln_trend(p, a=4.0, k_max=6, p=-0.25, i=2, reps=200, seed=1)
 
+    @pytest.mark.parametrize("i", [0, 3, 5, -1])
+    @pytest.mark.usefixtures("no_polytope_sampling")
+    def test_unjudgeable_index_rejected_before_sampling(self, i):
+        # d = 2 records carry only v1 and v2
+        p = validate_params(2, 0, 2, 1.0)
+        with pytest.raises(ValidationError) as exc:
+            run_slln_trend(p, a=4.0, k_max=4, p=0.6, i=i, reps=10, seed=1)
+        assert exc.value.field == "i"
+
 
 class TestConcentrationRunner:
     def test_zero_threshold_never_violates(self):
@@ -185,6 +204,14 @@ class TestConcentrationRunner:
     def test_reps_precondition(self):
         with pytest.raises(ValidationError):
             concentration_check(validate_params(2, 0, 2, 100.0), 500, [1.0], seed=1)
+
+    @pytest.mark.parametrize("i", [0, 4, 9])
+    @pytest.mark.usefixtures("no_polytope_sampling")
+    def test_unjudgeable_index_rejected_before_sampling(self, i):
+        p = validate_params(3, 0, 2, 100.0)
+        with pytest.raises(ValidationError) as exc:
+            concentration_check(p, 2000, [1.0], seed=1, i=i)
+        assert exc.value.field == "i"
 
 
 class TestVertexCorrespondence:

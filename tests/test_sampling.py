@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
-from scipy.stats import chi2, kstest
+from scipy.special import gammaincc
+from scipy.stats import chi2, ks_2samp, kstest
 
 from ggp.errors import ValidationError
 from ggp.sampling import (
@@ -18,7 +19,7 @@ from ggp.sampling import (
     sample_radius,
     sample_standardized_max,
 )
-from ggp.params import validate_params
+from ggp.params import gumbel_centering, validate_params
 from ggp.stats import gumbel_cdf, ks_statistic
 
 
@@ -236,7 +237,88 @@ class TestLimitProcess:
             ScaledWindow(1.0, 1.0, 0.0)
 
 
+def standardized_max_cdf(n, alpha, beta):
+    """Exact CDF F^n of the standardized maximum, from the 1-d law directly.
+
+    A draw is +-R with equal odds and R^beta / beta ~ Gamma((1+alpha)/beta),
+    so with m = a_n + x / scale and q = Q(s, |m|^beta / beta) one draw has
+    P(X <= m) = 1 - q/2 for m >= 0 and q/2 for m < 0.
+    """
+    a_n, scale = gumbel_centering(n, alpha, beta)
+    s = (1.0 + alpha) / beta
+
+    def cdf(x):
+        m = a_n + np.asarray(x, dtype=float) / scale
+        q = gammaincc(s, np.abs(m) ** beta / beta)
+        return np.where(m >= 0, np.exp(n * np.log1p(-q / 2)), (q / 2) ** n)
+
+    return cdf
+
+
+def reference_standardized_max(g, n, alpha, beta, reps):
+    """The n/2-draw sampler the inversion replaced: keep the largest of the
+    Binomial(n, 1/2) positive-side gamma draws, or minus the smallest of n."""
+    a_n, scale = gumbel_centering(n, alpha, beta)
+    shape = (1.0 + alpha) / beta
+    out = np.empty(reps)
+    for j in range(reps):
+        k = int(g.binomial(n, 0.5))
+        if k == 0:
+            m = -(beta * np.min(g.gamma(shape, size=n))) ** (1.0 / beta)
+        else:
+            m = (beta * np.max(g.gamma(shape, size=k))) ** (1.0 / beta)
+        out[j] = scale * (m - a_n)
+    return out
+
+
+class FixedGenerator(np.random.Generator):
+    """A generator whose binomial and uniform draws are pinned."""
+
+    def __init__(self, k, u):
+        super().__init__(np.random.PCG64(0))
+        self.k, self.u = k, u
+
+    def binomial(self, n, p, size=None):
+        return self.k if size is None else np.full(size, self.k)
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+MAX_LAWS = [(0.0, 1.0), (1.0, 1.0), (0.5, 1.5), (-0.5, 3.0)]
+
+
 class TestStandardizedMax:
+    @pytest.mark.parametrize("alpha, beta", MAX_LAWS)
+    @pytest.mark.parametrize("n", [2, 3, 5, 10**3, 10**5])
+    def test_exact_law(self, n, alpha, beta):
+        # n = 2 and 3 put 1/4 and 1/8 of the mass in the all-negative branch
+        vals = sample_standardized_max(RngStream(17, n), n, alpha, beta, size=20000)
+        assert kstest(vals, standardized_max_cdf(n, alpha, beta)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("alpha, beta", MAX_LAWS)
+    def test_matches_reference_sampler(self, alpha, beta):
+        for n, reps in ((10, 2000), (10**3, 2000), (10**5, 300)):
+            ref = reference_standardized_max(np.random.default_rng(18), n, alpha, beta, reps)
+            new = sample_standardized_max(RngStream(19, n), n, alpha, beta, size=reps)
+            assert ks_2samp(ref, new).pvalue > 1e-3, (n, alpha, beta)
+
+    def test_uniform_endpoints_give_finite_values(self):
+        n = 10
+        for k in (0, 4):  # the all-negative branch and the maximum branch
+            for u in (0.0, np.nextafter(1.0, 0.0)):
+                g = FixedGenerator(k, u)
+                assert math.isfinite(sample_standardized_max(g, n, 0.5, 1.5))
+                assert np.all(np.isfinite(sample_standardized_max(g, n, 0.5, 1.5, size=3)))
+
+    def test_batch_matches_scalar_law(self):
+        n, alpha, beta = 50, 0.5, 1.5
+        batch = sample_standardized_max(RngStream(20, 0), n, alpha, beta, size=3000)
+        scalar = [sample_standardized_max(RngStream(21, j), n, alpha, beta) for j in range(3000)]
+        assert all(type(v) is float for v in scalar)
+        assert batch.shape == (3000,)
+        assert ks_2samp(batch, scalar).pvalue > 1e-3
+
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError):
             sample_standardized_max(RngStream(15, 0), 1, 0, 1)
