@@ -2,7 +2,7 @@
 
 Usage:
     ggp run --config cfg.json [--seed N] [--workers N] [--out DIR]
-    ggp validate --config cfg.json
+    ggp validate --config cfg.json      # the run's checks, without sampling
     ggp summarize records.csv
 
 A run writes one records file and one summary file, prints a PASS/FAIL/INFO
@@ -24,6 +24,14 @@ from dataclasses import dataclass, replace
 
 from .errors import GgpError, IoError, ParseError, ValidationError
 from .experiments import (
+    check_clt,
+    check_concentration,
+    check_gumbel,
+    check_intensity,
+    check_moments,
+    check_scaling_limit,
+    check_slln,
+    check_tails,
     concentration_check,
     run_clt,
     run_gumbel,
@@ -247,43 +255,63 @@ def parse_config(source: str) -> RunConfig:
     )
 
 
-def _dispatch(config: RunConfig):
+def _plan(config: RunConfig):
+    """(check, call) for the configured runner, both without arguments.
+
+    check() raises what the runner's own check function raises on these
+    arguments, sampling nothing, so `validate` rejects exactly what `run`
+    would; call() runs the runner, which makes the same check first.
+    """
     o = config.options
     seed, reps, workers = config.seed, config.reps, config.workers
     if config.experiment == "gumbel":
-        return run_gumbel(o["alpha"], o["beta"], int(o["n"]), reps, seed, workers)
+        n = int(o["n"])
+        return (lambda: check_gumbel(n, reps),
+                lambda: run_gumbel(o["alpha"], o["beta"], n, reps, seed, workers))
     if config.experiment == "intensity":
         params = validate_params(o["d"], o["alpha"], o["beta"], o["lambda"])
         w = o["window"]
         window = ScaledWindow(w["spatial_radius"], w["h_min"], w["h_max"])
         bins = tuple(o.get("bins", (1, 4)))
-        return run_intensity(params, window, bins, reps, seed, workers)
+        return (lambda: check_intensity(params, window),
+                lambda: run_intensity(params, window, bins, reps, seed, workers))
     if config.experiment == "scaling_limit":
         params_list = [
             validate_params(o["d"], a, b, lam)
             for (a, b) in o["alphas_betas"]
             for lam in o["lambda_grid"]
         ]
-        return run_scaling_limit(params_list, o["L"], reps, seed, workers,
-                                 grid_n=int(o.get("grid_n", 41)))
+        return (lambda: check_scaling_limit(params_list, o["L"]),
+                lambda: run_scaling_limit(params_list, o["L"], reps, seed, workers,
+                                          grid_n=int(o.get("grid_n", 41))))
     if config.experiment == "moments":
         grid = [validate_params(o["d"], o["alpha"], o["beta"], lam) for lam in o["lambda_grid"]]
-        return run_moments(grid, reps, seed, workers)
+        return (lambda: check_moments(grid, reps),
+                lambda: run_moments(grid, reps, seed, workers))
     if config.experiment == "clt":
         params = validate_params(o["d"], o["alpha"], o["beta"], o["lambda"])
-        return run_clt(params, reps, seed, workers)
+        return (lambda: check_clt(params, reps),
+                lambda: run_clt(params, reps, seed, workers))
     if config.experiment == "tails":
         params = validate_params(o["d"], o["alpha"], o["beta"], o["lambda"])
-        return run_tails(params, o["M"], o["t_grid"], reps, seed, workers)
+        return (lambda: check_tails(params, reps),
+                lambda: run_tails(params, o["M"], o["t_grid"], reps, seed, workers))
     if config.experiment == "slln":
         params = validate_params(o["d"], o["alpha"], o["beta"], 1.0)
-        return run_slln_trend(params, o["a"], int(o["k_max"]), o["p"], int(o["i"]),
-                              reps, seed, workers)
+        args = (params, o["a"], int(o["k_max"]), o["p"], int(o["i"]))
+        return (lambda: check_slln(*args),
+                lambda: run_slln_trend(*args, reps, seed, workers))
     if config.experiment == "concentration":
         params = validate_params(o["d"], o["alpha"], o["beta"], o["lambda"])
-        return concentration_check(params, reps, o["y_grid"], seed,
-                                   i=o.get("i"), workers=workers)
+        return (lambda: check_concentration(params, reps, o.get("i")),
+                lambda: concentration_check(params, reps, o["y_grid"], seed,
+                                            i=o.get("i"), workers=workers))
     raise ValidationError("experiment", config.experiment)
+
+
+def _dispatch(config: RunConfig):
+    _, call = _plan(config)
+    return call()
 
 
 def _format_value(x) -> str:
@@ -440,6 +468,8 @@ def main(argv=None) -> int:
             raise IoError(f"cannot read {args.config}: {exc}") from exc
         config = parse_config(source)
         if args.command == "validate":
+            check, _ = _plan(config)
+            check()
             print(f"ok: {config.experiment} (seed {config.seed}, reps {config.reps})")
             return 0
         if args.seed is not None:

@@ -60,6 +60,14 @@ __all__ = [
     "concentration_check",
     "run_vertex_correspondence",
     "expected_intrinsic_scale",
+    "check_gumbel",
+    "check_intensity",
+    "check_scaling_limit",
+    "check_moments",
+    "check_clt",
+    "check_tails",
+    "check_slln",
+    "check_concentration",
 ]
 
 AGGREGATE_REPLICATION = -1  # replication index reserved for run-level metrics
@@ -128,6 +136,21 @@ def _too_short(grid):
     return None
 
 
+# Each runner's preconditions live in a check_* function that samples
+# nothing, so `ggp validate` rejects exactly the configs the runner would.
+
+
+def _require_reps(reps, minimum: int):
+    if reps < minimum:
+        raise ValidationError("reps", f"need reps >= {minimum}")
+
+
+def _usable(params):
+    """Validated parameters and their critical radius (IntensityTooSmall if none)."""
+    params = validate_params(params.d, params.alpha, params.beta, params.lam)
+    return params, critical_radius(params)
+
+
 # ---------------------------------------------------------------------------
 # gumbel maxima
 # ---------------------------------------------------------------------------
@@ -140,12 +163,16 @@ def _gumbel_task(task):
     return rep, {"std_max": float(val)}, time.perf_counter() - t0
 
 
-def run_gumbel(alpha, beta, n, reps, seed, workers=1, ks_threshold=0.05) -> RunResult:
-    """Standardized 1-d maxima against the Gumbel law exp(-e^{-x})."""
+def check_gumbel(n, reps):
+    """Preconditions of run_gumbel."""
     if n < 100:
         raise ValidationError("n", "need n >= 100")
-    if reps < 100:
-        raise ValidationError("reps", "need reps >= 100")
+    _require_reps(reps, 100)
+
+
+def run_gumbel(alpha, beta, n, reps, seed, workers=1, ks_threshold=0.05) -> RunResult:
+    """Standardized 1-d maxima against the Gumbel law exp(-e^{-x})."""
+    check_gumbel(n, reps)
     tasks = [(seed, rep, int(n), float(alpha), float(beta)) for rep in range(reps)]
     rows = _map_tasks(_gumbel_task, tasks, workers)
     result = RunResult(experiment="gumbel")
@@ -212,11 +239,20 @@ def _cell_masses(params, r_lambda, rho_edges, h_edges, mode, n_gauss=24):
 def _intensity_task(task):
     seed, rep, params, window, rho_edges, h_edges, r_lambda = task
     t0 = time.perf_counter()
-    cloud = sample_polytope_input(RngStream(seed, rep), params)
+    # h = R^(beta-1) (R - ||x||), so only the annulus below can reach the
+    # window's heights; by Poisson restriction sampling just it is exact. The
+    # margins absorb rounding in h, and keep still decides membership.
+    per_height = r_lambda ** (1.0 - params.beta)
+    r_min = max(r_lambda - window.h_max * per_height, 0.0) * (1.0 - 1e-9)
+    r_max = (r_lambda - window.h_min * per_height) * (1.0 + 1e-9)
     counts = np.zeros((len(rho_edges) - 1, len(h_edges) - 1))
     n_window = 0
+    if r_max > r_min:
+        cloud = sample_polytope_input(RngStream(seed, rep), params, r_min, r_max).points
+    else:  # h_min >= R^beta lies above every height
+        cloud = np.empty((0, params.d))
     if len(cloud):
-        w = transform_batch(cloud.points, params.beta, r_lambda)
+        w = transform_batch(cloud, params.beta, r_lambda)
         rho = np.linalg.norm(w[:, :-1], axis=1)
         h = w[:, -1]
         keep = (rho <= window.spatial_radius) & (h > window.h_min) & (h <= window.h_max)
@@ -261,6 +297,13 @@ def _mass_monte_carlo(params, r_lambda, n_samples, rng):
     return float(np.mean(weights))
 
 
+def check_intensity(params, window):
+    """Preconditions of run_intensity; returns the validated parameters and R."""
+    if math.isinf(window.h_min):
+        raise ValidationError("window", "intensity binning needs a compact window")
+    return _usable(params)
+
+
 def run_intensity(
     params,
     window,
@@ -282,10 +325,7 @@ def run_intensity(
     intensity to mass_tol; the quadrature distance to the e^h limit shrinks
     between the two comparison intensities in limit_lams.
     """
-    if math.isinf(window.h_min):
-        raise ValidationError("window", "intensity binning needs a compact window")
-    params = validate_params(params.d, params.alpha, params.beta, params.lam)
-    r_lambda = critical_radius(params)
+    params, r_lambda = check_intensity(params, window)
     n_rho, n_h = bins
     rho_edges = np.linspace(0.0, window.spatial_radius, n_rho + 1)
     # equal-mass height slabs under the limit intensity, so no pass-rule cell
@@ -396,6 +436,13 @@ def _scaling_task(task):
     return stream_id, out, time.perf_counter() - t0
 
 
+def check_scaling_limit(params_list, L) -> list:
+    """Preconditions of run_scaling_limit; returns the validated parameters."""
+    if L > 2:
+        raise ValidationError("L", "need L <= 2")
+    return [_usable(p)[0] for p in params_list]
+
+
 def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=41) -> RunResult:
     """Sup-distance between the rescaled hull boundary and the festoon.
 
@@ -403,11 +450,7 @@ def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=41) -> RunRe
     replications must decrease strictly along its intensity grid, and the
     bootstrap 95% intervals of the endpoint medians must not overlap.
     """
-    if L > 2:
-        raise ValidationError("L", "need L <= 2")
-    params_list = [validate_params(p.d, p.alpha, p.beta, p.lam) for p in params_list]
-    for p in params_list:
-        critical_radius(p)  # raises IntensityTooSmall below the usability threshold
+    params_list = check_scaling_limit(params_list, L)
     tasks = []
     for pi, params in enumerate(params_list):
         for rep in range(reps):
@@ -561,6 +604,12 @@ def _collect_polytope_metrics(params_list, reps, seed, workers, experiment):
     return records, per_param
 
 
+def check_moments(params_grid, reps) -> list:
+    """Preconditions of run_moments; returns the validated parameters."""
+    _require_reps(reps, 200)
+    return [validate_params(p.d, p.alpha, p.beta, p.lam) for p in params_grid]
+
+
 def run_moments(
     params_grid,
     reps,
@@ -578,9 +627,7 @@ def run_moments(
     log var[f_0] regress on log(beta log lambda) with slopes (d-1)/2 within
     the stated bands.
     """
-    if reps < 200:
-        raise ValidationError("reps", "need reps >= 200")
-    params_grid = [validate_params(p.d, p.alpha, p.beta, p.lam) for p in params_grid]
+    params_grid = check_moments(params_grid, reps)
     records, per_param = _collect_polytope_metrics(params_grid, reps, seed, workers, "moments")
     result = RunResult(experiment="moments", records=records)
 
@@ -648,6 +695,12 @@ def run_moments(
     return result
 
 
+def check_clt(params, reps) -> ModelParams:
+    """Preconditions of run_clt; returns the validated parameters."""
+    _require_reps(reps, 1000)
+    return validate_params(params.d, params.alpha, params.beta, params.lam)
+
+
 def run_clt(
     params,
     reps,
@@ -659,9 +712,7 @@ def run_clt(
     check_metrics=None,
 ) -> RunResult:
     """Normality of standardized face counts and intrinsic volumes."""
-    if reps < 1000:
-        raise ValidationError("reps", "need reps >= 1000")
-    params = validate_params(params.d, params.alpha, params.beta, params.lam)
+    params = check_clt(params, reps)
     records, per_param = _collect_polytope_metrics([params], reps, seed, workers, "clt")
     result = RunResult(experiment="clt", records=records)
     d = params.d
@@ -733,6 +784,12 @@ def _tails_task(task):
     return rep, {"sup_abs": sup}, time.perf_counter() - t0
 
 
+def check_tails(params, reps):
+    """Preconditions of run_tails; returns the validated parameters and R."""
+    _require_reps(reps, 500)
+    return _usable(params)
+
+
 def run_tails(
     params, M, t_grid, reps, seed, workers=1, grid_n=41, r2_threshold=0.9
 ) -> RunResult:
@@ -742,10 +799,7 @@ def run_tails(
     monotone probabilities, and fits log P against t: the slope must be
     negative with fit r^2 above r2_threshold.
     """
-    if reps < 500:
-        raise ValidationError("reps", "need reps >= 500")
-    params = validate_params(params.d, params.alpha, params.beta, params.lam)
-    r_lambda = critical_radius(params)
+    params, r_lambda = check_tails(params, reps)
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     h_cap = float(t_grid[-1]) + 2.0
     tasks = [(seed, rep, params, float(M), h_cap, int(grid_n), r_lambda) for rep in range(reps)]
@@ -794,13 +848,8 @@ def run_tails(
     return result
 
 
-def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunResult:
-    """Strong-law trend: normalized deviations along the geometric grid a^k.
-
-    The deviation |V_i - mean| / (log lambda_k)^(p i / beta) must have
-    decreasing medians in k. Requires p above the summability threshold
-    (4i - beta(d+3)) / (4i) and a > 1.
-    """
+def check_slln(params_base, a, k_max, p, i) -> list:
+    """Preconditions of run_slln_trend; returns the parameters of the grid a^k."""
     d, alpha, beta = params_base.d, params_base.alpha, params_base.beta
     _check_intrinsic_index(i, d)
     threshold = (4 * i - beta * (d + 3)) / (4 * i)
@@ -810,7 +859,18 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
         raise ValidationError("a", "need a > 1")
     if k_max < 4:
         raise ValidationError("k_max", "need k_max >= 4")
-    params_grid = [validate_params(d, alpha, beta, a**k) for k in range(1, k_max + 1)]
+    return [validate_params(d, alpha, beta, a**k) for k in range(1, k_max + 1)]
+
+
+def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunResult:
+    """Strong-law trend: normalized deviations along the geometric grid a^k.
+
+    The deviation |V_i - mean| / (log lambda_k)^(p i / beta) must have
+    decreasing medians in k. Requires p above the summability threshold
+    (4i - beta(d+3)) / (4i) and a > 1.
+    """
+    d, alpha, beta = params_base.d, params_base.alpha, params_base.beta
+    params_grid = check_slln(params_base, a, k_max, p, i)
     records, per_param = _collect_polytope_metrics(params_grid, reps, seed, workers, "slln")
     result = RunResult(experiment="slln", records=records)
     meds = []
@@ -842,18 +902,24 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
     return result
 
 
+def check_concentration(params, reps, i=None):
+    """Preconditions of concentration_check; returns the validated parameters
+    and the intrinsic index (d when i is None)."""
+    _require_reps(reps, 2000)
+    params = validate_params(params.d, params.alpha, params.beta, params.lam)
+    i = params.d if i is None else int(i)
+    _check_intrinsic_index(i, params.d)
+    return params, i
+
+
 def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunResult:
     """Non-violation of the concentration bound min(1, 2 exp(-y^2 / 2^(2d+i+7))).
 
     The empirical exceedance probability P(|V_i - mean| >= y sd) may not
     exceed the bound by more than three binomial standard errors at any y.
     """
-    if reps < 2000:
-        raise ValidationError("reps", "need reps >= 2000")
-    params = validate_params(params.d, params.alpha, params.beta, params.lam)
+    params, i = check_concentration(params, reps, i)
     d = params.d
-    i = d if i is None else int(i)
-    _check_intrinsic_index(i, d)
     records, per_param = _collect_polytope_metrics([params], reps, seed, workers, "concentration")
     result = RunResult(experiment="concentration", records=records)
     vals = np.asarray(per_param[0][f"v{i}"])

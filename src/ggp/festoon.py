@@ -24,7 +24,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import EmptyInput, OutsideSupport
 from .hull import Polytope, facet_groups, is_convex_combination, radial_function_batch
 from .params import ModelParams
-from .rescale import QuasiGrain, ScaledPoint, exp_map, grain_boundary
+from .rescale import ScaledPoint, exp_map
 
 __all__ = [
     "Festoon",
@@ -139,13 +139,12 @@ def _lower_hull(lifted: np.ndarray):
         ext = [i for i in range(n)
                if not is_convex_combination(np.delete(lifted, i, axis=0), lifted[i], ray=up)]
         return np.array(ext, dtype=int), None
-    eqs, members = facet_groups(qh)
+    eqs, groups, members = facet_groups(qh)
     lower = eqs[:, -2] < -1e-12  # outward normal points downward in s
     normals, offsets = eqs[lower, :-1], eqs[lower, -1]
     # n_v . v + n_s s + off = 0  ->  s = -(off + n_v . v)/n_s
     planes = (-normals[:, :-1] / normals[:, -1:], -offsets / normals[:, -1])
-    ext = np.unique(np.concatenate([members[g] for g in np.flatnonzero(lower)]))
-    return ext, planes
+    return np.unique(members[lower[groups]]), planes
 
 
 def _spatial_hull(spatial: np.ndarray):
@@ -215,22 +214,8 @@ def psi_boundary(points, v):
 
 
 def psi_lambda_boundary(points, v, params: ModelParams, r_lambda: float):
-    """Lower envelope of upward quasi-grains at finite intensity."""
-    arr = _as_scaled_array(points)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    vals = [
-        grain_boundary(
-            QuasiGrain(
-                apex=ScaledPoint(v=row[:-1], h=float(row[-1])),
-                orientation="up",
-                r_lambda=r_lambda,
-                beta=params.beta,
-            ),
-            v,
-        )
-        for row in arr
-    ]
-    return float(np.min(vals))
+    """Lower envelope of upward quasi-grains at finite intensity, at one v."""
+    return float(psi_lambda_envelope(points, np.atleast_2d(v), params.beta, r_lambda)[0])
 
 
 def psi_lambda_envelope(points, grid: np.ndarray, beta: float, r_lambda: float) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Exact d-dimensional convex hulls with face counts and intrinsic volumes.
 
 Hull construction is delegated to Qhull (scipy.spatial.ConvexHull), which
-merges coplanar facets; the merged facet planes drive face counting, the
-radial function and all containment checks. Two independent vertex oracles
+merges coplanar facets. The merged facets are kept as one array table
+(normals, offsets, facet-vertex incidence pairs) that drives face counting,
+the radial function and all containment checks. Two independent vertex oracles
 (an LP feasibility test and a covering-balls test) cross-validate the hull.
 The facet grouping (facet_groups) and the convex-combination LP
 (is_convex_combination) also serve the festoon's lifted lower hull.
@@ -27,6 +28,7 @@ from .sampling import PointCloud, _gen
 
 __all__ = [
     "Facet",
+    "FacetView",
     "Polytope",
     "KubotaEstimate",
     "convex_hull",
@@ -55,31 +57,57 @@ class Facet:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Full-dimensional polytope with facet structure and f-vector.
+    """Full-dimensional polytope as one facet table, with its f-vector.
 
-    f_vector holds (f_0, ..., f_{d-1}); middle entries are None for d > 4
-    where ridge enumeration is not performed. vertex_input_indices maps each
-    vertex back to its row in the original (pre-deduplication) input.
+    Facet g is the plane {x : <facet_normals[g], x> = facet_offsets[g]},
+    with <normal, x> <= offset inside. The facet-vertex incidence is the
+    list of pairs (incidence_facets[k], incidence_vertices[k]), sorted by
+    facet, then vertex; vertex indices point into vertices. f_vector holds
+    (f_0, ..., f_{d-1}); middle entries are None for d > 4 where ridge
+    enumeration is not performed. vertex_input_indices maps each vertex
+    back to its row in the original (pre-deduplication) input.
     """
 
     dim: int
     vertices: np.ndarray
-    facets: list
+    facet_normals: np.ndarray
+    facet_offsets: np.ndarray
+    incidence_facets: np.ndarray
+    incidence_vertices: np.ndarray
     f_vector: tuple
     vertex_input_indices: np.ndarray
     _volume: float
     _area: float
 
     @property
-    def facet_normals(self) -> np.ndarray:
-        return np.array([f.normal for f in self.facets])
-
-    @property
-    def facet_offsets(self) -> np.ndarray:
-        return np.array([f.offset for f in self.facets])
+    def facets(self) -> FacetView:
+        """Per-facet view of the table; len() is the merged-facet count."""
+        return FacetView(self)
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.vertices))) or 1.0
+
+
+class FacetView:
+    """The merged facets of a Polytope as a read-only sequence of Facet.
+
+    len() is the merged-facet count; each Facet is built only when indexed
+    (iteration indexes until IndexError), so the facet table stays the one
+    stored form.
+    """
+
+    def __init__(self, poly: Polytope):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly.facet_offsets)
+
+    def __getitem__(self, g: int) -> Facet:
+        p = self._poly
+        g = range(len(self))[g]  # bounds check and negative indices
+        lo, hi = np.searchsorted(p.incidence_facets, [g, g + 1])
+        return Facet(normal=p.facet_normals[g].copy(), offset=float(p.facet_offsets[g]),
+                     vertex_indices=p.incidence_vertices[lo:hi].copy())
 
 
 def _dedup(points: np.ndarray):
@@ -99,54 +127,67 @@ def _as_points(cloud) -> np.ndarray:
 
 
 def facet_groups(qh):
-    """Qhull's merged facets: (unique plane equations, vertex index arrays).
+    """Qhull's merged facets as one table: (plane equations, groups, members).
 
     Qhull assigns each output simplex the plane of its merged facet, so
     grouping simplices by exact equation equality recovers the merged
-    facets. Entry g of the list holds the sorted indices, into the points
-    Qhull was given, of the vertices of facet g.
+    facets, in lexicographic order of their equations (the order of
+    np.unique(qh.equations, axis=0)). The incidence pairs (groups[k],
+    members[k]) say that the point with index members[k], into the points
+    Qhull was given, is a vertex of facet groups[k]; they are sorted by
+    group, then member.
     """
-    eqs, inverse = np.unique(qh.equations, axis=0, return_inverse=True)
+    eqs = qh.equations
+    order = np.lexsort(eqs.T[::-1])
+    eqs = eqs[order]
+    starts = np.empty(len(eqs), dtype=bool)
+    starts[0] = True
+    np.any(eqs[1:] != eqs[:-1], axis=1, out=starts[1:])
+    group_of = np.empty(len(eqs), dtype=np.int64)
+    group_of[order] = np.cumsum(starts) - 1
     n_points = len(qh.points)
     width = qh.simplices.shape[1]
-    keys = np.unique(np.repeat(inverse.reshape(-1), width) * n_points + qh.simplices.ravel())
+    keys = np.sort(np.repeat(group_of, width) * n_points + qh.simplices.ravel())
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # simplices share vertices
     groups, members = np.divmod(keys, n_points)
-    return eqs, np.split(members, np.searchsorted(groups, np.arange(1, len(eqs))))
+    return eqs[starts], groups, members
 
 
-def _pairs_at_least(gram, k: int) -> int:
-    """Number of index pairs i < j with gram[i, j] >= k."""
-    return int(np.count_nonzero(sparse.triu(gram, k=1).data >= k))
+def _pairs_at_least(gram, k: int, n_diagonal: int) -> int:
+    """Index pairs i < j of a symmetric gram matrix with gram[i, j] >= k,
+    given that all n_diagonal diagonal entries reach k."""
+    return (int(np.count_nonzero(gram.data >= k)) - n_diagonal) // 2
 
 
-def _count_faces(dim, n_vertices, facet_vertex_sets):
-    """f-vector from merged facets; exact for d <= 4.
+def _count_faces(dim, n_vertices, n_facets, incidence_facets, incidence_vertices):
+    """f-vector from the merged-facet incidence; exact for d <= 4.
 
     With M the sparse facet-vertex incidence matrix, a vertex pair spans an
     edge iff it lies in >= d-1 common facets, (M^T M)_ij >= d-1 (>= 2 in
     d=3, >= 3 in d=4: the minimal common face of a non-edge pair is at
     least 2-dimensional and lies in fewer facets). A ridge in d=4 is a
-    facet pair sharing >= 3 vertices, (M M^T)_ij >= 3.
+    facet pair sharing >= 3 vertices, (M M^T)_ij >= 3. Every vertex lies
+    in >= d facets and every facet has >= d vertices, so each diagonal
+    entry passes its threshold and is subtracted from the count.
     """
-    n_facets = len(facet_vertex_sets)
     if dim == 2:
         return (n_vertices, n_vertices)
     if dim > 4:
         return (n_vertices,) + (None,) * (dim - 2) + (n_facets,)
-    sizes = [len(vs) for vs in facet_vertex_sets]
+    indptr = np.searchsorted(incidence_facets, np.arange(n_facets + 1))
     incidence = sparse.csr_array(
-        (np.ones(sum(sizes), dtype=np.int64),
-         (np.repeat(np.arange(n_facets), sizes), np.concatenate(facet_vertex_sets))),
+        (np.ones(len(incidence_vertices), dtype=np.int32), incidence_vertices, indptr),
         shape=(n_facets, n_vertices),
     )
-    f1 = _pairs_at_least(incidence.T @ incidence, dim - 1)
+    transpose = incidence.T.tocsr()
+    f1 = _pairs_at_least(transpose @ incidence, dim - 1, n_vertices)
     if dim == 3:
         return (n_vertices, f1, n_facets)
-    return (n_vertices, f1, _pairs_at_least(incidence @ incidence.T, 3), n_facets)
+    return (n_vertices, f1, _pairs_at_least(incidence @ transpose, 3, n_facets), n_facets)
 
 
 def convex_hull(cloud, assume_unique=False) -> Polytope:
-    """Convex hull of a point cloud, with merged facets and f-vector.
+    """Convex hull of a point cloud, with its merged-facet table and f-vector.
 
     Input points are deduplicated (exact coordinate equality) first;
     assume_unique skips that sort, which callers drawing from continuous
@@ -167,19 +208,21 @@ def convex_hull(cloud, assume_unique=False) -> Polytope:
         raise DegenerateInput(f"affinely dependent input: {exc}") from exc
 
     vert_idx = qh.vertices  # indices into deduped points
-    to_local = np.empty(n, dtype=int)
-    to_local[vert_idx] = np.arange(len(vert_idx))
-    eqs, members = facet_groups(qh)
-    facets = [
-        Facet(normal=eq[:-1].copy(), offset=-float(eq[-1]), vertex_indices=np.sort(to_local[pts]))
-        for eq, pts in zip(eqs, members)
-    ]
-    f_vec = _count_faces(dim, len(vert_idx), [f.vertex_indices for f in facets])
+    n_vertices = len(vert_idx)
+    to_local = np.empty(n, dtype=np.int64)
+    to_local[vert_idx] = np.arange(n_vertices)
+    eqs, groups, members = facet_groups(qh)
+    # Qhull lists 2-d hull vertices counterclockwise, not in input order
+    incidence_facets, incidence_vertices = np.divmod(
+        np.sort(groups * n_vertices + to_local[members]), n_vertices)
     return Polytope(
         dim=dim,
         vertices=points[vert_idx],
-        facets=facets,
-        f_vector=f_vec,
+        facet_normals=np.ascontiguousarray(eqs[:, :-1]),
+        facet_offsets=-eqs[:, -1],
+        incidence_facets=incidence_facets,
+        incidence_vertices=incidence_vertices,
+        f_vector=_count_faces(dim, n_vertices, len(eqs), incidence_facets, incidence_vertices),
         vertex_input_indices=orig_idx[vert_idx],
         _volume=float(qh.volume),
         _area=float(qh.area),

@@ -35,6 +35,8 @@ TAILS = {"experiment": "tails", "d": 2, "alpha": 0.0, "beta": 2.0, "lambda": 1e3
          "M": 1.0, "t_grid": [1, 2, 3], "reps": 500, "seed": 1}
 CONCENTRATION = {"experiment": "concentration", "d": 2, "alpha": 0.0, "beta": 2.0,
                  "lambda": 1e3, "y_grid": [1, 2], "i": 2, "reps": 2000, "seed": 1}
+MOMENTS = {"experiment": "moments", "d": 2, "alpha": 0.0, "beta": 2.0,
+           "lambda_grid": [100.0, 1000.0], "reps": 200, "seed": 1}
 INTENSITY = {"experiment": "intensity", "d": 2, "alpha": 0.0, "beta": 2.0, "lambda": 1e3,
              "window": {"spatial_radius": 2.0, "h_min": -5.0, "h_max": 1.0},
              "bins": [1, 4], "reps": 10, "seed": 1}
@@ -188,6 +190,53 @@ class TestParseConfig:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "i:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, field", [
+        (dict(SLLN, a=1.0), "a"),
+        (dict(SLLN, i=5), "i"),
+        (dict(SLLN, i=0), "i"),
+        (dict(SLLN, k_max=3), "k_max"),
+        (dict(SLLN, p=0.0, beta=1.0), "p"),
+        (dict(CONCENTRATION, i=9), "i"),
+        (dict(CONCENTRATION, reps=1999), "reps"),
+        (dict(SCALING, L=2.5), "L"),
+        (dict(MINIMAL_GUMBEL, reps=99), "reps"),
+        (dict(MINIMAL_GUMBEL, n=99), "n"),
+        (dict(CLT, reps=999), "reps"),
+        (dict(TAILS, reps=499), "reps"),
+        (dict(MOMENTS, reps=199), "reps"),
+        (dict(INTENSITY, window=dict(INTENSITY["window"], h_min=-math.inf)), "window"),
+    ])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, config, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_too_small_intensity_rejected_by_validate(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TAILS, **{"lambda": 1.5})))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "IntensityTooSmall" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [MINIMAL_GUMBEL, CLT, SCALING, SLLN, TAILS,
+                                        CONCENTRATION, INTENSITY, MOMENTS])
+    def test_validate_samples_nothing(self, tmp_path, capsys, monkeypatch, config):
+        import ggp.cli as cli_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate called a runner")
+
+        for name in ("run_gumbel", "run_intensity", "run_scaling_limit", "run_moments",
+                     "run_clt", "run_tails", "run_slln_trend", "concentration_check"):
+            monkeypatch.setattr(cli_module, name, refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "ok" in capsys.readouterr().out
 
     @pytest.mark.parametrize("config", [SLLN, TAILS, CONCENTRATION, INTENSITY, SCALING])
     def test_well_typed_experiment_fields_accepted(self, config):

@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 from scipy.stats import ks_2samp
 
 from ggp import experiments
-from ggp.errors import ValidationError
+from ggp.errors import IntensityTooSmall, ValidationError
 from ggp.experiments import (
     concentration_check,
     expected_intrinsic_scale,
@@ -15,12 +15,14 @@ from ggp.experiments import (
     run_gumbel,
     run_intensity,
     run_moments,
+    run_scaling_limit,
     run_slln_trend,
     run_tails,
     run_vertex_correspondence,
 )
 from ggp.hull import convex_hull
-from ggp.params import validate_params
+from ggp.params import critical_radius, validate_params
+from ggp.rescale import transform_batch
 from ggp.sampling import RngStream, ScaledWindow, radial_tail_inverse, sample_polytope_input
 
 
@@ -132,6 +134,49 @@ class TestIntensityRunner:
         assert by_name["intensity_binned_vs_exact"].status == "PASS"
 
 
+def whole_cloud_intensity_counts(seed, rep, params, window, rho_edges, h_edges, r_lambda):
+    """Window cell counts from every point of one cloud (the runner samples an annulus)."""
+    cloud = sample_polytope_input(RngStream(seed, rep), params)
+    w = transform_batch(cloud.points, params.beta, r_lambda)
+    rho, h = np.linalg.norm(w[:, :-1], axis=1), w[:, -1]
+    keep = (rho <= window.spatial_radius) & (h > window.h_min) & (h <= window.h_max)
+    counts, _, _ = np.histogram2d(rho[keep], h[keep], bins=[rho_edges, h_edges])
+    return counts
+
+
+class TestIntensityAnnulus:
+    @pytest.mark.parametrize("d, lam, window", [
+        (2, 1e4, ScaledWindow(2.0, -5.0, 1.0)),
+        (3, 3000.0, ScaledWindow(1.5, -3.0, 2.0)),
+        (2, 1e4, ScaledWindow(1.0, 0.5, 40.0)),  # h_max past R^beta: the annulus reaches 0
+    ])
+    def test_annulus_matches_whole_cloud_in_law(self, d, lam, window):
+        p = validate_params(d, 0, 2, lam)
+        r_lambda = critical_radius(p)
+        rho_edges = np.linspace(0.0, window.spatial_radius, 3)
+        h_edges = np.linspace(window.h_min, window.h_max, 4)
+        task = (p, window, rho_edges, h_edges, r_lambda)
+        reps = 400
+        annulus = np.array([experiments._intensity_task((61, rep) + task)[1]
+                            for rep in range(reps)])
+        whole = np.array([whole_cloud_intensity_counts(62, rep, *task) for rep in range(reps)])
+        assert annulus.sum() > 5 * reps
+        ks = ks_2samp(annulus.sum(axis=(1, 2)), whole.sum(axis=(1, 2)))
+        assert ks.pvalue > 1e-3
+        sigma = np.sqrt((annulus.var(axis=0, ddof=1) + whole.var(axis=0, ddof=1)) / reps)
+        gap = np.abs(annulus.mean(axis=0) - whole.mean(axis=0))
+        assert np.all(gap <= 4 * sigma + 1e-12)
+
+    def test_window_above_every_height_counts_nothing(self):
+        p = validate_params(2, 0, 2, 1e3)
+        r_lambda = critical_radius(p)
+        window = ScaledWindow(1.0, 2.0 * r_lambda**2, 3.0 * r_lambda**2)
+        _, counts, n_window, _ = experiments._intensity_task(
+            (1, 0, p, window, np.array([0.0, 1.0]), np.array([window.h_min, window.h_max]),
+             r_lambda))
+        assert n_window == 0 and counts.sum() == 0
+
+
 class TestTailsRunner:
     def test_monotone_and_negative_slope(self):
         p = validate_params(2, 0, 2, 1e4)
@@ -162,6 +207,43 @@ def no_polytope_sampling(monkeypatch):
         raise AssertionError("sampled before validating the input")
 
     monkeypatch.setattr(experiments, "_collect_polytope_metrics", refuse)
+
+
+P2 = validate_params(2, 0, 2, 1e3)
+
+
+class TestPreconditionChecks:
+    # each runner raises its check function's error before any replication
+    @pytest.mark.parametrize("call, field", [
+        (lambda: run_gumbel(0, 2, 99, 500, seed=1), "n"),
+        (lambda: run_gumbel(0, 2, 1000, 99, seed=1), "reps"),
+        (lambda: run_intensity(P2, ScaledWindow(2.0, -np.inf, 1.0), (1, 4), 10, seed=1),
+         "window"),
+        (lambda: run_scaling_limit([P2], 2.5, 2, seed=1), "L"),
+        (lambda: run_moments([P2], 199, seed=1), "reps"),
+        (lambda: run_clt(P2, 999, seed=1), "reps"),
+        (lambda: run_tails(P2, 1.0, [1, 2], reps=499, seed=1), "reps"),
+        (lambda: run_slln_trend(P2, a=1.0, k_max=4, p=0.6, i=2, reps=10, seed=1), "a"),
+        (lambda: run_slln_trend(P2, a=4.0, k_max=3, p=0.6, i=2, reps=10, seed=1), "k_max"),
+        (lambda: run_slln_trend(P2, a=4.0, k_max=4, p=-0.3, i=2, reps=10, seed=1), "p"),
+        (lambda: concentration_check(P2, 1999, [1.0], seed=1), "reps"),
+        (lambda: concentration_check(P2, 2000, [1.0], seed=1, i=3), "i"),
+    ])
+    def test_runner_rejects_before_sampling(self, monkeypatch, call, field):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before validating the input")
+
+        monkeypatch.setattr(experiments, "_map_tasks", refuse)
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.field == field
+
+    def test_checks_return_what_the_runner_uses(self):
+        grid = experiments.check_slln(validate_params(3, 0.5, 2, 1.0), 10.0, 4, 0.9, 3)
+        assert [q.lam for q in grid] == [10.0, 100.0, 1000.0, 10000.0]
+        assert experiments.check_concentration(P2, 2000) == (P2, 2)
+        with pytest.raises(IntensityTooSmall):
+            experiments.check_tails(validate_params(2, 0, 2, 1.5), 500)
 
 
 class TestSllnRunner:

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.spatial import ConvexHull
 
 from ggp.errors import DegenerateInput, IndexOutOfRange, OriginOutside, OriginPoint
 from ggp.hull import (
+    Facet,
     convex_hull,
+    facet_groups,
     intrinsic_volume,
     is_vertex_ball,
     is_vertex_lp,
@@ -27,6 +31,67 @@ def octahedron_points():
 
 
 SQUARE_PLUS_CENTER = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+
+
+def unique_rows_in_order(points):
+    _, first = np.unique(points, axis=0, return_index=True)
+    return points[np.sort(first)]
+
+
+def reference_grouping(qh):
+    """Merged facets by np.unique over Qhull's equations: (equations, groups, members)."""
+    eqs, inverse = np.unique(qh.equations, axis=0, return_inverse=True)
+    n_points, width = len(qh.points), qh.simplices.shape[1]
+    keys = np.unique(np.repeat(inverse.reshape(-1), width) * n_points + qh.simplices.ravel())
+    groups, members = np.divmod(keys, n_points)
+    return eqs, groups, members
+
+
+def reference_facets(points):
+    """(facets, f-vector) of distinct points as one Facet object per merged
+    facet, with the f-vector from sparse.triu pair counts: the facet list
+    the array facet table replaced, kept as an independent check on it."""
+    qh = ConvexHull(points)
+    dim = points.shape[1]
+    eqs, groups, members = reference_grouping(qh)
+    to_local = np.empty(len(points), dtype=int)
+    to_local[qh.vertices] = np.arange(len(qh.vertices))
+    member_sets = np.split(members, np.searchsorted(groups, np.arange(1, len(eqs))))
+    facets = [Facet(normal=eq[:-1].copy(), offset=-float(eq[-1]),
+                    vertex_indices=np.sort(to_local[m])) for eq, m in zip(eqs, member_sets)]
+    n_v, n_f = len(qh.vertices), len(facets)
+    if dim == 2:
+        return facets, (n_v, n_v)
+    if dim > 4:
+        return facets, (n_v,) + (None,) * (dim - 2) + (n_f,)
+    sizes = [len(f.vertex_indices) for f in facets]
+    incidence = sparse.csr_array(
+        (np.ones(sum(sizes), dtype=np.int64),
+         (np.repeat(np.arange(n_f), sizes), np.concatenate([f.vertex_indices for f in facets]))),
+        shape=(n_f, n_v),
+    )
+
+    def pairs_at_least(gram, k):
+        return int(np.count_nonzero(sparse.triu(gram, k=1).data >= k))
+
+    f1 = pairs_at_least(incidence.T @ incidence, dim - 1)
+    if dim == 3:
+        return facets, (n_v, f1, n_f)
+    return facets, (n_v, f1, pairs_at_least(incidence @ incidence.T, 3), n_f)
+
+
+def facet_table_clouds():
+    """Random clouds in d = 2-5, integer-grid clouds (merged, non-simplicial
+    facets and duplicate rows) in d = 3-4, and cubes in d = 2-5."""
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 4, 5):
+        for _ in range(8):
+            yield rng.standard_normal((int(rng.integers(d + 1, 300)), d))
+    for d in (3, 4):
+        for _ in range(15):
+            yield rng.integers(-2, 3, (int(rng.integers(d + 3, 80)), d)).astype(float)
+    for d in (2, 3, 4, 5):
+        yield cube_points(d)
 
 
 class TestConvexHull:
@@ -83,9 +148,41 @@ class TestConvexHull:
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((50, 3))
         p = convex_hull(pts)
-        for f in p.facets:
-            residual = p.vertices[f.vertex_indices] @ f.normal - f.offset
-            assert np.max(np.abs(residual)) < 1e-9 * p.scale()
+        g, v = p.incidence_facets, p.incidence_vertices
+        residual = np.sum(p.vertices[v] * p.facet_normals[g], axis=1) - p.facet_offsets[g]
+        assert np.max(np.abs(residual)) < 1e-9 * p.scale()
+        assert np.all(np.bincount(g, minlength=len(p.facet_offsets)) >= 3)
+
+    def test_facet_table_matches_facet_list(self):
+        for pts in facet_table_clouds():
+            p = convex_hull(pts)
+            facets, f_vec = reference_facets(unique_rows_in_order(pts))
+            assert p.f_vector == f_vec
+            assert len(p.facets) == len(facets) == p.f_vector[-1]
+            assert np.array_equal(p.facet_normals, np.array([f.normal for f in facets]))
+            assert np.array_equal(p.facet_offsets, np.array([f.offset for f in facets]))
+            bounds = np.searchsorted(p.incidence_facets, np.arange(len(facets) + 1))
+            for g, f in enumerate(facets):
+                assert np.array_equal(p.incidence_vertices[bounds[g]:bounds[g + 1]],
+                                      f.vertex_indices)
+                view = p.facets[g]
+                assert np.array_equal(view.vertex_indices, f.vertex_indices)
+                assert np.array_equal(view.normal, f.normal) and view.offset == f.offset
+
+    def test_facet_groups_match_unique_grouping(self):
+        for pts in facet_table_clouds():
+            qh = ConvexHull(unique_rows_in_order(pts))
+            for got, want in zip(facet_groups(qh), reference_grouping(qh)):
+                assert np.array_equal(got, want)
+
+    def test_facet_view_is_a_sequence(self):
+        p = convex_hull(cube_points(3))
+        facets = list(p.facets)
+        assert len(facets) == len(p.facets) == 6
+        assert np.array_equal(p.facets[-1].normal, facets[5].normal)
+        with pytest.raises(IndexError):
+            p.facets[6]
+        assert all(len(f.vertex_indices) == 4 for f in facets)
 
     def test_euler_relation_random_3d(self):
         rng = np.random.default_rng(3)
@@ -100,7 +197,7 @@ class TestConvexHull:
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = convex_hull(rng.standard_normal((int(rng.integers(6, 400)), 4)))
-            assert all(len(f.vertex_indices) == 4 for f in p.facets)
+            assert np.all(np.bincount(p.incidence_facets, minlength=len(p.facet_offsets)) == 4)
             f0, f1, f2, f3 = p.f_vector
             assert f0 - f1 + f2 - f3 == 0
             assert f2 == 2 * f3
