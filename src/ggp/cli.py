@@ -29,6 +29,7 @@ from .experiments import (
     check_gumbel,
     check_intensity,
     check_moments,
+    check_reps,
     check_scaling_limit,
     check_slln,
     check_tails,
@@ -228,6 +229,7 @@ def parse_config(source: str) -> RunConfig:
             raise ValidationError(key, "missing required key")
     seed = _run_int("seed", raw["seed"])
     reps = _run_int("reps", raw["reps"])
+    check_reps(reps)
     workers = _run_int("workers", raw["workers"] if "workers" in raw else default_workers())
     output_format = raw.get("output_format", "csv")
     if output_format not in ("csv", "json"):

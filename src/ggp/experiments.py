@@ -22,6 +22,7 @@ from .festoon import (
     phi_boundary_batch,
     psi_lambda_envelope,
     rescaled_hull_boundary,
+    stable_height,
     windowed_festoon,
 )
 from .hull import convex_hull
@@ -68,6 +69,7 @@ __all__ = [
     "check_tails",
     "check_slln",
     "check_concentration",
+    "check_reps",
 ]
 
 AGGREGATE_REPLICATION = -1  # replication index reserved for run-level metrics
@@ -76,6 +78,9 @@ AGGREGATE_REPLICATION = -1  # replication index reserved for run-level metrics
 SHELL_POINTS = 1024
 # Distinct grid points a slope or trend check needs; below this it reports INFO.
 MIN_TREND_POINTS = 3
+# Replication rep of parameter group pi draws from stream pi * STREAM_STRIDE + rep,
+# so reps must stay below it (check_reps).
+STREAM_STRIDE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,19 @@ def _too_short(grid):
 
 # Each runner's preconditions live in a check_* function that samples
 # nothing, so `ggp validate` rejects exactly the configs the runner would.
+
+
+def check_reps(reps):
+    """Bound on reps shared by every runner: distinct (group, rep) pairs
+    must get distinct streams."""
+    if reps >= STREAM_STRIDE:
+        raise ValidationError("reps", f"need reps < {STREAM_STRIDE}")
+
+
+def _group_streams(n_groups: int, reps: int):
+    """(group, stream id) of every replication of n_groups parameter groups."""
+    check_reps(reps)
+    return [(pi, pi * STREAM_STRIDE + rep) for pi in range(n_groups) for rep in range(reps)]
 
 
 def _require_reps(reps, minimum: int):
@@ -411,28 +429,21 @@ def run_intensity(
 def _scaling_task(task):
     seed, stream_id, params, L, grid_n = task
     t0 = time.perf_counter()
-    rng = RngStream(seed, stream_id)
     r_lambda = critical_radius(params)
-    cloud = sample_polytope_input(rng, params)
-    out = {"skipped": 1.0}
-    if len(cloud) >= params.d + 1:
-        try:
-            poly = convex_hull(cloud, assume_unique=True)
-            w = transform_batch(cloud.points, params.beta, r_lambda)
-            spatial_limit = 0.999 * math.pi * r_lambda ** (params.beta / 2.0)
-            fest, _, _ = windowed_festoon(w, L, spatial_limit=spatial_limit)
-            grid = ball_grid(L, grid_n, params.d - 1)
-            hull_heights = rescaled_hull_boundary(poly, grid, params, r_lambda)
-            phi_heights = phi_boundary_batch(fest, grid)
-            sup = float(np.max(np.abs(hull_heights - phi_heights)))
-            out = {
-                "sup_dist": sup,
-                "n_vertices": float(len(poly.vertices)),
-                "n_extreme": float(len(fest.extreme_indices)),
-                "skipped": 0.0,
-            }
-        except GgpError:
-            pass  # degenerate hull, origin outside, or festoon support miss
+    grid = ball_grid(L, grid_n, params.d - 1)
+
+    def measure(poly, w, fest, kept):
+        hull_heights = rescaled_hull_boundary(poly, grid, params, r_lambda)
+        phi_heights = phi_boundary_batch(fest, grid)
+        in_ball = np.linalg.norm(fest.extreme_points[:, :-1], axis=1) <= L
+        return {
+            "sup_dist": float(np.max(np.abs(hull_heights - phi_heights))),
+            "n_vertices": float(len(poly.vertices)),
+            "n_extreme": float(np.count_nonzero(in_ball)),
+            "skipped": 0.0,
+        }
+
+    out = _festoon_sample(RngStream(seed, stream_id), params, L, r_lambda, measure)
     return stream_id, out, time.perf_counter() - t0
 
 
@@ -451,16 +462,14 @@ def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=41) -> RunRe
     bootstrap 95% intervals of the endpoint medians must not overlap.
     """
     params_list = check_scaling_limit(params_list, L)
-    tasks = []
-    for pi, params in enumerate(params_list):
-        for rep in range(reps):
-            tasks.append((seed, pi * 1_000_000 + rep, params, float(L), int(grid_n)))
+    tasks = [(seed, stream_id, params_list[pi], float(L), int(grid_n))
+             for pi, stream_id in _group_streams(len(params_list), reps)]
     rows = _map_tasks(_scaling_task, tasks, workers)
 
     result = RunResult(experiment="scaling_limit")
     sups = {pi: [] for pi in range(len(params_list))}
-    for (stream_id, metrics, wt), task in zip(rows, tasks):
-        pi, rep = divmod(stream_id, 1_000_000)
+    for stream_id, metrics, wt in rows:
+        pi, rep = divmod(stream_id, STREAM_STRIDE)
         params = params_list[pi]
         result.records.append(
             ExperimentRecord(
@@ -512,45 +521,113 @@ def _hull_or_none(points, d: int):
         return None  # affinely dependent input
 
 
-def _sample_hull(rng: RngStream, params: ModelParams):
-    """Hull (or None) and point count of one Poisson cloud, sampling only
-    the points that can be hull vertices.
+def _certified(needed: float, inner: float) -> bool:
+    """Whether a certificate's radius covers the unsampled ball B(inner).
+
+    Each certificate keeps a 1e-9 relative margin against rounding; the
+    1e-12 slack here absorbs round-off when round 2 recomputes a radius
+    that cannot shrink, such as the inball of a hull of more points.
+    """
+    return needed >= inner * (1.0 - 1e-12)
+
+
+def _sample_shell(rng: RngStream, params: ModelParams, evaluate):
+    """evaluate's result on the fewest points of one Poisson cloud that
+    provably give the whole cloud's result, and the cloud's point count.
+
+    evaluate(points, inner) returns (result, needed): its result on the
+    sampled points, all of norm > inner, and a radius such that points of
+    norm <= needed cannot change that result. inner = 0 means the whole
+    cloud, whose result stands as it is.
 
     Up to SHELL_POINTS expected points the whole cloud is sampled. Above,
     round 1 samples the shell ||x|| > r0 holding SHELL_POINTS points in
-    expectation and hulls it. The hull contains the ball B(rho), rho its
-    smallest facet offset; if rho (1 - 1e-9) >= r0, every inner point lies
-    in it and hull(all) = hull(shell). Otherwise round 2 samples the annulus
-    rho' < ||x|| <= r0, rho' = max(rho (1 - 1e-9), 0), and hulls shell and
-    annulus together, which contains B(rho'); rho' = 0 (a degenerate shell
-    or the origin outside its hull) samples the whole cloud. The points left
-    inside the inner ball are counted by an independent Poisson draw.
-    Poisson restriction makes the counts on the three disjoint regions
-    independent, so the hull and the count have the law of the full cloud.
+    expectation; its result stands when needed >= r0. Otherwise round 2
+    adds the annulus max(needed, 0) < ||x|| <= r0 and evaluates again; if
+    that still falls short, round 3 adds the rest of the cloud. The points
+    left inside the last inner radius are counted by an independent Poisson
+    draw. Poisson restriction makes the counts on disjoint regions
+    independent, so result and count have the law of the full cloud's.
     """
     if params.lam <= SHELL_POINTS:
-        cloud = sample_polytope_input(rng, params)
-        return _hull_or_none(cloud, params.d), len(cloud)
+        points = sample_polytope_input(rng, params).points
+        return evaluate(points, 0.0)[0], len(points)
     g = rng.generator()
-    r0 = float(radial_tail_inverse(params, SHELL_POINTS / params.lam))
-    points = sample_polytope_input(g, params, r_min=r0).points
-    poly = _hull_or_none(points, params.d)
-    # radius of a ball about the origin inside hull(shell), safe against rounding
-    inball = 0.0 if poly is None else (1.0 - 1e-9) * float(np.min(poly.facet_offsets))
-    inner = r0
-    if inball < r0:
-        inner = max(inball, 0.0)
-        annulus = sample_polytope_input(g, params, r_min=inner, r_max=r0).points
+    inner = float(radial_tail_inverse(params, SHELL_POINTS / params.lam))
+    points = sample_polytope_input(g, params, r_min=inner).points
+    result, needed = evaluate(points, inner)
+    for whole in (False, True):
+        if inner == 0.0 or _certified(needed, inner):
+            break
+        outer, inner = inner, 0.0 if whole else max(needed, 0.0)
+        annulus = sample_polytope_input(g, params, r_min=inner, r_max=outer).points
         points = np.vstack([points, annulus])
-        poly = _hull_or_none(points, params.d)
+        result, needed = evaluate(points, inner)
     n_inner = int(g.poisson(params.lam * (1.0 - radial_tail(params, inner))))
-    return poly, len(points) + n_inner
+    return result, len(points) + n_inner
+
+
+def _inball(poly) -> float:
+    """Radius of a ball about the origin inside the hull, safe against
+    rounding; points inside it cannot change the hull. 0 without a hull."""
+    return 0.0 if poly is None else (1.0 - 1e-9) * float(np.min(poly.facet_offsets))
+
+
+def _festoon_radius(w, fest, L, beta, r_lambda) -> float:
+    """Radius below which unsampled points cannot change the windowed
+    festoon over B(o, L): its boundary there and its extreme points there.
+
+    An unsampled point of norm <= r has height >= R^(beta-1) (R - r), above
+    every sampled height. It leaves windowed_festoon's h_min, hence its
+    guard and window, as they are when a sampled point lies in B(o, L + 1),
+    and the festoon over B(o, L) as it is at heights >= stable_height.
+    Returns 0 (the whole cloud) when no sampled point lies in B(o, L + 1).
+    """
+    if not np.any(np.linalg.norm(w[:, :-1], axis=1) <= L + 1.0):
+        return 0.0
+    h_star = stable_height(fest, L)
+    return (1.0 - 1e-9) * (r_lambda - h_star * r_lambda ** (1.0 - beta))
+
+
+def _festoon_sample(rng, params, L, r_lambda, measure):
+    """measure(poly, w, fest, kept) on one cloud's hull, rescaled points and
+    windowed festoon, or {"skipped": 1.0} when the whole cloud has none.
+
+    A shell's measure stands when neither the hull (_inball) nor the
+    festoon over B(o, L) (_festoon_radius) can change with the unsampled
+    points, so every metric read from the hull and from the festoon over
+    B(o, L) is the whole cloud's. A shell that fails, a degenerate one
+    included, is widened; only the whole cloud is skipped.
+    """
+    spatial_limit = 0.999 * math.pi * r_lambda ** (params.beta / 2.0)
+
+    def evaluate(points, inner):
+        try:
+            poly = convex_hull(points, assume_unique=True)
+            w = transform_batch(points, params.beta, r_lambda)
+            fest, kept, _ = windowed_festoon(w, L, spatial_limit=spatial_limit)
+            needed = 0.0
+            if inner > 0.0:
+                needed = min(_inball(poly), _festoon_radius(w, fest, L, params.beta, r_lambda))
+                if not _certified(needed, inner):
+                    return None, needed
+            return measure(poly, w, fest, kept), needed
+        except GgpError:  # degenerate hull, origin outside, or festoon support miss
+            return None, 0.0
+
+    out, _ = _sample_shell(rng, params, evaluate)
+    return {"skipped": 1.0} if out is None else out
 
 
 def _polytope_task(task):
     seed, stream_id, params = task
     t0 = time.perf_counter()
-    poly, n_points = _sample_hull(RngStream(seed, stream_id), params)
+
+    def evaluate(points, inner):
+        poly = _hull_or_none(points, params.d)
+        return poly, _inball(poly)
+
+    poly, n_points = _sample_shell(RngStream(seed, stream_id), params, evaluate)
     out = {"skipped": 1.0}
     if poly is not None:
         out = {"skipped": 0.0, "n_points": float(n_points)}
@@ -582,15 +659,13 @@ def _check_intrinsic_index(i: int, d: int):
 
 
 def _collect_polytope_metrics(params_list, reps, seed, workers, experiment):
-    tasks = []
-    for pi, params in enumerate(params_list):
-        for rep in range(reps):
-            tasks.append((seed, pi * 1_000_000 + rep, params))
+    tasks = [(seed, stream_id, params_list[pi])
+             for pi, stream_id in _group_streams(len(params_list), reps)]
     rows = _map_tasks(_polytope_task, tasks, workers)
     records = []
     per_param: dict = {pi: {} for pi in range(len(params_list))}
-    for (stream_id, metrics, wt), task in zip(rows, tasks):
-        pi, rep = divmod(stream_id, 1_000_000)
+    for stream_id, metrics, wt in rows:
+        pi, rep = divmod(stream_id, STREAM_STRIDE)
         params = params_list[pi]
         records.append(
             ExperimentRecord(
@@ -970,46 +1045,37 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
 def _vertex_task(task):
     seed, rep, params, L, r_lambda = task
     t0 = time.perf_counter()
-    rng = RngStream(seed, rep)
-    cloud = sample_polytope_input(rng, params)
-    out = {"skipped": 1.0}
-    if len(cloud) >= params.d + 1:
-        try:
-            poly = convex_hull(cloud, assume_unique=True)
-            w = transform_batch(cloud.points, params.beta, r_lambda)
-            spatial_limit = 0.999 * math.pi * r_lambda ** (params.beta / 2.0)
-            fest, kept, _ = windowed_festoon(w, L, spatial_limit=spatial_limit)
-            vnorm = np.linalg.norm(w[:, :-1], axis=1)
-            hull_set = {int(ix) for ix in poly.vertex_input_indices if vnorm[ix] <= L}
-            ext_orig = kept[fest.extreme_indices]
-            ext_set = {int(ix) for ix in ext_orig if vnorm[ix] <= L}
-            union = hull_set | ext_set
-            inter = hull_set & ext_set
-            # mismatches whose height gap to the opposing boundary is below
-            # the grain-approximation scale R^(-beta/2) are the expected
-            # near-boundary flips between quasi and ideal extremality; they
-            # are logged separately from hard disagreements
-            margin = r_lambda ** (-params.beta / 2.0)
-            exceptions = 0
-            for ix in union - inter:
-                if ix in hull_set:
-                    gap = w[ix, -1] - phi_boundary_batch(fest, w[ix, :-1][None, :])[0]
-                else:
-                    gap = w[ix, -1] - rescaled_hull_boundary(
-                        poly, w[ix, :-1], params, r_lambda
-                    )
-                if abs(gap) <= margin:
-                    exceptions += 1
-            out = {
-                "skipped": 0.0,
-                "n_hull_window": float(len(hull_set)),
-                "n_extreme_window": float(len(ext_set)),
-                "n_match": float(len(inter)),
-                "n_boundary_exceptions": float(exceptions),
-                "jaccard": float(len(inter) / len(union)) if union else 1.0,
-            }
-        except GgpError:
-            pass
+
+    def measure(poly, w, fest, kept):
+        vnorm = np.linalg.norm(w[:, :-1], axis=1)
+        hull_set = {int(ix) for ix in poly.vertex_input_indices if vnorm[ix] <= L}
+        ext_orig = kept[fest.extreme_indices]
+        ext_set = {int(ix) for ix in ext_orig if vnorm[ix] <= L}
+        union = hull_set | ext_set
+        inter = hull_set & ext_set
+        # mismatches whose height gap to the opposing boundary is below
+        # the grain-approximation scale R^(-beta/2) are the expected
+        # near-boundary flips between quasi and ideal extremality; they
+        # are logged separately from hard disagreements
+        margin = r_lambda ** (-params.beta / 2.0)
+        exceptions = 0
+        for ix in union - inter:
+            if ix in hull_set:
+                gap = w[ix, -1] - phi_boundary_batch(fest, w[ix, :-1][None, :])[0]
+            else:
+                gap = w[ix, -1] - rescaled_hull_boundary(poly, w[ix, :-1], params, r_lambda)
+            if abs(gap) <= margin:
+                exceptions += 1
+        return {
+            "skipped": 0.0,
+            "n_hull_window": float(len(hull_set)),
+            "n_extreme_window": float(len(ext_set)),
+            "n_match": float(len(inter)),
+            "n_boundary_exceptions": float(exceptions),
+            "jaccard": float(len(inter) / len(union)) if union else 1.0,
+        }
+
+    out = _festoon_sample(RngStream(seed, rep), params, L, r_lambda, measure)
     return rep, out, time.perf_counter() - t0
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "psi_lambda_boundary",
     "psi_lambda_envelope",
     "rescaled_hull_boundary",
+    "stable_height",
     "sup_distance",
     "windowed_festoon",
     "ball_grid",
@@ -82,10 +83,12 @@ class Festoon:
     `points` are the input rows (v.., h); `extreme_indices` index into them.
     `lifted_lower_hull` stores what boundary evaluation needs, in every
     spatial dimension: "planes", the affine pieces (gradients, intercepts)
-    of the lower facets, None when the lift is affinely degenerate; and
-    "spatial_hull", the inequalities of the extreme points' spatial hull,
-    None in spatial dimension 1 or when that hull is degenerate. Spatial
-    dimension 1 evaluates by interpolating the extreme lifts instead.
+    of the lower facets, None when the lift is affinely degenerate;
+    "cells", the incidence pairs (piece, point index) of those facets, None
+    with the planes; and "spatial_hull", the inequalities of the extreme
+    points' spatial hull, None in spatial dimension 1 or when that hull is
+    degenerate. Spatial dimension 1 evaluates by interpolating the extreme
+    lifts instead.
     """
 
     points: np.ndarray
@@ -111,22 +114,25 @@ def extreme_points(points, assume_unique=False) -> Festoon:
     if not assume_unique:
         _, first = np.unique(arr, axis=0, return_index=True)
         arr = arr[np.sort(first)]
-    ext_idx, planes = _lower_hull(lift(arr))
-    hull_data = {"planes": planes, "spatial_hull": _spatial_hull(arr[ext_idx, :-1])}
+    ext_idx, planes, cells = _lower_hull(lift(arr))
+    hull_data = {"planes": planes, "cells": cells,
+                 "spatial_hull": _spatial_hull(arr[ext_idx, :-1])}
     return Festoon(points=arr, extreme_indices=ext_idx, spatial_dim=arr.shape[1] - 1,
                    lifted_lower_hull=hull_data)
 
 
 def _lower_hull(lifted: np.ndarray):
-    """Lower-hull vertices (sorted indices into `lifted`) and the affine
-    pieces (gradients, intercepts) of the lower facets.
+    """Lower-hull vertices (sorted indices into `lifted`), the affine
+    pieces (gradients, intercepts) of the lower facets, and their incidence
+    pairs (piece, index into `lifted`).
 
     The lower facets are the Qhull facets whose outward normal points down
     in s; Qhull's facet merging keeps points inside a lower facet (collinear
     or coplanar lifts) out of the vertex set. When the lifted set is
     affinely degenerate, each point gets the exact LP test instead and no
-    affine pieces are available (planes is None): a point is not a vertex
-    iff it is a convex combination of the others plus a push straight up.
+    affine pieces are available (planes and cells are None): a point is not
+    a vertex iff it is a convex combination of the others plus a push
+    straight up.
     """
     n, mp1 = lifted.shape
     try:
@@ -138,13 +144,15 @@ def _lower_hull(lifted: np.ndarray):
         up[-1] = 1.0
         ext = [i for i in range(n)
                if not is_convex_combination(np.delete(lifted, i, axis=0), lifted[i], ray=up)]
-        return np.array(ext, dtype=int), None
+        return np.array(ext, dtype=int), None, None
     eqs, groups, members = facet_groups(qh)
     lower = eqs[:, -2] < -1e-12  # outward normal points downward in s
     normals, offsets = eqs[lower, :-1], eqs[lower, -1]
     # n_v . v + n_s s + off = 0  ->  s = -(off + n_v . v)/n_s
     planes = (-normals[:, :-1] / normals[:, -1:], -offsets / normals[:, -1])
-    return np.unique(members[lower[groups]]), planes
+    on_lower = lower[groups]
+    cells = ((np.cumsum(lower) - 1)[groups[on_lower]], members[on_lower])
+    return np.unique(cells[1]), planes, cells
 
 
 def _spatial_hull(spatial: np.ndarray):
@@ -203,6 +211,43 @@ def phi_boundary_batch(f: Festoon, grid: np.ndarray) -> np.ndarray:
         grads, icpts = planes
         s = np.max(grid @ grads.T + icpts[None, :], axis=1)
     return s - 0.5 * np.sum(grid**2, axis=1)
+
+
+def stable_height(f: Festoon, L: float) -> float:
+    """Height at and above which inserted points leave the festoon over
+    B(o, L) unchanged: its boundary there and its extreme points there.
+
+    A lower piece s = <g, v> + c is the downward paraboloid
+    h = c + <g, v> - ||v||^2/2 with apex height H = c + ||g||^2/2, so a
+    point at height >= H lifts on or above the piece's plane, which then
+    still supports the lower hull wherever it is active. Returns max H over
+    the pieces whose cells may meet B(o, L): those whose vertices' bounding
+    box meets the ball, a superset. Returns inf when the ball leaves the
+    extreme points' spatial hull (an inserted point could widen it there)
+    or the lower hull is degenerate.
+    """
+    planes, cells = f.lifted_lower_hull["planes"], f.lifted_lower_hull["cells"]
+    if planes is None or len(planes[0]) == 0:
+        return np.inf
+    spatial = f.extreme_points[:, :-1]
+    if f.spatial_dim == 1:
+        covered = spatial.min() <= -L and spatial.max() >= L
+    else:  # unit outward normals: the ball lies inside iff every offset <= -L
+        eqs = f.lifted_lower_hull["spatial_hull"]
+        covered = eqs is not None and bool(np.all(eqs[:, -1] <= -L))
+    if not covered:
+        return np.inf
+    grads, icpts = planes
+    piece, vertex = cells
+    corners = f.points[vertex, :-1]
+    lo = np.full(grads.shape, np.inf)
+    hi = np.full(grads.shape, -np.inf)
+    np.minimum.at(lo, piece, corners)
+    np.maximum.at(hi, piece, corners)
+    near = np.linalg.norm(np.clip(0.0, lo, hi), axis=1) <= L  # box point nearest o
+    if not near.any():
+        return np.inf
+    return float(np.max(icpts[near] + 0.5 * np.sum(grads[near] ** 2, axis=1)))
 
 
 def psi_boundary(points, v):

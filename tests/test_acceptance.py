@@ -145,7 +145,12 @@ def test_criterion_5_scaling_limit():
         for (alpha, beta) in [(0.0, 2.0), (1.0, 1.0)]
         for lam in (10**3, 10**4, 10**5, 10**6)
     ]
-    result = run_scaling_limit(params_list, L=1.0, reps=50, seed=ACCEPTANCE_SEED,
+    # sup_dist is heavy-tailed (at alpha = beta = 1 its sd is ~0.25 against
+    # medians 0.15 at lambda = 1e5 and 0.12 at 1e6), so with 50 reps the
+    # strict median decrease holds for only about a third of seeds under the
+    # exact law. With 800 reps a bootstrap from 3000 draws per intensity
+    # gives no reversal of the 1e5 / 1e6 medians in 4000 trials.
+    result = run_scaling_limit(params_list, L=1.0, reps=800, seed=ACCEPTANCE_SEED,
                                workers=WORKERS)
     assert_checks(5, result)
 

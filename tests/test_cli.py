@@ -95,6 +95,13 @@ class TestParseConfig:
             parse_config(json.dumps(cfg))
         assert exc.value.field == "d"
 
+    def test_reps_bound_is_the_stream_stride(self):
+        # replication streams are keyed group * 1_000_000 + rep
+        assert parse_config(json.dumps(dict(SCALING, reps=999_999))).reps == 999_999
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(dict(SCALING, reps=1_000_000)))
+        assert exc.value.field == "reps"
+
     @pytest.mark.parametrize("field", ["seed", "reps", "workers"])
     def test_bool_rejected_where_integer_wanted(self, field):
         with pytest.raises(ValidationError) as exc:
@@ -169,6 +176,7 @@ class TestParseConfig:
         (dict(SCALING, grid_n=1), "grid_n"),
         (dict(SCALING, alphas_betas=[]), "alphas_betas"),
         (dict(SCALING, lambda_grid=[]), "lambda_grid"),
+        (dict(SCALING, reps=1_000_000), "reps"),
     ])
     def test_bad_experiment_field_exits_2_naming_it(self, tmp_path, capsys, config, field):
         with pytest.raises(ValidationError) as exc:
@@ -206,6 +214,7 @@ class TestParseConfig:
         (dict(TAILS, reps=499), "reps"),
         (dict(MOMENTS, reps=199), "reps"),
         (dict(INTENSITY, window=dict(INTENSITY["window"], h_min=-math.inf)), "window"),
+        (dict(MOMENTS, reps=1_000_000), "reps"),
     ])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, config, field):
         path = tmp_path / "cfg.json"

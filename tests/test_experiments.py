@@ -20,10 +20,17 @@ from ggp.experiments import (
     run_tails,
     run_vertex_correspondence,
 )
+from ggp.festoon import extreme_points, phi_boundary_batch, stable_height, windowed_festoon
 from ggp.hull import convex_hull
 from ggp.params import critical_radius, validate_params
-from ggp.rescale import transform_batch
-from ggp.sampling import RngStream, ScaledWindow, radial_tail_inverse, sample_polytope_input
+from ggp.rescale import inverse_transform, transform_batch
+from ggp.sampling import (
+    PointCloud,
+    RngStream,
+    ScaledWindow,
+    radial_tail_inverse,
+    sample_polytope_input,
+)
 
 
 def record_key(records):
@@ -228,6 +235,9 @@ class TestPreconditionChecks:
         (lambda: run_slln_trend(P2, a=4.0, k_max=4, p=-0.3, i=2, reps=10, seed=1), "p"),
         (lambda: concentration_check(P2, 1999, [1.0], seed=1), "reps"),
         (lambda: concentration_check(P2, 2000, [1.0], seed=1, i=3), "i"),
+        # rep STREAM_STRIDE of group 0 would draw group 1's first stream
+        (lambda: run_scaling_limit([P2], 1.0, experiments.STREAM_STRIDE, seed=1), "reps"),
+        (lambda: run_moments([P2], experiments.STREAM_STRIDE, seed=1), "reps"),
     ])
     def test_runner_rejects_before_sampling(self, monkeypatch, call, field):
         def refuse(*args, **kwargs):
@@ -370,3 +380,208 @@ class TestShellSampling:
             for key in ("f0", f"v{d}", "n_points"):
                 a, b = [m[key] for m in full], [m[key] for m in shell]
                 assert ks_2samp(a, b).pvalue > 1e-3, (shell_points, key)
+
+
+SHELL_POINTS = experiments.SHELL_POINTS
+
+
+def split_sampler(points):
+    """Stand-in for sample_polytope_input that hands out one fixed whole
+    cloud annulus by annulus, logging each (r_min, r_max) it is asked for."""
+    norms = np.linalg.norm(points, axis=1)
+    calls = []
+
+    def sample(rng, params, r_min=0.0, r_max=math.inf):
+        calls.append((r_min, r_max))
+        return PointCloud(params.d, points[(norms > r_min) & (norms <= r_max)])
+
+    return sample, calls
+
+
+def capture(monkeypatch, names):
+    """Wrap ggp.experiments functions so the last output of each stays readable."""
+    last = {}
+    for name in names:
+        def wrapper(*args, _fn=getattr(experiments, name), _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            last[_name] = (args, out)
+            return out
+        monkeypatch.setattr(experiments, name, wrapper)
+    return last
+
+
+def window_sets(last, L):
+    """hull_set and ext_set of _vertex_task, as sets of point coordinates."""
+    (points, _, _), w = last["transform_batch"]
+    fest, kept, _ = last["windowed_festoon"][1]
+    poly = last["convex_hull"][1]
+    near = np.linalg.norm(w[:, :-1], axis=1) <= L
+    hull_set = {tuple(points[ix]) for ix in poly.vertex_input_indices if near[ix]}
+    ext_set = {tuple(points[ix]) for ix in kept[fest.extreme_indices] if near[ix]}
+    return hull_set, ext_set
+
+
+class TestFestoonShell:
+    """scaling_limit and vertex_correspondence on the shell sampler: one
+    whole cloud is handed out annulus by annulus, so every replication the
+    certificates accept must give the whole cloud's result."""
+
+    def run_split(self, monkeypatch, task, points, shell_points):
+        sample, calls = split_sampler(points)
+        monkeypatch.setattr(experiments, "sample_polytope_input", sample)
+        monkeypatch.setattr(experiments, "SHELL_POINTS", shell_points)
+        return task(), calls
+
+    @pytest.mark.parametrize("d, alpha, beta, lam", [
+        (2, 0, 2, 1e4), (2, 0, 2, 1e5), (2, 1, 1, 1e5), (2, -0.5, 3, 1e5), (3, 0, 2, 1e4),
+    ])
+    def test_scaling_task_on_shell_equals_whole_cloud(self, monkeypatch, d, alpha, beta, lam):
+        p = validate_params(d, alpha, beta, lam)
+        certified = 0
+        for sid in range(12):
+            points = sample_polytope_input(RngStream(23, sid), p).points
+            task = lambda: experiments._scaling_task((23, sid, p, 1.0, 21))[1]  # noqa: E731
+            whole, _ = self.run_split(monkeypatch, task, points, math.inf)
+            shell, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
+            certified += len(calls) == 1
+            assert shell["skipped"] == whole["skipped"] == 0.0
+            assert abs(shell["sup_dist"] - whole["sup_dist"]) <= 1e-12
+            assert shell["n_vertices"] == whole["n_vertices"]
+            assert shell["n_extreme"] == whole["n_extreme"]
+        assert certified == 12
+
+    @pytest.mark.parametrize("d, lam", [(2, 1e4), (2, 1e5), (3, 1e4)])
+    def test_vertex_sets_on_shell_equal_whole_cloud(self, monkeypatch, d, lam):
+        p = validate_params(d, 0, 2, lam)
+        r_lambda = critical_radius(p)
+        compared = 0
+        for sid in range(8):
+            points = sample_polytope_input(RngStream(29, sid), p).points
+            task = lambda: experiments._vertex_task((29, sid, p, 1.0, r_lambda))[1]  # noqa: E731
+            results = []
+            for shell_points in (math.inf, SHELL_POINTS):
+                last = capture(monkeypatch, ["transform_batch", "convex_hull",
+                                             "windowed_festoon"])
+                metrics, calls = self.run_split(monkeypatch, task, points, shell_points)
+                results.append((metrics, window_sets(last, 1.0)))
+                monkeypatch.undo()
+            (whole, whole_sets), (shell, shell_sets) = results
+            assert len(calls) == 1  # certified in round 1
+            assert shell_sets == whole_sets
+            assert shell == whole
+            compared += len(whole_sets[0]) + len(whole_sets[1])
+        assert compared >= 8
+
+    @pytest.mark.parametrize("task_name", ["_scaling_task", "_vertex_task"])
+    def test_tiny_shell_widens_and_never_skips_more(self, monkeypatch, task_name):
+        # 8 shell points in expectation: round 2 widens to a positive radius
+        # in some replications and to the whole cloud in others
+        p = validate_params(2, 0, 2, 3e3)
+        r_lambda = critical_radius(p)
+        widened = {"annulus": 0, "whole": 0}
+        for sid in range(30):
+            points = sample_polytope_input(RngStream(31, sid), p).points
+            args = (31, sid, p, 1.0, 21 if task_name == "_scaling_task" else r_lambda)
+            task = lambda: getattr(experiments, task_name)(args)[1]  # noqa: E731
+            whole, _ = self.run_split(monkeypatch, task, points, math.inf)
+            shell, calls = self.run_split(monkeypatch, task, points, 8)
+            if len(calls) > 1:
+                widened["whole" if calls[-1][0] == 0.0 else "annulus"] += 1
+            assert shell["skipped"] == whole["skipped"]
+            if task_name == "_scaling_task" and not whole["skipped"]:
+                assert abs(shell.pop("sup_dist") - whole.pop("sup_dist")) <= 1e-12
+            assert shell == whole
+        assert widened["annulus"] > 0 and widened["whole"] > 0
+
+    def test_shell_without_near_point_is_rejected(self, monkeypatch):
+        # hand-built d = 2 cloud: no shell point lies in B(o, L + 1), so the
+        # shell's windowed_festoon guesses h_min = -1 and a narrow window;
+        # the inner point sets the whole cloud's h_min, whose wider window
+        # takes in the low point at v = 5 and lowers the festoon over B(o, L)
+        p = validate_params(2, 0, 2, 1e4)
+        r_lambda = critical_radius(p)
+        r0 = float(radial_tail_inverse(p, SHELL_POINTS / p.lam))
+        h0 = r_lambda ** (p.beta - 1) * (r_lambda - r0)
+        shell_w = np.array([[-2.5, 0.0], [2.5, 0.0], [3.0, 2.0], [5.0, -10.0], [9.0, -5.0],
+                            [-9.0, -5.0], [-5.0, -3.0]])
+        shell = np.array([inverse_transform(row, p, r_lambda) for row in shell_w])
+        inner = inverse_transform(np.array([0.0, h0 + 0.1]), p, r_lambda)
+        assert np.linalg.norm(inner) < r0 < experiments._inball(convex_hull(shell))
+
+        w = transform_batch(shell, p.beta, r_lambda)
+        fest, _, _ = windowed_festoon(w, 1.0)
+        assert stable_height(fest, 1.0) < h0  # only the missing near point fails
+        assert experiments._festoon_radius(w, fest, 1.0, p.beta, r_lambda) == 0.0
+
+        points = np.vstack([shell, inner])
+        task = lambda: experiments._scaling_task((1, 0, p, 1.0, 21))[1]  # noqa: E731
+        whole, _ = self.run_split(monkeypatch, task, points, math.inf)
+        got, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
+        assert calls[-1][0] == 0.0 and got == whole
+
+    @pytest.mark.parametrize("d, alpha, beta, lam, reps", [
+        (2, 0, 2, 1e5, 150), (2, 1, 1, 1e4, 200), (3, 0, 2, 1e4, 120), (3, 1, 1, 1e4, 120),
+    ])
+    def test_shell_path_matches_whole_path_in_law(self, monkeypatch, d, alpha, beta, lam, reps):
+        p = validate_params(d, alpha, beta, lam)
+
+        def sample(seed, shell_points):
+            monkeypatch.setattr(experiments, "SHELL_POINTS", shell_points)
+            out = [experiments._scaling_task((seed, sid, p, 1.0, 21))[1] for sid in range(reps)]
+            return [m for m in out if not m["skipped"]]
+
+        whole, shell = sample(51, math.inf), sample(52, SHELL_POINTS)
+        assert len(shell) >= len(whole) - reps // 20
+        for key in ("sup_dist", "n_vertices", "n_extreme"):
+            a, b = [m[key] for m in whole], [m[key] for m in shell]
+            assert ks_2samp(a, b).pvalue > 1e-3, key
+
+    def test_round_three_samples_the_rest_of_the_cloud(self, monkeypatch):
+        # a certificate that still falls short after round 2 gets the whole cloud
+        p = validate_params(2, 0, 2, 1e4)
+        r0 = float(radial_tail_inverse(p, SHELL_POINTS / p.lam))
+        points = sample_polytope_input(RngStream(3, 0), p).points
+        sample, calls = split_sampler(points)
+        monkeypatch.setattr(experiments, "sample_polytope_input", sample)
+        seen = []
+
+        def evaluate(pts, inner):
+            seen.append((len(pts), inner))
+            return len(pts), {r0: r0 / 2, r0 / 2: r0 / 4}.get(inner, 0.0)
+
+        result, n_points = experiments._sample_shell(RngStream(3, 0), p, evaluate)
+        assert calls == [(r0, math.inf), (r0 / 2, r0), (0.0, r0 / 2)]
+        assert [inner for _, inner in seen] == [r0, r0 / 2, 0.0]
+        assert result == n_points == len(points)
+
+    def test_point_below_active_paraboloid_is_rejected(self, monkeypatch):
+        # hand-built d = 2 cloud: a shell whose festoon piece over v = 0 rises
+        # above the shell's lowest unsampled height h0, and one inner point
+        # between h0 and that piece
+        p = validate_params(2, 0, 2, 1e4)
+        r_lambda = critical_radius(p)
+        r0 = float(radial_tail_inverse(p, SHELL_POINTS / p.lam))
+        h0 = r_lambda ** (p.beta - 1) * (r_lambda - r0)
+        ring = 0.9 * math.pi * r_lambda ** (p.beta / 2)  # far side: makes the hull hold o
+        shell_w = np.array([[-4.0, 1.0], [4.0, 1.0], [-1.5, 3.5], [ring, -5.0], [-ring, -5.0]])
+        fest = extreme_points(shell_w)
+        phi0 = float(phi_boundary_batch(fest, np.zeros((1, 1)))[0])
+        assert phi0 > h0 + 0.5
+        inner_w = np.array([0.0, (h0 + phi0) / 2])
+        shell = np.array([inverse_transform(row, p, r_lambda) for row in shell_w])
+        inner = inverse_transform(inner_w, p, r_lambda)
+        assert np.linalg.norm(shell, axis=1).min() > r0 > np.linalg.norm(inner)
+
+        w = transform_batch(shell, p.beta, r_lambda)
+        fest, _, _ = windowed_festoon(w, 1.0)
+        assert experiments._festoon_radius(w, fest, 1.0, p.beta, r_lambda) < np.linalg.norm(inner)
+        whole_fest, _, _ = windowed_festoon(transform_batch(np.vstack([shell, inner]), p.beta,
+                                                            r_lambda), 1.0)
+        at_zero = [float(phi_boundary_batch(f, np.zeros((1, 1)))[0]) for f in (fest, whole_fest)]
+        assert at_zero[1] < at_zero[0] - 0.1  # the inner point does move the festoon
+
+        points = np.vstack([shell, inner])
+        task = lambda: experiments._scaling_task((1, 0, p, 1.0, 21))[1]  # noqa: E731
+        whole, _ = self.run_split(monkeypatch, task, points, math.inf)
+        got, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
+        assert len(calls) > 1 and got == whole

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ggp.errors import EmptyInput, OutsideSupport
 from ggp.festoon import (
@@ -13,6 +16,7 @@ from ggp.festoon import (
     psi_boundary,
     psi_lambda_boundary,
     rescaled_hull_boundary,
+    stable_height,
     sup_distance,
     windowed_festoon,
 )
@@ -170,6 +174,69 @@ class TestExtremePoints:
             f2 = extreme_points(np.vstack([pts, extra]))
             after = phi_boundary_batch(f2, grid)
             assert np.all(after <= base + 1e-12)
+
+
+def scaled_rows(m, min_rows, max_rows, h_lo, h_hi, spread):
+    """Hypothesis arrays of rows (v_1..v_m, h) in [-spread, spread]^m x [h_lo, h_hi]."""
+    def rows(n):
+        v = arrays(float, (n, m), elements=st.floats(-spread, spread))
+        h = arrays(float, (n, 1), elements=st.floats(h_lo, h_hi))
+        return st.tuples(v, h).map(np.hstack)
+    return st.integers(min_rows, max_rows).flatmap(rows)
+
+
+def ball_extremes(f, L):
+    ext = f.extreme_points
+    return {tuple(row) for row in ext[np.linalg.norm(ext[:, :-1], axis=1) <= L]}
+
+
+class TestStableHeight:
+    """Inserting points at or above stable_height(f, L) leaves the festoon
+    over B(o, L) unchanged; the shell certificate of the scaling-limit
+    runners rests on this equality."""
+
+    L = 1.0
+
+    @staticmethod
+    def anchored(base, m):
+        # corners at |v| = 2.5 keep B(o, 1) inside the extreme points' spatial hull
+        corners = np.array(np.meshgrid(*[[-2.5, 2.5]] * m)).reshape(m, -1).T
+        return np.vstack([np.column_stack([corners, np.ones(len(corners))]), base])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @given(data=st.data())
+    def test_insertion_at_or_above_keeps_ball(self, m, data):
+        base = self.anchored(data.draw(scaled_rows(m, 1, 25, -2.0, 1.0, 3.0)), m)
+        f = extreme_points(base)
+        h_star = stable_height(f, self.L)
+        assume(np.isfinite(h_star))
+        extra = data.draw(scaled_rows(m, 1, 10, 0.0, 3.0, 4.0))
+        extra[:, -1] += h_star
+        f2 = extreme_points(np.vstack([base, extra]))
+        grid = ball_grid(self.L, 9, m)
+        np.testing.assert_allclose(phi_boundary_batch(f2, grid), phi_boundary_batch(f, grid),
+                                   rtol=0, atol=1e-9)
+        assert ball_extremes(f2, self.L) == ball_extremes(f, self.L)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_point_that_lowers_the_ball_lies_below(self, m):
+        # a point just under the boundary anywhere over the ball lowers it
+        # there, and stable_height places it below the bound
+        rng = np.random.default_rng(5)
+        base = self.anchored(np.column_stack([rng.uniform(-2, 2, (12, m)),
+                                              rng.uniform(-2, 1, 12)]), m)
+        f = extreme_points(base)
+        h_star = stable_height(f, self.L)
+        grid = ball_grid(self.L, 5, m)
+        phi = phi_boundary_batch(f, grid)
+        for v, height in zip(grid, phi):
+            f2 = extreme_points(np.vstack([base, np.append(v, height - 1e-3)]))
+            assert phi_boundary_batch(f2, v[None, :])[0] < height - 5e-4
+            assert height - 1e-3 < h_star
+
+    def test_uncovered_ball_has_no_stable_height(self):
+        f = extreme_points(np.array([[-0.5, 0.0], [0.3, -1.0], [2.0, 0.5]]))
+        assert stable_height(f, 1.0) == math.inf
 
 
 class TestPhiBoundary:
