@@ -22,8 +22,19 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import GgpError, IoError, ParseError, ValidationError
+from .errors import (
+    AlphaOutOfRange,
+    BetaOutOfRange,
+    DimensionTooSmall,
+    EmptyInput,
+    GgpError,
+    IoError,
+    NonpositiveIntensity,
+    ParseError,
+    ValidationError,
+)
 from .experiments import (
+    ExperimentRecord,
     check_clt,
     check_concentration,
     check_gumbel,
@@ -33,6 +44,7 @@ from .experiments import (
     check_scaling_limit,
     check_slln,
     check_tails,
+    check_vertex_correspondence,
     concentration_check,
     run_clt,
     run_gumbel,
@@ -41,6 +53,7 @@ from .experiments import (
     run_scaling_limit,
     run_slln_trend,
     run_tails,
+    run_vertex_correspondence,
 )
 from .params import validate_params
 from .sampling import ScaledWindow
@@ -51,36 +64,9 @@ RECORDS_HEADER = ["experiment", "lambda", "d", "alpha", "beta", "seed", "replica
                   "metric", "value"]
 SUMMARY_HEADER = ["experiment", "lambda", "metric", "n", "mean", "var", "ci95"]
 
-EXPERIMENTS = ("gumbel", "intensity", "scaling_limit", "moments", "clt", "tails",
-               "slln", "concentration")
-
 _COMMON_KEYS = {"experiment", "seed", "reps", "workers", "output_format", "output_path"}
-_EXPERIMENT_KEYS = {
-    "gumbel": {"alpha", "beta", "n"},
-    "intensity": {"d", "alpha", "beta", "lambda", "window", "bins"},
-    "scaling_limit": {"d", "alphas_betas", "lambda_grid", "L", "grid_n"},
-    "moments": {"d", "alpha", "beta", "lambda_grid"},
-    "clt": {"d", "alpha", "beta", "lambda"},
-    "tails": {"d", "alpha", "beta", "lambda", "M", "t_grid"},
-    "slln": {"d", "alpha", "beta", "a", "k_max", "p", "i"},
-    "concentration": {"d", "alpha", "beta", "lambda", "y_grid", "i"},
-}
-_REQUIRED_KEYS = {
-    "gumbel": {"alpha", "beta", "n"},
-    "intensity": {"d", "alpha", "beta", "lambda", "window"},
-    "scaling_limit": {"d", "alphas_betas", "lambda_grid", "L"},
-    "moments": {"d", "alpha", "beta", "lambda_grid"},
-    "clt": {"d", "alpha", "beta", "lambda"},
-    "tails": {"d", "alpha", "beta", "lambda", "M", "t_grid"},
-    "slln": {"d", "alpha", "beta", "a", "k_max", "p", "i"},
-    "concentration": {"d", "alpha", "beta", "lambda", "y_grid"},
-}
 # Smallest value of each integer run field, in the config file or on the command line.
 _RUN_INT_MIN = {"seed": 0, "reps": 1, "workers": 1}
-# JSON types of the experiment keys outside the model fields.
-_INTEGER_KEYS = ("k_max", "i", "grid_n")
-_NUMBER_KEYS = ("L", "p", "a", "M")
-_NUMBER_LIST_KEYS = ("t_grid", "y_grid")
 _WINDOW_KEYS = ("spatial_radius", "h_min", "h_max")
 
 
@@ -115,91 +101,194 @@ def _run_int(field: str, value) -> int:
     return value
 
 
-def _check_number(field: str, value, integer: bool = False):
-    """Reject a JSON value that is not a number (or not an integer), bools included."""
+# Type rules: rule(field, value) raises ValidationError naming the field
+# unless value is a well-typed JSON value for it.
+
+
+def _number(field: str, value, integer: bool = False, finite: bool = True):
+    """Reject a JSON value that is not a number (or not an integer), bools
+    included, or that no float holds; NaN and infinities pass only where
+    finite is False."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ValidationError(field, f"must be {'an integer' if integer else 'a number'}, "
                                      f"got {value!r}")
+    in_range = abs(value) <= sys.float_info.max  # False for NaN, infinities and huge ints
+    if not in_range and (finite or isinstance(value, int)):
+        raise ValidationError(field, "must be a finite number within the float range")
 
 
-def _check_number_list(field: str, value, length: int | None = None, integer: bool = False):
+def _integer(field: str, value):
+    _number(field, value, integer=True)
+
+
+def _numbers(field: str, value, length: int | None = None, integer: bool = False):
     """Reject anything but a non-empty JSON list of numbers or integers (of the given length)."""
     kind = "integers" if integer else "numbers"
     if not isinstance(value, list) or not value or length not in (None, len(value)):
         raise ValidationError(field, f"must be a non-empty list of {kind}" if length is None
                               else f"must be a list of {length} {kind}")
     for x in value:
-        _check_number(field, x, integer=integer)
+        _number(field, x, integer=integer)
 
 
-def _check_experiment_fields(opts: dict):
-    """Type- and range-check the experiment keys that are not model fields."""
-    for key in _INTEGER_KEYS:
-        if key in opts:
-            _check_number(key, opts[key], integer=True)
-    for key in _NUMBER_KEYS:
-        if key in opts:
-            _check_number(key, opts[key])
-    for key in _NUMBER_LIST_KEYS:
-        if key in opts:
-            _check_number_list(key, opts[key])
-    if "bins" in opts:
-        _check_number_list("bins", opts["bins"], length=2, integer=True)
-        if min(opts["bins"]) < 1:
-            raise ValidationError("bins", "both bin counts must be >= 1")
-    if "L" in opts and not opts["L"] > 0:
-        raise ValidationError("L", "must be > 0")
-    if "grid_n" in opts and opts["grid_n"] < 2:
-        raise ValidationError("grid_n", "must be >= 2")
-    if "window" in opts:
-        w = opts["window"]
-        if not isinstance(w, dict):
-            raise ValidationError("window", "must be an object with keys "
-                                            + ", ".join(_WINDOW_KEYS))
-        for k in _WINDOW_KEYS:
-            if k not in w:
-                raise ValidationError("window", f"missing {k}")
-            _check_number(f"window.{k}", w[k])
+def _positive(field: str, value):
+    _number(field, value)
+    if not value > 0:
+        raise ValidationError(field, "must be > 0")
 
 
-def _validate_model_fields(opts: dict):
-    """Run the model-parameter validators so bad fields are named early."""
-    from .errors import (
-        AlphaOutOfRange,
-        BetaOutOfRange,
-        DimensionTooSmall,
-        NonpositiveIntensity,
-    )
+def _grid_n(field: str, value):
+    _integer(field, value)
+    if value < 2:
+        raise ValidationError(field, "must be >= 2")
 
-    mapping = {
-        DimensionTooSmall: "d",
-        AlphaOutOfRange: "alpha",
-        BetaOutOfRange: "beta",
-        NonpositiveIntensity: "lambda",
-    }
-    for key in ("d", "alpha", "beta", "lambda"):
-        if key in opts:
-            _check_number(key, opts[key], integer=key == "d")
-    if "lambda_grid" in opts:
-        _check_number_list("lambda_grid", opts["lambda_grid"])
-    if "alphas_betas" in opts:
-        if not isinstance(opts["alphas_betas"], list) or not opts["alphas_betas"]:
-            raise ValidationError("alphas_betas", "must be a non-empty list of [alpha, beta] pairs")
-        for pair in opts["alphas_betas"]:
-            _check_number_list("alphas_betas", pair, length=2)
-    lams = []
-    if "lambda" in opts:
-        lams = [opts["lambda"]]
-    elif "lambda_grid" in opts:
-        lams = list(opts["lambda_grid"])
-    pairs = opts.get("alphas_betas") or [(opts.get("alpha", 0.0), opts.get("beta", 2.0))]
-    d = int(opts.get("d", 2))
+
+def _bins(field: str, value):
+    _numbers(field, value, length=2, integer=True)
+    if min(value) < 1:
+        raise ValidationError(field, "both bin counts must be >= 1")
+
+
+def _pairs(field: str, value):
+    if not isinstance(value, list) or not value:
+        raise ValidationError(field, "must be a non-empty list of [alpha, beta] pairs")
+    for pair in value:
+        _numbers(field, pair, length=2)
+
+
+def _window(field: str, value):
+    if not isinstance(value, dict):
+        raise ValidationError(field, "must be an object with keys " + ", ".join(_WINDOW_KEYS))
+    for k in _WINDOW_KEYS:
+        if k not in value:
+            raise ValidationError(field, f"missing {k}")
+        _number(f"{field}.{k}", value[k], finite=False)
+
+
+_MODEL_ERRORS = {
+    DimensionTooSmall: "d",
+    AlphaOutOfRange: "alpha",
+    BetaOutOfRange: "beta",
+    NonpositiveIntensity: "lambda",
+}
+
+
+def _check_models(opts: dict):
+    """Run validate_params on every model the config names, so a bad field is named early.
+
+    Absent fields take values that pass: d = 2 (gumbel maxima have no d),
+    lambda = 1.
+    """
+    lams = [opts["lambda"]] if "lambda" in opts else opts.get("lambda_grid", [1.0])
+    pairs = opts.get("alphas_betas") or [(opts["alpha"], opts["beta"])]
     for alpha, beta in pairs:
-        for lam in lams or [1.0]:
+        for lam in lams:
             try:
-                validate_params(d, alpha, beta, lam)
-            except tuple(mapping) as exc:
-                raise ValidationError(mapping[type(exc)], str(exc)) from exc
+                validate_params(opts.get("d", 2), alpha, beta, lam)
+            except tuple(_MODEL_ERRORS) as exc:
+                raise ValidationError(_MODEL_ERRORS[type(exc)], str(exc)) from exc
+
+
+# Plans: plan(options, reps, seed, workers) returns (check, call), both
+# without arguments. check() raises what the runner's own check function
+# raises on these arguments, sampling nothing, so `validate` rejects exactly
+# what `run` would; call() runs the runner, which makes the same check
+# first. A plan names the runners and validate_params, so each is looked up
+# in this module when called.
+
+
+def _model(o: dict, lam=None):
+    """The config's validated model, at intensity lam or else its own lambda."""
+    return validate_params(o["d"], o["alpha"], o["beta"], o["lambda"] if lam is None else lam)
+
+
+def _plan_gumbel(o, reps, seed, workers):
+    n = int(o["n"])
+    return (lambda: check_gumbel(n, reps),
+            lambda: run_gumbel(o["alpha"], o["beta"], n, reps, seed, workers))
+
+
+def _plan_intensity(o, reps, seed, workers):
+    params, w = _model(o), o["window"]
+    window = ScaledWindow(w["spatial_radius"], w["h_min"], w["h_max"])
+    bins = tuple(o.get("bins", (1, 4)))
+    return (lambda: check_intensity(params, window),
+            lambda: run_intensity(params, window, bins, reps, seed, workers))
+
+
+def _plan_scaling_limit(o, reps, seed, workers):
+    params_list = [validate_params(o["d"], a, b, lam)
+                   for a, b in o["alphas_betas"] for lam in o["lambda_grid"]]
+    return (lambda: check_scaling_limit(params_list, o["L"], reps),
+            lambda: run_scaling_limit(params_list, o["L"], reps, seed, workers,
+                                      grid_n=o.get("grid_n", 41)))
+
+
+def _plan_moments(o, reps, seed, workers):
+    grid = [_model(o, lam) for lam in o["lambda_grid"]]
+    return (lambda: check_moments(grid, reps),
+            lambda: run_moments(grid, reps, seed, workers))
+
+
+def _plan_clt(o, reps, seed, workers):
+    params = _model(o)
+    return (lambda: check_clt(params, reps),
+            lambda: run_clt(params, reps, seed, workers))
+
+
+def _plan_tails(o, reps, seed, workers):
+    params = _model(o)
+    return (lambda: check_tails(params, reps),
+            lambda: run_tails(params, o["M"], o["t_grid"], reps, seed, workers))
+
+
+def _plan_slln(o, reps, seed, workers):
+    args = (_model(o, 1.0), o["a"], o["k_max"], o["p"], o["i"])
+    return (lambda: check_slln(*args),
+            lambda: run_slln_trend(*args, reps, seed, workers))
+
+
+def _plan_concentration(o, reps, seed, workers):
+    params = _model(o)
+    return (lambda: check_concentration(params, reps, o.get("i")),
+            lambda: concentration_check(params, reps, o["y_grid"], seed, i=o.get("i"),
+                                        workers=workers))
+
+
+def _plan_vertex_correspondence(o, reps, seed, workers):
+    params = _model(o)
+    return (lambda: check_vertex_correspondence(params, o["L"]),
+            lambda: run_vertex_correspondence(params, o["L"], reps, seed, workers))
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment's config keys, each with its type rule, and its plan."""
+
+    required: dict
+    optional: dict
+    plan: object
+
+
+_MODEL = {"d": _integer, "alpha": _number, "beta": _number}
+_REGISTRY = {
+    "gumbel": _Experiment({"alpha": _number, "beta": _number, "n": _number}, {}, _plan_gumbel),
+    "intensity": _Experiment(dict(_MODEL, **{"lambda": _number, "window": _window}),
+                             {"bins": _bins}, _plan_intensity),
+    "scaling_limit": _Experiment({"d": _integer, "alphas_betas": _pairs, "lambda_grid": _numbers,
+                                  "L": _positive}, {"grid_n": _grid_n}, _plan_scaling_limit),
+    "moments": _Experiment(dict(_MODEL, lambda_grid=_numbers), {}, _plan_moments),
+    "clt": _Experiment(dict(_MODEL, **{"lambda": _number}), {}, _plan_clt),
+    "tails": _Experiment(dict(_MODEL, **{"lambda": _number, "M": _number, "t_grid": _numbers}),
+                         {}, _plan_tails),
+    "slln": _Experiment(dict(_MODEL, a=_number, k_max=_integer, p=_number, i=_integer), {},
+                        _plan_slln),
+    "concentration": _Experiment(dict(_MODEL, **{"lambda": _number, "y_grid": _numbers}),
+                                 {"i": _integer}, _plan_concentration),
+    "vertex_correspondence": _Experiment(dict(_MODEL, **{"lambda": _number, "L": _positive}), {},
+                                         _plan_vertex_correspondence),
+}
+EXPERIMENTS = tuple(_REGISTRY)
 
 
 def parse_config(source: str) -> RunConfig:
@@ -213,18 +302,21 @@ def parse_config(source: str) -> RunConfig:
         raw = json.loads(source)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config", "top level must be a JSON object")
     experiment = raw.get("experiment")
     if experiment is None:
         raise ValidationError("experiment", "missing")
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in _REGISTRY:
         raise ValidationError("experiment", f"unknown experiment {experiment!r}")
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[experiment]
+    entry = _REGISTRY[experiment]
+    rules = {**entry.required, **entry.optional}
     for key in raw:
-        if key not in allowed:
+        if key not in _COMMON_KEYS and key not in rules:
             raise ValidationError(key, "unknown key")
-    for key in _REQUIRED_KEYS[experiment] | {"seed", "reps"}:
+    for key in [*entry.required, "seed", "reps"]:
         if key not in raw:
             raise ValidationError(key, "missing required key")
     seed = _run_int("seed", raw["seed"])
@@ -234,81 +326,28 @@ def parse_config(source: str) -> RunConfig:
     output_format = raw.get("output_format", "csv")
     if output_format not in ("csv", "json"):
         raise ValidationError("output_format", "must be 'csv' or 'json'")
+    output_path = raw.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ValidationError("output_path", "must be a string")
     options = {k: v for k, v in raw.items() if k not in _COMMON_KEYS}
-    options.pop("experiment", None)
-    if experiment != "gumbel":
-        _validate_model_fields(options)
-    else:
-        for key in ("alpha", "beta", "n"):
-            _check_number(key, options[key])
-        if not options["alpha"] > -1:
-            raise ValidationError("alpha", "must be > -1")
-        if not options["beta"] >= 1:
-            raise ValidationError("beta", "must be >= 1")
-    _check_experiment_fields(options)
+    for key, value in options.items():
+        rules[key](key, value)
+    _check_models(options)
     return RunConfig(
         experiment=experiment,
         seed=seed,
         reps=reps,
         workers=workers,
         output_format=output_format,
-        output_path=raw.get("output_path"),
+        output_path=output_path,
         options=options,
     )
 
 
 def _plan(config: RunConfig):
-    """(check, call) for the configured runner, both without arguments.
-
-    check() raises what the runner's own check function raises on these
-    arguments, sampling nothing, so `validate` rejects exactly what `run`
-    would; call() runs the runner, which makes the same check first.
-    """
-    o = config.options
-    seed, reps, workers = config.seed, config.reps, config.workers
-    if config.experiment == "gumbel":
-        n = int(o["n"])
-        return (lambda: check_gumbel(n, reps),
-                lambda: run_gumbel(o["alpha"], o["beta"], n, reps, seed, workers))
-    if config.experiment == "intensity":
-        params = validate_params(o["d"], o["alpha"], o["beta"], o["lambda"])
-        w = o["window"]
-        window = ScaledWindow(w["spatial_radius"], w["h_min"], w["h_max"])
-        bins = tuple(o.get("bins", (1, 4)))
-        return (lambda: check_intensity(params, window),
-                lambda: run_intensity(params, window, bins, reps, seed, workers))
-    if config.experiment == "scaling_limit":
-        params_list = [
-            validate_params(o["d"], a, b, lam)
-            for (a, b) in o["alphas_betas"]
-            for lam in o["lambda_grid"]
-        ]
-        return (lambda: check_scaling_limit(params_list, o["L"]),
-                lambda: run_scaling_limit(params_list, o["L"], reps, seed, workers,
-                                          grid_n=int(o.get("grid_n", 41))))
-    if config.experiment == "moments":
-        grid = [validate_params(o["d"], o["alpha"], o["beta"], lam) for lam in o["lambda_grid"]]
-        return (lambda: check_moments(grid, reps),
-                lambda: run_moments(grid, reps, seed, workers))
-    if config.experiment == "clt":
-        params = validate_params(o["d"], o["alpha"], o["beta"], o["lambda"])
-        return (lambda: check_clt(params, reps),
-                lambda: run_clt(params, reps, seed, workers))
-    if config.experiment == "tails":
-        params = validate_params(o["d"], o["alpha"], o["beta"], o["lambda"])
-        return (lambda: check_tails(params, reps),
-                lambda: run_tails(params, o["M"], o["t_grid"], reps, seed, workers))
-    if config.experiment == "slln":
-        params = validate_params(o["d"], o["alpha"], o["beta"], 1.0)
-        args = (params, o["a"], int(o["k_max"]), o["p"], int(o["i"]))
-        return (lambda: check_slln(*args),
-                lambda: run_slln_trend(*args, reps, seed, workers))
-    if config.experiment == "concentration":
-        params = validate_params(o["d"], o["alpha"], o["beta"], o["lambda"])
-        return (lambda: check_concentration(params, reps, o.get("i")),
-                lambda: concentration_check(params, reps, o["y_grid"], seed,
-                                            i=o.get("i"), workers=workers))
-    raise ValidationError("experiment", config.experiment)
+    """(check, call) of the configured experiment; see the plans above."""
+    return _REGISTRY[config.experiment].plan(config.options, config.reps, config.seed,
+                                             config.workers)
 
 
 def _dispatch(config: RunConfig):
@@ -346,8 +385,6 @@ def emit_summary(records):
     count, mean, unbiased variance, and the 95% CI half-width of the mean
     (variance and CI empty when a group has a single record).
     """
-    from .errors import EmptyInput
-
     if not records:
         raise EmptyInput("no records to summarize")
     groups: dict = {}
@@ -427,8 +464,6 @@ def _read_records_csv(path):
 
 def summarize_file(path, out=None):
     """Summarize an existing records CSV to CSV text on `out` (default stdout)."""
-    from .experiments import ExperimentRecord
-
     out = out if out is not None else sys.stdout
     rows = _read_records_csv(path)
     records = [
@@ -480,8 +515,8 @@ def main(argv=None) -> int:
             config = replace(config, workers=_run_int("workers", args.workers))
         return run(config, out_dir=args.out)
     except ParseError as exc:
-        print(f"error: parse failure at line {exc.line} column {exc.column}: {exc}",
-              file=sys.stderr)
+        where = f" at line {exc.line} column {exc.column}" if exc.line else ""
+        print(f"error: parse failure{where}: {exc}", file=sys.stderr)
         return 2
     except GgpError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -23,6 +23,10 @@ class NonpositiveIntensity(GgpError):
     """Intensity lambda must be > 0."""
 
 
+class ParameterOverflow(GgpError):
+    """Normalization constants of (d, alpha, beta) overflow double precision."""
+
+
 class IntensityTooSmall(GgpError):
     """Intensity too small for the critical radius to be defined (or R < 1)."""
 

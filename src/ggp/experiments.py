@@ -10,6 +10,7 @@ thresholds live in the call signatures so they are pinned and reportable.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -28,7 +29,6 @@ from .festoon import (
 from .hull import convex_hull
 from .params import (
     ModelParams,
-    critical_exponent,
     critical_radius,
     normalization,
     sphere_surface_area,
@@ -37,9 +37,7 @@ from .params import (
 )
 from .rescale import rescaled_intensity, transform_batch
 from .sampling import (
-    PointCloud,
     RngStream,
-    ScaledWindow,
     radial_tail,
     radial_tail_inverse,
     sample_polytope_input,
@@ -69,7 +67,9 @@ __all__ = [
     "check_tails",
     "check_slln",
     "check_concentration",
+    "check_vertex_correspondence",
     "check_reps",
+    "replicate",
 ]
 
 AGGREGATE_REPLICATION = -1  # replication index reserved for run-level metrics
@@ -79,8 +79,12 @@ SHELL_POINTS = 1024
 # Distinct grid points a slope or trend check needs; below this it reports INFO.
 MIN_TREND_POINTS = 3
 # Replication rep of parameter group pi draws from stream pi * STREAM_STRIDE + rep,
-# so reps must stay below it (check_reps).
+# so reps must stay below it and every replication stream below the streams
+# reserved for run-level draws: the intensity mass integral at MASS_STREAM and
+# the bootstrap of the k-th intensity of a law at BOOTSTRAP_STREAM + k (check_reps).
 STREAM_STRIDE = 1_000_000
+MASS_STREAM = 10**9
+BOOTSTRAP_STREAM = 2_000_000_000
 
 
 @dataclass(frozen=True)
@@ -145,17 +149,14 @@ def _too_short(grid):
 # nothing, so `ggp validate` rejects exactly the configs the runner would.
 
 
-def check_reps(reps):
-    """Bound on reps shared by every runner: distinct (group, rep) pairs
-    must get distinct streams."""
+def check_reps(reps, n_groups=1):
+    """Bounds shared by every runner: distinct (group, rep) pairs get
+    distinct streams, all below the reserved MASS_STREAM."""
     if reps >= STREAM_STRIDE:
         raise ValidationError("reps", f"need reps < {STREAM_STRIDE}")
-
-
-def _group_streams(n_groups: int, reps: int):
-    """(group, stream id) of every replication of n_groups parameter groups."""
-    check_reps(reps)
-    return [(pi, pi * STREAM_STRIDE + rep) for pi in range(n_groups) for rep in range(reps)]
+    if n_groups * STREAM_STRIDE > MASS_STREAM:
+        raise ValidationError("lambda_grid", f"need at most {MASS_STREAM // STREAM_STRIDE} "
+                                             f"parameter groups, got {n_groups}")
 
 
 def _require_reps(reps, minimum: int):
@@ -169,44 +170,92 @@ def _usable(params):
     return params, critical_radius(params)
 
 
+def _check_L(L):
+    if L > 2:
+        raise ValidationError("L", "need L <= 2")
+
+
+# ---------------------------------------------------------------------------
+# the replication engine
+# ---------------------------------------------------------------------------
+
+
+def _replication(job):
+    """One replication: the task's output on its own stream, and its wall time."""
+    task, seed, stream_id, params, args = job
+    t0 = time.perf_counter()
+    out = task(RngStream(seed, stream_id), params, *args)
+    return out, time.perf_counter() - t0
+
+
+def replicate(experiment, task, groups, reps, seed, workers, *args):
+    """reps replications of task(stream, params, *args) for each parameter group.
+
+    Replication rep of group pi draws from stream pi * STREAM_STRIDE + rep,
+    so results do not depend on how the pool schedules the replications.
+    A task returns its replication's metrics, or (metrics, side) to hand
+    back a side value that is not recorded. Returns the per-replication
+    records, group-major and replication-minor; per group, each metric's
+    values over the replications not skipped; and the side values.
+    """
+    check_reps(reps, len(groups))
+    jobs = [(task, seed, pi * STREAM_STRIDE + rep, params, args)
+            for pi, params in enumerate(groups) for rep in range(reps)]
+    rows = _map_tasks(_replication, jobs, workers)
+    records, kept, sides = [], [{} for _ in groups], []
+    for (_, _, stream_id, params, _), (out, wall) in zip(jobs, rows):
+        metrics, side = out if isinstance(out, tuple) else (out, None)
+        pi, rep = divmod(stream_id, STREAM_STRIDE)
+        records.append(ExperimentRecord(experiment, params.lam, params.d, params.alpha,
+                                        params.beta, seed, rep, metrics, wall))
+        sides.append(side)
+        if not metrics.get("skipped"):
+            for name, value in metrics.items():
+                kept[pi].setdefault(name, []).append(value)
+    return records, kept, sides
+
+
+def _aggregate(experiment, params, seed, metrics) -> ExperimentRecord:
+    """The run-level record of one parameter group."""
+    return ExperimentRecord(experiment, params.lam, params.d, params.alpha, params.beta, seed,
+                            AGGREGATE_REPLICATION, metrics)
+
+
+def _by_law(groups) -> dict:
+    """Indices of the groups of each law (d, alpha, beta), in ascending lambda."""
+    laws: dict = {}
+    for pi, params in enumerate(groups):
+        laws.setdefault((params.d, params.alpha, params.beta), []).append(pi)
+    return {law: sorted(pis, key=lambda pi: groups[pi].lam) for law, pis in laws.items()}
+
+
 # ---------------------------------------------------------------------------
 # gumbel maxima
 # ---------------------------------------------------------------------------
 
 
-def _gumbel_task(task):
-    seed, rep, n, alpha, beta = task
-    t0 = time.perf_counter()
-    val = sample_standardized_max(RngStream(seed, rep), n, alpha, beta)
-    return rep, {"std_max": float(val)}, time.perf_counter() - t0
+def _gumbel_task(rng, group):
+    n = int(group.lam)
+    return {"std_max": float(sample_standardized_max(rng, n, group.alpha, group.beta))}
 
 
 def check_gumbel(n, reps):
     """Preconditions of run_gumbel."""
-    if n < 100:
-        raise ValidationError("n", "need n >= 100")
+    if not 100 <= n < 2**63:  # the point count is drawn as a 64-bit binomial
+        raise ValidationError("n", "need 100 <= n < 2**63")
     _require_reps(reps, 100)
 
 
 def run_gumbel(alpha, beta, n, reps, seed, workers=1, ks_threshold=0.05) -> RunResult:
     """Standardized 1-d maxima against the Gumbel law exp(-e^{-x})."""
     check_gumbel(n, reps)
-    tasks = [(seed, rep, int(n), float(alpha), float(beta)) for rep in range(reps)]
-    rows = _map_tasks(_gumbel_task, tasks, workers)
-    result = RunResult(experiment="gumbel")
-    sample = np.empty(reps)
-    for rep, metrics, wt in rows:
-        sample[rep] = metrics["std_max"]
-        result.records.append(
-            ExperimentRecord("gumbel", float(n), 1, alpha, beta, seed, rep, metrics, wt)
-        )
-    ks = ks_statistic(sample, gumbel_cdf)
-    result.records.append(
-        ExperimentRecord(
-            "gumbel", float(n), 1, alpha, beta, seed, AGGREGATE_REPLICATION,
-            {"ks": ks, "n": float(n), "reps": float(reps)},
-        )
-    )
+    # one group of 1-d maxima of n points, with n in the lambda column
+    group = ModelParams(1, float(alpha), float(beta), float(n))
+    records, kept, _ = replicate("gumbel", _gumbel_task, [group], reps, seed, workers)
+    result = RunResult("gumbel", records)
+    ks = ks_statistic(np.asarray(kept[0]["std_max"]), gumbel_cdf)
+    result.records.append(_aggregate("gumbel", group, seed,
+                                     {"ks": ks, "n": float(n), "reps": float(reps)}))
     result.checks.append(
         _check(
             f"gumbel_ks[alpha={alpha},beta={beta}]",
@@ -254,9 +303,7 @@ def _cell_masses(params, r_lambda, rho_edges, h_edges, mode, n_gauss=24):
     return out
 
 
-def _intensity_task(task):
-    seed, rep, params, window, rho_edges, h_edges, r_lambda = task
-    t0 = time.perf_counter()
+def _intensity_task(rng, params, window, rho_edges, h_edges, r_lambda):
     # h = R^(beta-1) (R - ||x||), so only the annulus below can reach the
     # window's heights; by Poisson restriction sampling just it is exact. The
     # margins absorb rounding in h, and keep still decides membership.
@@ -266,7 +313,7 @@ def _intensity_task(task):
     counts = np.zeros((len(rho_edges) - 1, len(h_edges) - 1))
     n_window = 0
     if r_max > r_min:
-        cloud = sample_polytope_input(RngStream(seed, rep), params, r_min, r_max).points
+        cloud = sample_polytope_input(rng, params, r_min, r_max).points
     else:  # h_min >= R^beta lies above every height
         cloud = np.empty((0, params.d))
     if len(cloud):
@@ -277,7 +324,7 @@ def _intensity_task(task):
         n_window = int(keep.sum())
         if n_window:
             counts, _, _ = np.histogram2d(rho[keep], h[keep], bins=[rho_edges, h_edges])
-    return rep, counts, n_window, time.perf_counter() - t0
+    return {"window_count": float(n_window)}, counts
 
 
 def _mass_monte_carlo(params, r_lambda, n_samples, rng):
@@ -317,7 +364,9 @@ def _mass_monte_carlo(params, r_lambda, n_samples, rng):
 
 def check_intensity(params, window):
     """Preconditions of run_intensity; returns the validated parameters and R."""
-    if math.isinf(window.h_min):
+    # the height slabs divide [e^h_min, e^h_max], so e^h_max must be a finite float
+    if not (math.isfinite(window.spatial_radius) and math.isfinite(window.h_min)
+            and window.h_max < math.log(sys.float_info.max)):
         raise ValidationError("window", "intensity binning needs a compact window")
     return _usable(params)
 
@@ -352,18 +401,10 @@ def run_intensity(
     h_edges = np.log(lo + (hi - lo) * np.linspace(0.0, 1.0, n_h + 1))
     h_edges[0], h_edges[-1] = window.h_min, window.h_max
 
-    tasks = [(seed, rep, params, window, rho_edges, h_edges, r_lambda) for rep in range(reps)]
-    rows = _map_tasks(_intensity_task, tasks, workers)
-    result = RunResult(experiment="intensity")
-    counts = np.zeros((n_rho, n_h))
-    for rep, c, n_window, wt in rows:
-        counts += c
-        result.records.append(
-            ExperimentRecord(
-                "intensity", params.lam, params.d, params.alpha, params.beta, seed, rep,
-                {"window_count": float(n_window)}, wt,
-            )
-        )
+    records, _, hists = replicate("intensity", _intensity_task, [params], reps, seed, workers,
+                                  window, rho_edges, h_edges, r_lambda)
+    result = RunResult("intensity", records)
+    counts = sum(hists, np.zeros((n_rho, n_h)))
 
     expected = reps * _cell_masses(params, r_lambda, rho_edges, h_edges, "exact")
     qualifying = expected >= min_expected
@@ -379,7 +420,7 @@ def run_intensity(
         )
     )
 
-    mass = _mass_monte_carlo(params, r_lambda, mass_samples, RngStream(seed, 10**9))
+    mass = _mass_monte_carlo(params, r_lambda, mass_samples, RngStream(seed, MASS_STREAM))
     mass_err = abs(mass / params.lam - 1.0)
     result.checks.append(
         _check(
@@ -405,19 +446,13 @@ def run_intensity(
             + ", ".join(f"lambda={l:.0g}: {e:.4f}" for l, e in zip(limit_lams, limit_errs)),
         )
     )
-    result.records.append(
-        ExperimentRecord(
-            "intensity", params.lam, params.d, params.alpha, params.beta, seed,
-            AGGREGATE_REPLICATION,
-            {
-                "max_rel_err": max_rel,
-                "chi_square": chi2,
-                "mass_mc_rel_err": mass_err,
-                "limit_err_lo": limit_errs[0],
-                "limit_err_hi": limit_errs[-1],
-            },
-        )
-    )
+    result.records.append(_aggregate("intensity", params, seed, {
+        "max_rel_err": max_rel,
+        "chi_square": chi2,
+        "mass_mc_rel_err": mass_err,
+        "limit_err_lo": limit_errs[0],
+        "limit_err_hi": limit_errs[-1],
+    }))
     return result
 
 
@@ -426,9 +461,7 @@ def run_intensity(
 # ---------------------------------------------------------------------------
 
 
-def _scaling_task(task):
-    seed, stream_id, params, L, grid_n = task
-    t0 = time.perf_counter()
+def _scaling_task(rng, params, L, grid_n):
     r_lambda = critical_radius(params)
     grid = ball_grid(L, grid_n, params.d - 1)
 
@@ -443,14 +476,13 @@ def _scaling_task(task):
             "skipped": 0.0,
         }
 
-    out = _festoon_sample(RngStream(seed, stream_id), params, L, r_lambda, measure)
-    return stream_id, out, time.perf_counter() - t0
+    return _festoon_sample(rng, params, L, r_lambda, measure)
 
 
-def check_scaling_limit(params_list, L) -> list:
+def check_scaling_limit(params_list, L, reps) -> list:
     """Preconditions of run_scaling_limit; returns the validated parameters."""
-    if L > 2:
-        raise ValidationError("L", "need L <= 2")
+    _check_L(L)
+    check_reps(reps, len(params_list))
     return [_usable(p)[0] for p in params_list]
 
 
@@ -461,43 +493,24 @@ def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=41) -> RunRe
     replications must decrease strictly along its intensity grid, and the
     bootstrap 95% intervals of the endpoint medians must not overlap.
     """
-    params_list = check_scaling_limit(params_list, L)
-    tasks = [(seed, stream_id, params_list[pi], float(L), int(grid_n))
-             for pi, stream_id in _group_streams(len(params_list), reps)]
-    rows = _map_tasks(_scaling_task, tasks, workers)
-
-    result = RunResult(experiment="scaling_limit")
-    sups = {pi: [] for pi in range(len(params_list))}
-    for stream_id, metrics, wt in rows:
-        pi, rep = divmod(stream_id, STREAM_STRIDE)
-        params = params_list[pi]
-        result.records.append(
-            ExperimentRecord(
-                "scaling_limit", params.lam, params.d, params.alpha, params.beta, seed, rep,
-                metrics, wt,
-            )
-        )
-        if not metrics.get("skipped"):
-            sups[pi].append(metrics["sup_dist"])
-
-    groups: dict = {}
-    for pi, params in enumerate(params_list):
-        groups.setdefault((params.d, params.alpha, params.beta), []).append(pi)
-    for key, pis in groups.items():
-        pis = sorted(pis, key=lambda pi: params_list[pi].lam)
+    params_list = check_scaling_limit(params_list, L, reps)
+    records, kept, _ = replicate("scaling_limit", _scaling_task, params_list, reps, seed, workers,
+                                 float(L), int(grid_n))
+    result = RunResult("scaling_limit", records)
+    for (d, alpha, beta), pis in _by_law(params_list).items():
         lams = [params_list[pi].lam for pi in pis]
         meds, cis = [], []
         for k, pi in enumerate(pis):
-            med, lo, hi = bootstrap_median_ci(sups[pi], RngStream(seed, 2_000_000_000 + k))
+            med, lo, hi = bootstrap_median_ci(kept[pi].get("sup_dist", []),
+                                              RngStream(seed, BOOTSTRAP_STREAM + k))
             meds.append(med)
             cis.append((lo, hi))
         decreasing = all(meds[k + 1] < meds[k] for k in range(len(meds) - 1))
         separated = meds[-1] < meds[0] and cis[-1][1] < cis[0][0]
-        tag = f"[d={key[0]},alpha={key[1]},beta={key[2]}]"
         detail = ", ".join(f"lambda={l:.0g}: {m:.4f}" for l, m in zip(lams, meds))
         result.checks.append(
             _check(
-                f"scaling_sup_distance_decreasing{tag}",
+                f"scaling_sup_distance_decreasing[d={d},alpha={alpha},beta={beta}]",
                 decreasing and separated,
                 f"medians {detail}; endpoint CIs ({cis[0][0]:.4f}, {cis[0][1]:.4f}) vs "
                 f"({cis[-1][0]:.4f}, {cis[-1][1]:.4f})",
@@ -619,15 +632,12 @@ def _festoon_sample(rng, params, L, r_lambda, measure):
     return {"skipped": 1.0} if out is None else out
 
 
-def _polytope_task(task):
-    seed, stream_id, params = task
-    t0 = time.perf_counter()
-
+def _polytope_task(rng, params):
     def evaluate(points, inner):
         poly = _hull_or_none(points, params.d)
         return poly, _inball(poly)
 
-    poly, n_points = _sample_shell(RngStream(seed, stream_id), params, evaluate)
+    poly, n_points = _sample_shell(rng, params, evaluate)
     out = {"skipped": 1.0}
     if poly is not None:
         out = {"skipped": 0.0, "n_points": float(n_points)}
@@ -636,7 +646,7 @@ def _polytope_task(task):
                 out[f"f{j}"] = float(fj)
         out[f"v{params.d}"] = poly._volume
         out[f"v{params.d - 1}"] = poly._area / 2.0
-    return stream_id, out, time.perf_counter() - t0
+    return out
 
 
 def expected_intrinsic_scale(params, i: int) -> float:
@@ -658,30 +668,10 @@ def _check_intrinsic_index(i: int, d: int):
         raise ValidationError("i", f"need i in {{{d - 1}, {d}}} for d = {d}, got {i}")
 
 
-def _collect_polytope_metrics(params_list, reps, seed, workers, experiment):
-    tasks = [(seed, stream_id, params_list[pi])
-             for pi, stream_id in _group_streams(len(params_list), reps)]
-    rows = _map_tasks(_polytope_task, tasks, workers)
-    records = []
-    per_param: dict = {pi: {} for pi in range(len(params_list))}
-    for stream_id, metrics, wt in rows:
-        pi, rep = divmod(stream_id, STREAM_STRIDE)
-        params = params_list[pi]
-        records.append(
-            ExperimentRecord(
-                experiment, params.lam, params.d, params.alpha, params.beta, seed, rep,
-                metrics, wt,
-            )
-        )
-        if not metrics.get("skipped"):
-            for k, v in metrics.items():
-                per_param[pi].setdefault(k, []).append(v)
-    return records, per_param
-
-
 def check_moments(params_grid, reps) -> list:
     """Preconditions of run_moments; returns the validated parameters."""
     _require_reps(reps, 200)
+    check_reps(reps, len(params_grid))
     return [validate_params(p.d, p.alpha, p.beta, p.lam) for p in params_grid]
 
 
@@ -703,19 +693,14 @@ def run_moments(
     the stated bands.
     """
     params_grid = check_moments(params_grid, reps)
-    records, per_param = _collect_polytope_metrics(params_grid, reps, seed, workers, "moments")
-    result = RunResult(experiment="moments", records=records)
-
-    groups: dict = {}
-    for pi, params in enumerate(params_grid):
-        groups.setdefault((params.d, params.alpha, params.beta), []).append(pi)
-    for (d, alpha, beta), pis in groups.items():
-        pis = sorted(pis, key=lambda pi: params_grid[pi].lam)
+    records, kept, _ = replicate("moments", _polytope_task, params_grid, reps, seed, workers)
+    result = RunResult("moments", records)
+    for (d, alpha, beta), pis in _by_law(params_grid).items():
         lams = np.array([params_grid[pi].lam for pi in pis])
         tag = f"[d={d},alpha={alpha},beta={beta}]"
         ratios = []
         for pi in pis:
-            vals = per_param[pi].get(f"v{d}", [])
+            vals = kept[pi].get(f"v{d}", [])
             ratios.append(np.mean(vals) / expected_intrinsic_scale(params_grid[pi], d))
         increasing = all(ratios[k + 1] > ratios[k] for k in range(len(ratios) - 1))
         in_band = ratio_band[0] <= ratios[-1] <= ratio_band[1]
@@ -731,8 +716,8 @@ def run_moments(
                 _check(f"moments_volume_ratio{tag}", in_band and increasing, ratio_detail)
             )
             log_bl = np.log(beta * np.log(lams))
-            mean_f0 = np.array([np.mean(per_param[pi]["f0"]) for pi in pis])
-            var_f0 = np.array([np.var(per_param[pi]["f0"], ddof=1) for pi in pis])
+            mean_f0 = np.array([np.mean(kept[pi]["f0"]) for pi in pis])
+            var_f0 = np.array([np.var(kept[pi]["f0"], ddof=1) for pi in pis])
             target = (d - 1) / 2.0
             slope_e, _, r2_e = fit_line(log_bl, np.log(mean_f0))
             slope_v, _, r2_v = fit_line(log_bl, np.log(var_f0))
@@ -753,20 +738,15 @@ def run_moments(
                 )
             )
         for pi in pis:
-            params = params_grid[pi]
             agg = {}
-            for k, vals in per_param[pi].items():
+            for k, vals in kept[pi].items():
                 if k == "skipped":
                     continue
                 arr = np.asarray(vals)
                 agg[f"mean_{k}"] = float(arr.mean())
                 if len(arr) > 1:
                     agg[f"var_{k}"] = float(arr.var(ddof=1))
-            result.records.append(
-                ExperimentRecord(
-                    "moments", params.lam, d, alpha, beta, seed, AGGREGATE_REPLICATION, agg
-                )
-            )
+            result.records.append(_aggregate("moments", params_grid[pi], seed, agg))
     return result
 
 
@@ -788,14 +768,14 @@ def run_clt(
 ) -> RunResult:
     """Normality of standardized face counts and intrinsic volumes."""
     params = check_clt(params, reps)
-    records, per_param = _collect_polytope_metrics([params], reps, seed, workers, "clt")
-    result = RunResult(experiment="clt", records=records)
+    records, kept, _ = replicate("clt", _polytope_task, [params], reps, seed, workers)
+    result = RunResult("clt", records)
     d = params.d
     metrics = check_metrics or ["f0", f"v{d}"]
     reported = ["f0", f"f{d - 1}", "v1", f"v{d}"]
     agg = {}
     for name in dict.fromkeys(reported + metrics):
-        vals = per_param[0].get(name)
+        vals = kept[0].get(name)
         if not vals:
             continue
         st = summary_stats(vals)
@@ -824,11 +804,7 @@ def run_clt(
                     f"ks = {st.ks_normal:.4f} vs {ks_tol}",
                 )
             )
-    result.records.append(
-        ExperimentRecord(
-            "clt", params.lam, d, params.alpha, params.beta, seed, AGGREGATE_REPLICATION, agg
-        )
-    )
+    result.records.append(_aggregate("clt", params, seed, agg))
     return result
 
 
@@ -837,26 +813,22 @@ def run_clt(
 # ---------------------------------------------------------------------------
 
 
-def _tails_task(task):
-    seed, rep, params, M, h_cap, grid_n, r_lambda = task
-    t0 = time.perf_counter()
-    rng = RngStream(seed, rep)
+def _tails_task(rng, params, M, h_cap, grid_n, r_lambda):
     cloud = sample_polytope_input(rng, params)
     # with no grain below the cap the envelope exceeds h_cap everywhere,
     # which already decides every threshold below it
     if len(cloud) == 0:
-        return rep, {"sup_abs": h_cap}, time.perf_counter() - t0
+        return {"sup_abs": h_cap}
     w = transform_batch(cloud.points, params.beta, r_lambda)
     kept = w[w[:, -1] <= h_cap]
     grid = ball_grid(M, grid_n, params.d - 1)
     if len(kept) == 0:
-        return rep, {"sup_abs": h_cap}, time.perf_counter() - t0
+        return {"sup_abs": h_cap}
     env = psi_lambda_envelope(kept, grid, params.beta, r_lambda)
     # grains of dropped points sit above their apex height > h_cap, so the
     # envelope is exact wherever it is below h_cap
     env = np.minimum(env, h_cap)
-    sup = float(np.max(np.abs(env)))
-    return rep, {"sup_abs": sup}, time.perf_counter() - t0
+    return {"sup_abs": float(np.max(np.abs(env)))}
 
 
 def check_tails(params, reps):
@@ -877,17 +849,10 @@ def run_tails(
     params, r_lambda = check_tails(params, reps)
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     h_cap = float(t_grid[-1]) + 2.0
-    tasks = [(seed, rep, params, float(M), h_cap, int(grid_n), r_lambda) for rep in range(reps)]
-    rows = _map_tasks(_tails_task, tasks, workers)
-    result = RunResult(experiment="tails")
-    sups = np.empty(reps)
-    for rep, metrics, wt in rows:
-        sups[rep] = metrics["sup_abs"]
-        result.records.append(
-            ExperimentRecord(
-                "tails", params.lam, params.d, params.alpha, params.beta, seed, rep, metrics, wt
-            )
-        )
+    records, kept, _ = replicate("tails", _tails_task, [params], reps, seed, workers,
+                                 float(M), h_cap, int(grid_n), r_lambda)
+    result = RunResult("tails", records)
+    sups = np.asarray(kept[0]["sup_abs"])
     probs = np.array([(sups >= t).mean() for t in t_grid])
     monotone = bool(np.all(np.diff(probs) <= 0))
     positive = probs > 0
@@ -900,12 +865,7 @@ def run_tails(
         slope, _, r2 = fit_line(t_grid[positive], np.log(probs[positive]))
     agg["tail_slope"] = slope
     agg["tail_r2"] = r2
-    result.records.append(
-        ExperimentRecord(
-            "tails", params.lam, params.d, params.alpha, params.beta, seed,
-            AGGREGATE_REPLICATION, agg,
-        )
-    )
+    result.records.append(_aggregate("tails", params, seed, agg))
     result.checks.append(
         _check(
             "tails_monotone",
@@ -932,9 +892,12 @@ def check_slln(params_base, a, k_max, p, i) -> list:
         raise ValidationError("p", f"need p > {threshold:.4f}")
     if not a > 1:
         raise ValidationError("a", "need a > 1")
-    if k_max < 4:
-        raise ValidationError("k_max", "need k_max >= 4")
-    return [validate_params(d, alpha, beta, a**k) for k in range(1, k_max + 1)]
+    if not 4 <= k_max <= MASS_STREAM // STREAM_STRIDE:
+        raise ValidationError("k_max", f"need 4 <= k_max <= {MASS_STREAM // STREAM_STRIDE}")
+    try:
+        return [validate_params(d, alpha, beta, a**k) for k in range(1, k_max + 1)]
+    except OverflowError as exc:
+        raise ValidationError("a", f"need a**k_max = a**{k_max} within the float range") from exc
 
 
 def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunResult:
@@ -944,26 +907,20 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
     decreasing medians in k. Requires p above the summability threshold
     (4i - beta(d+3)) / (4i) and a > 1.
     """
-    d, alpha, beta = params_base.d, params_base.alpha, params_base.beta
     params_grid = check_slln(params_base, a, k_max, p, i)
-    records, per_param = _collect_polytope_metrics(params_grid, reps, seed, workers, "slln")
-    result = RunResult(experiment="slln", records=records)
+    records, kept, _ = replicate("slln", _polytope_task, params_grid, reps, seed, workers)
+    result = RunResult("slln", records)
     meds = []
     for k, params in enumerate(params_grid, start=1):
-        pi = k - 1
-        vals = np.asarray(per_param[pi].get(f"v{i}", []))
+        vals = np.asarray(kept[k - 1].get(f"v{i}", []))
         if len(vals) == 0:
             meds.append(math.nan)
             continue
-        dev = np.abs(vals - vals.mean()) / (math.log(params.lam)) ** (p * i / beta)
+        dev = np.abs(vals - vals.mean()) / (math.log(params.lam)) ** (p * i / params.beta)
         med = float(np.median(dev))
         meds.append(med)
-        result.records.append(
-            ExperimentRecord(
-                "slln", params.lam, d, alpha, beta, seed, AGGREGATE_REPLICATION,
-                {"median_norm_dev": med, "k": float(k)},
-            )
-        )
+        result.records.append(_aggregate("slln", params, seed,
+                                         {"median_norm_dev": med, "k": float(k)}))
     decreasing = all(
         meds[k + 1] < meds[k] for k in range(len(meds) - 1) if not math.isnan(meds[k + 1])
     )
@@ -995,9 +952,9 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     """
     params, i = check_concentration(params, reps, i)
     d = params.d
-    records, per_param = _collect_polytope_metrics([params], reps, seed, workers, "concentration")
-    result = RunResult(experiment="concentration", records=records)
-    vals = np.asarray(per_param[0][f"v{i}"])
+    records, kept, _ = replicate("concentration", _polytope_task, [params], reps, seed, workers)
+    result = RunResult("concentration", records)
+    vals = np.asarray(kept[0][f"v{i}"])
     mean, sd = vals.mean(), vals.std(ddof=1)
     y_grid = np.asarray(sorted(y_grid), dtype=float)
     emp = np.array([np.mean(np.abs(vals - mean) >= y * sd) for y in y_grid])
@@ -1005,12 +962,7 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     se = np.sqrt(np.maximum(emp * (1 - emp), 1e-12) / len(vals))
     violated = emp > bound + 3 * se
     agg = {f"p_exceed_{y:g}": float(p) for y, p in zip(y_grid, emp)}
-    result.records.append(
-        ExperimentRecord(
-            "concentration", params.lam, d, params.alpha, params.beta, seed,
-            AGGREGATE_REPLICATION, agg,
-        )
-    )
+    result.records.append(_aggregate("concentration", params, seed, agg))
     result.checks.append(
         _check(
             "concentration_no_violation",
@@ -1042,10 +994,7 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
 # ---------------------------------------------------------------------------
 
 
-def _vertex_task(task):
-    seed, rep, params, L, r_lambda = task
-    t0 = time.perf_counter()
-
+def _vertex_task(rng, params, L, r_lambda):
     def measure(poly, w, fest, kept):
         vnorm = np.linalg.norm(w[:, :-1], axis=1)
         hull_set = {int(ix) for ix in poly.vertex_input_indices if vnorm[ix] <= L}
@@ -1075,8 +1024,13 @@ def _vertex_task(task):
             "jaccard": float(len(inter) / len(union)) if union else 1.0,
         }
 
-    out = _festoon_sample(RngStream(seed, rep), params, L, r_lambda, measure)
-    return rep, out, time.perf_counter() - t0
+    return _festoon_sample(rng, params, L, r_lambda, measure)
+
+
+def check_vertex_correspondence(params, L):
+    """Preconditions of run_vertex_correspondence; returns the validated parameters and R."""
+    _check_L(L)
+    return _usable(params)
 
 
 def run_vertex_correspondence(params, L, reps, seed, workers=1, match_threshold=0.95) -> RunResult:
@@ -1089,23 +1043,14 @@ def run_vertex_correspondence(params, L, reps, seed, workers=1, match_threshold=
     exceptions; the match rate over the remaining points must reach
     match_threshold.
     """
-    params = validate_params(params.d, params.alpha, params.beta, params.lam)
-    r_lambda = critical_radius(params)
-    tasks = [(seed, rep, params, float(L), r_lambda) for rep in range(reps)]
-    rows = _map_tasks(_vertex_task, tasks, workers)
-    result = RunResult(experiment="vertex_correspondence")
-    match = union = exceptions = 0.0
-    for rep, metrics, wt in rows:
-        result.records.append(
-            ExperimentRecord(
-                "vertex_correspondence", params.lam, params.d, params.alpha, params.beta,
-                seed, rep, metrics, wt,
-            )
-        )
-        if not metrics.get("skipped"):
-            match += metrics["n_match"]
-            union += metrics["n_hull_window"] + metrics["n_extreme_window"] - metrics["n_match"]
-            exceptions += metrics["n_boundary_exceptions"]
+    params, r_lambda = check_vertex_correspondence(params, L)
+    records, kept, _ = replicate("vertex_correspondence", _vertex_task, [params], reps, seed,
+                                 workers, float(L), r_lambda)
+    result = RunResult("vertex_correspondence", records)
+    counts = {k: sum(v) for k, v in kept[0].items()}
+    match = counts.get("n_match", 0.0)
+    union = counts.get("n_hull_window", 0.0) + counts.get("n_extreme_window", 0.0) - match
+    exceptions = counts.get("n_boundary_exceptions", 0.0)
     effective = union - exceptions
     rate = match / effective if effective else 1.0
     result.checks.append(
@@ -1117,12 +1062,6 @@ def run_vertex_correspondence(params, L, reps, seed, workers=1, match_threshold=
             f"({exceptions / union if union else 0.0:.4f} of {union:.0f})",
         )
     )
-    result.records.append(
-        ExperimentRecord(
-            "vertex_correspondence", params.lam, params.d, params.alpha, params.beta, seed,
-            AGGREGATE_REPLICATION,
-            {"match_rate": rate,
-             "exception_rate": exceptions / union if union else 0.0},
-        )
-    )
+    result.records.append(_aggregate("vertex_correspondence", params, seed, {
+        "match_rate": rate, "exception_rate": exceptions / union if union else 0.0}))
     return result

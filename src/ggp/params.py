@@ -26,6 +26,7 @@ from .errors import (
     DimensionTooSmall,
     IntensityTooSmall,
     NonpositiveIntensity,
+    ParameterOverflow,
 )
 
 __all__ = [
@@ -120,12 +121,17 @@ def normalization(d: int, alpha: float, beta: float) -> NormalizationConstants:
     if not beta >= 1:
         raise BetaOutOfRange(f"beta = {beta} < 1")
     s = (d + alpha) / beta
-    radial = beta ** (s - 1.0) * math.exp(gammaln(s))
-    z_total = sphere_surface_area(d) * radial
-    c_star = z_total ** (-1.0 / d)
-    c_paper = beta ** ((beta - alpha - 1.0) / beta) / (
-        2.0 * math.exp(gammaln((alpha + 1.0) / beta))
-    )
+    try:
+        radial = beta ** (s - 1.0) * math.exp(gammaln(s))
+        z_total = sphere_surface_area(d) * radial
+        c_star = z_total ** (-1.0 / d)
+        c_paper = beta ** ((beta - alpha - 1.0) / beta) / (
+            2.0 * math.exp(gammaln((alpha + 1.0) / beta))
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ParameterOverflow(f"d = {d}, alpha = {alpha}, beta = {beta}") from exc
+    if not 0.0 < c_star < math.inf:
+        raise ParameterOverflow(f"d = {d}, alpha = {alpha}, beta = {beta}")
     kappa = np.array([unit_ball_volume(j) for j in range(d + 1)])
     agree = abs(c_star - c_paper) <= 1e-12 * max(1.0, abs(c_star))
     return NormalizationConstants(

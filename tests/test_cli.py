@@ -4,7 +4,10 @@ import math
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ggp.cli as cli_module
 from ggp.cli import (
     RECORDS_HEADER,
     SUMMARY_HEADER,
@@ -14,7 +17,7 @@ from ggp.cli import (
     parse_config,
     run,
 )
-from ggp.errors import EmptyInput, IoError, ParseError, ValidationError
+from ggp.errors import EmptyInput, GgpError, IoError, ParseError, ValidationError
 from ggp.experiments import CheckOutcome, ExperimentRecord, RunResult
 
 MINIMAL_GUMBEL = {
@@ -40,6 +43,8 @@ MOMENTS = {"experiment": "moments", "d": 2, "alpha": 0.0, "beta": 2.0,
 INTENSITY = {"experiment": "intensity", "d": 2, "alpha": 0.0, "beta": 2.0, "lambda": 1e3,
              "window": {"spatial_radius": 2.0, "h_min": -5.0, "h_max": 1.0},
              "bins": [1, 4], "reps": 10, "seed": 1}
+VERTEX = {"experiment": "vertex_correspondence", "d": 2, "alpha": 0.0, "beta": 2.0,
+          "lambda": 1e4, "L": 1.0, "reps": 50, "seed": 1}
 
 
 class TestParseConfig:
@@ -177,6 +182,10 @@ class TestParseConfig:
         (dict(SCALING, alphas_betas=[]), "alphas_betas"),
         (dict(SCALING, lambda_grid=[]), "lambda_grid"),
         (dict(SCALING, reps=1_000_000), "reps"),
+        # numbers no float holds, and NaN or Infinity where a finite number is due
+        (dict(TAILS, **{"lambda": 2**1100}), "lambda"),
+        (dict(MINIMAL_GUMBEL, n=math.inf), "n"),
+        (dict(CLT, alpha=math.nan), "alpha"),
     ])
     def test_bad_experiment_field_exits_2_naming_it(self, tmp_path, capsys, config, field):
         with pytest.raises(ValidationError) as exc:
@@ -210,11 +219,16 @@ class TestParseConfig:
         (dict(SCALING, L=2.5), "L"),
         (dict(MINIMAL_GUMBEL, reps=99), "reps"),
         (dict(MINIMAL_GUMBEL, n=99), "n"),
+        (dict(MINIMAL_GUMBEL, n=1e300), "n"),
         (dict(CLT, reps=999), "reps"),
         (dict(TAILS, reps=499), "reps"),
         (dict(MOMENTS, reps=199), "reps"),
         (dict(INTENSITY, window=dict(INTENSITY["window"], h_min=-math.inf)), "window"),
         (dict(MOMENTS, reps=1_000_000), "reps"),
+        (dict(VERTEX, L=2.5), "L"),
+        (dict(INTENSITY, window=dict(INTENSITY["window"], h_max=math.inf)), "window"),
+        (dict(INTENSITY, window=dict(INTENSITY["window"], h_max=1000.0)), "window"),
+        (dict(SLLN, a=1e100), "a"),  # a**4 overflows
     ])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, config, field):
         path = tmp_path / "cfg.json"
@@ -232,25 +246,112 @@ class TestParseConfig:
         assert "IntensityTooSmall" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [MINIMAL_GUMBEL, CLT, SCALING, SLLN, TAILS,
-                                        CONCENTRATION, INTENSITY, MOMENTS])
+                                        CONCENTRATION, INTENSITY, MOMENTS, VERTEX])
     def test_validate_samples_nothing(self, tmp_path, capsys, monkeypatch, config):
-        import ggp.cli as cli_module
-
         def refuse(*args, **kwargs):
             raise AssertionError("validate called a runner")
 
         for name in ("run_gumbel", "run_intensity", "run_scaling_limit", "run_moments",
-                     "run_clt", "run_tails", "run_slln_trend", "concentration_check"):
+                     "run_clt", "run_tails", "run_slln_trend", "concentration_check",
+                     "run_vertex_correspondence"):
             monkeypatch.setattr(cli_module, name, refuse)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert main(["validate", "--config", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("config", [SLLN, TAILS, CONCENTRATION, INTENSITY, SCALING])
+    @pytest.mark.parametrize("config", [SLLN, TAILS, CONCENTRATION, INTENSITY, SCALING, VERTEX])
     def test_well_typed_experiment_fields_accepted(self, config):
         assert parse_config(json.dumps(config)).options == {
             k: v for k, v in config.items() if k not in ("experiment", "reps", "seed")}
+
+    def test_reserved_streams_unreachable(self, tmp_path, capsys):
+        # group 2000's first replication stream would be 2000 * 1_000_000, the
+        # first bootstrap stream; any group past 1000 reaches the intensity mass stream
+        path = tmp_path / "cfg.json"
+        lams = [1e3 + k for k in range(1001)]
+        path.write_text(json.dumps(dict(SCALING, alphas_betas=[[0, 2], [1, 1]],
+                                        lambda_grid=lams)))
+        for command in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+            assert main([*command, "--config", str(path)]) == 2
+            assert "lambda_grid:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        path.write_text(json.dumps(dict(MOMENTS, lambda_grid=[1e3 + k for k in range(1000)])))
+        assert main(["validate", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        # an integer literal past Python's digit limit
+        ('{"experiment": "clt", "d": 1%s}' % ("0" * 4400), "parse failure"),
+        # finite inputs whose normalization constants overflow
+        (json.dumps(dict(TAILS, alpha=1000.0)), "ParameterOverflow"),
+        (json.dumps(dict(TAILS, d=400)), "ParameterOverflow"),
+    ])
+    def test_unrepresentable_input_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+# JSON values of every kind a config key can hold, and some it cannot;
+# numbers and lists of numbers most often, so many configs reach the checks.
+_NUMBERS = st.one_of(
+    st.integers(-3, 12), st.integers(), st.floats(),
+    st.sampled_from([0.5, 1e3, 1e300, 2**1100, -math.inf, math.nan]),
+)
+_ANY = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=3), _NUMBERS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["spatial_radius", "h_min", "h_max", "x"]), inner,
+                        max_size=4),
+    ),
+    max_leaves=8,
+)
+_VALUES = st.one_of(_NUMBERS, _NUMBERS, st.lists(_NUMBERS, min_size=1, max_size=4), _ANY)
+_KEYS = sorted({key for entry in cli_module._REGISTRY.values()
+                for key in [*entry.required, *entry.optional]}
+               | cli_module._COMMON_KEYS | {"gamma"})
+_VALID = [MINIMAL_GUMBEL, CLT, SCALING, SLLN, TAILS, CONCENTRATION, MOMENTS, INTENSITY, VERTEX]
+
+
+@st.composite
+def _configs(draw):
+    """A valid config with a key dropped or some set to arbitrary values,
+    its own keys as often as any other."""
+    raw = dict(draw(st.sampled_from(_VALID)))
+    for key in draw(st.lists(st.sampled_from(sorted(raw)), max_size=1)):
+        del raw[key]
+    keys = st.one_of(st.sampled_from(sorted(raw)), st.sampled_from(_KEYS))
+    raw.update(draw(st.dictionaries(keys, _VALUES, max_size=2)))
+    return raw
+
+
+class TestParseConfigProperty:
+    @given(raw=_configs())
+    def test_config_or_ggp_error(self, raw):
+        # a config parses and its validate check runs, or a GgpError names the
+        # problem: `ggp validate` exits 0 or 2, never with a traceback
+        try:
+            config = parse_config(json.dumps(raw))
+            assert isinstance(config, RunConfig)
+            check, _ = cli_module._plan(config)
+            check()
+        except GgpError:
+            pass
+
+
+class TestVertexCorrespondenceCli:
+    def test_tiny_run_exits_0_with_records(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(VERTEX))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--workers", "1"]) == 0
+        assert "PASS vertex_correspondence_rate" in capsys.readouterr().out
+        records = tmp_path / "o" / "vertex_correspondence_records.csv"
+        rows = list(csv.reader(records.read_text().splitlines()))
+        assert rows[0] == RECORDS_HEADER
+        assert {int(r[6]) for r in rows[1:]} == set(range(50)) | {-1}
 
 
 class TestRunAndDeterminism:
@@ -315,8 +416,6 @@ class TestRunAndDeterminism:
         assert main(["validate", "--config", bad]) == 2
 
     def test_failing_check_gives_nonzero_exit(self, tmp_path, monkeypatch):
-        import ggp.cli as cli_module
-
         fake = RunResult(
             experiment="gumbel",
             records=[ExperimentRecord("gumbel", 1.0, 1, 0.0, 1.0, 1, 0, {"x": 1.0})],

@@ -164,7 +164,7 @@ class TestIntensityAnnulus:
         h_edges = np.linspace(window.h_min, window.h_max, 4)
         task = (p, window, rho_edges, h_edges, r_lambda)
         reps = 400
-        annulus = np.array([experiments._intensity_task((61, rep) + task)[1]
+        annulus = np.array([experiments._intensity_task(RngStream(61, rep), *task)[1]
                             for rep in range(reps)])
         whole = np.array([whole_cloud_intensity_counts(62, rep, *task) for rep in range(reps)])
         assert annulus.sum() > 5 * reps
@@ -178,10 +178,10 @@ class TestIntensityAnnulus:
         p = validate_params(2, 0, 2, 1e3)
         r_lambda = critical_radius(p)
         window = ScaledWindow(1.0, 2.0 * r_lambda**2, 3.0 * r_lambda**2)
-        _, counts, n_window, _ = experiments._intensity_task(
-            (1, 0, p, window, np.array([0.0, 1.0]), np.array([window.h_min, window.h_max]),
-             r_lambda))
-        assert n_window == 0 and counts.sum() == 0
+        metrics, counts = experiments._intensity_task(
+            RngStream(1, 0), p, window, np.array([0.0, 1.0]),
+            np.array([window.h_min, window.h_max]), r_lambda)
+        assert metrics["window_count"] == 0 and counts.sum() == 0
 
 
 class TestTailsRunner:
@@ -213,7 +213,7 @@ def no_polytope_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before validating the input")
 
-    monkeypatch.setattr(experiments, "_collect_polytope_metrics", refuse)
+    monkeypatch.setattr(experiments, "_map_tasks", refuse)
 
 
 P2 = validate_params(2, 0, 2, 1e3)
@@ -247,6 +247,26 @@ class TestPreconditionChecks:
         with pytest.raises(ValidationError) as exc:
             call()
         assert exc.value.field == field
+
+    def test_streams_stay_below_the_reserved_ones(self, monkeypatch):
+        # the last replication stream of 1000 groups is 10**9 - 1; group 1000
+        # would start at the intensity mass stream, group 2000 at the bootstrap's
+        last = 999 * experiments.STREAM_STRIDE + experiments.STREAM_STRIDE - 1
+        assert last == experiments.MASS_STREAM - 1
+        experiments.check_reps(experiments.STREAM_STRIDE - 1, 1000)
+        assert 2000 * experiments.STREAM_STRIDE == experiments.BOOTSTRAP_STREAM
+        monkeypatch.setattr(experiments, "_map_tasks", lambda *a: pytest.fail("sampled"))
+        grid = [validate_params(2, 0, 2, 1e3 + k) for k in range(1001)]
+        for call, field in (
+            (lambda: experiments.check_reps(1, 1001), "lambda_grid"),
+            (lambda: run_scaling_limit(grid, 1.0, 2, seed=1), "lambda_grid"),
+            (lambda: run_moments(grid, 200, seed=1), "lambda_grid"),
+            (lambda: run_slln_trend(P2, a=1.001, k_max=1001, p=0.6, i=2, reps=2, seed=1),
+             "k_max"),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert exc.value.field == field
 
     def test_checks_return_what_the_runner_uses(self):
         grid = experiments.check_slln(validate_params(3, 0.5, 2, 1.0), 10.0, 4, 0.9, 3)
@@ -337,7 +357,7 @@ class TestShellSampling:
             p = validate_params(d, 0, 2, lam)
             for sid in range(5):
                 cloud = sample_polytope_input(RngStream(5, sid), p)
-                _, got, _ = experiments._polytope_task((5, sid, p))
+                got = experiments._polytope_task(RngStream(5, sid), p)
                 assert got == polytope_metrics(cloud, d)
 
     @pytest.mark.parametrize("d, lam, shell", [
@@ -371,7 +391,7 @@ class TestShellSampling:
 
         def sample(seed, shell_points):
             monkeypatch.setattr(experiments, "SHELL_POINTS", shell_points)
-            return [experiments._polytope_task((seed, sid, p))[1] for sid in range(reps)]
+            return [experiments._polytope_task(RngStream(seed, sid), p) for sid in range(reps)]
 
         full = sample(41, math.inf)
         # 1024 certifies in round 1; 8 often needs round 2 or the whole cloud
@@ -440,7 +460,7 @@ class TestFestoonShell:
         certified = 0
         for sid in range(12):
             points = sample_polytope_input(RngStream(23, sid), p).points
-            task = lambda: experiments._scaling_task((23, sid, p, 1.0, 21))[1]  # noqa: E731
+            task = lambda: experiments._scaling_task(RngStream(23, sid), p, 1.0, 21)  # noqa: E731
             whole, _ = self.run_split(monkeypatch, task, points, math.inf)
             shell, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
             certified += len(calls) == 1
@@ -457,7 +477,7 @@ class TestFestoonShell:
         compared = 0
         for sid in range(8):
             points = sample_polytope_input(RngStream(29, sid), p).points
-            task = lambda: experiments._vertex_task((29, sid, p, 1.0, r_lambda))[1]  # noqa: E731
+            task = lambda: experiments._vertex_task(RngStream(29, sid), p, 1.0, r_lambda)  # noqa: E731
             results = []
             for shell_points in (math.inf, SHELL_POINTS):
                 last = capture(monkeypatch, ["transform_batch", "convex_hull",
@@ -481,8 +501,8 @@ class TestFestoonShell:
         widened = {"annulus": 0, "whole": 0}
         for sid in range(30):
             points = sample_polytope_input(RngStream(31, sid), p).points
-            args = (31, sid, p, 1.0, 21 if task_name == "_scaling_task" else r_lambda)
-            task = lambda: getattr(experiments, task_name)(args)[1]  # noqa: E731
+            args = (RngStream(31, sid), p, 1.0, 21 if task_name == "_scaling_task" else r_lambda)
+            task = lambda: getattr(experiments, task_name)(*args)  # noqa: E731
             whole, _ = self.run_split(monkeypatch, task, points, math.inf)
             shell, calls = self.run_split(monkeypatch, task, points, 8)
             if len(calls) > 1:
@@ -514,7 +534,7 @@ class TestFestoonShell:
         assert experiments._festoon_radius(w, fest, 1.0, p.beta, r_lambda) == 0.0
 
         points = np.vstack([shell, inner])
-        task = lambda: experiments._scaling_task((1, 0, p, 1.0, 21))[1]  # noqa: E731
+        task = lambda: experiments._scaling_task(RngStream(1, 0), p, 1.0, 21)  # noqa: E731
         whole, _ = self.run_split(monkeypatch, task, points, math.inf)
         got, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
         assert calls[-1][0] == 0.0 and got == whole
@@ -527,7 +547,8 @@ class TestFestoonShell:
 
         def sample(seed, shell_points):
             monkeypatch.setattr(experiments, "SHELL_POINTS", shell_points)
-            out = [experiments._scaling_task((seed, sid, p, 1.0, 21))[1] for sid in range(reps)]
+            out = [experiments._scaling_task(RngStream(seed, sid), p, 1.0, 21)
+                   for sid in range(reps)]
             return [m for m in out if not m["skipped"]]
 
         whole, shell = sample(51, math.inf), sample(52, SHELL_POINTS)
@@ -581,7 +602,7 @@ class TestFestoonShell:
         assert at_zero[1] < at_zero[0] - 0.1  # the inner point does move the festoon
 
         points = np.vstack([shell, inner])
-        task = lambda: experiments._scaling_task((1, 0, p, 1.0, 21))[1]  # noqa: E731
+        task = lambda: experiments._scaling_task(RngStream(1, 0), p, 1.0, 21)  # noqa: E731
         whole, _ = self.run_split(monkeypatch, task, points, math.inf)
         got, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
         assert len(calls) > 1 and got == whole
