@@ -124,6 +124,11 @@ class RunResult:
 def _map_tasks(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # The tasks build hulls and draw through scipy.special; loaded here, once,
+    # they are inherited by the forked workers instead of imported in each.
+    import scipy.spatial  # noqa: F401
+    import scipy.special  # noqa: F401
+
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
@@ -135,6 +140,11 @@ def _check(name, ok, detail) -> CheckOutcome:
 
 def _info(name, detail) -> CheckOutcome:
     return CheckOutcome(name=name, status="INFO", detail=detail)
+
+
+def _unjudged(name, n_kept, reps):
+    """FAIL check for a statistic that fewer than 2 kept replications cannot judge."""
+    return _check(name, False, f"not judged: {n_kept} of {reps} replications kept, need 2")
 
 
 def _too_short(grid):
@@ -695,7 +705,14 @@ def run_moments(
     params_grid = check_moments(params_grid, reps)
     records, kept, _ = replicate("moments", _polytope_task, params_grid, reps, seed, workers)
     result = RunResult("moments", records)
-    for (d, alpha, beta), pis in _by_law(params_grid).items():
+    laws = _by_law(params_grid)
+    for (d, alpha, beta), pis in laws.items():
+        thin = [pi for pi in pis if len(kept[pi].get("f0", [])) < 2]
+        for pi in thin:
+            name = f"moments_judged[d={d},alpha={alpha},beta={beta},lambda={params_grid[pi].lam:g}]"
+            result.checks.append(_unjudged(name, len(kept[pi].get("f0", [])), reps))
+        if thin:
+            continue
         lams = np.array([params_grid[pi].lam for pi in pis])
         tag = f"[d={d},alpha={alpha},beta={beta}]"
         ratios = []
@@ -737,6 +754,7 @@ def run_moments(
                     f"(r2 = {r2_v:.3f})",
                 )
             )
+    for pis in laws.values():
         for pi in pis:
             agg = {}
             for k, vals in kept[pi].items():
@@ -775,14 +793,16 @@ def run_clt(
     reported = ["f0", f"f{d - 1}", "v1", f"v{d}"]
     agg = {}
     for name in dict.fromkeys(reported + metrics):
-        vals = kept[0].get(name)
+        vals = kept[0].get(name, [])
+        if name in metrics and len(vals) < 2:
+            result.checks.append(_unjudged(f"clt_judged[{name}]", len(vals), reps))
         if not vals:
             continue
         st = summary_stats(vals)
         agg[f"skew_{name}"] = st.skewness
         agg[f"kurt_{name}"] = st.excess_kurtosis
         agg[f"ks_{name}"] = st.ks_normal
-        if name in metrics:
+        if name in metrics and len(vals) > 1:
             result.checks.append(
                 _check(
                     f"clt_skewness[{name}]",
@@ -913,6 +933,8 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
     meds = []
     for k, params in enumerate(params_grid, start=1):
         vals = np.asarray(kept[k - 1].get(f"v{i}", []))
+        if len(vals) < 2:
+            result.checks.append(_unjudged(f"slln_judged[k={k}]", len(vals), reps))
         if len(vals) == 0:
             meds.append(math.nan)
             continue
@@ -954,7 +976,10 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     d = params.d
     records, kept, _ = replicate("concentration", _polytope_task, [params], reps, seed, workers)
     result = RunResult("concentration", records)
-    vals = np.asarray(kept[0][f"v{i}"])
+    vals = np.asarray(kept[0].get(f"v{i}", []))
+    if len(vals) < 2:
+        result.checks.append(_unjudged("concentration_judged", len(vals), reps))
+        return result
     mean, sd = vals.mean(), vals.std(ddof=1)
     y_grid = np.asarray(sorted(y_grid), dtype=float)
     emp = np.array([np.mean(np.abs(vals - mean) >= y * sd) for y in y_grid])

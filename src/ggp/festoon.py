@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import EmptyInput, OutsideSupport
 from .hull import Polytope, facet_groups, is_convex_combination, radial_function_batch
@@ -134,6 +133,8 @@ def _lower_hull(lifted: np.ndarray):
     a vertex iff it is a convex combination of the others plus a push
     straight up.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     n, mp1 = lifted.shape
     try:
         qh = ConvexHull(lifted) if n > mp1 else None
@@ -163,6 +164,8 @@ def _spatial_hull(spatial: np.ndarray):
     m = spatial.shape[1]
     if m == 1 or len(spatial) <= m:
         return None
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         qh = ConvexHull(spatial)
     except QhullError:

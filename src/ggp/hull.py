@@ -15,12 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
-from scipy.special import binom
-from scipy.stats import norm as _normal
-from scipy.stats.qmc import Sobol
 
 from .errors import DegenerateInput, IndexOutOfRange, OriginOutside, OriginPoint
 from .params import unit_ball_volume
@@ -174,6 +168,8 @@ def _count_faces(dim, n_vertices, n_facets, incidence_facets, incidence_vertices
         return (n_vertices, n_vertices)
     if dim > 4:
         return (n_vertices,) + (None,) * (dim - 2) + (n_facets,)
+    from scipy import sparse
+
     indptr = np.searchsorted(incidence_facets, np.arange(n_facets + 1))
     incidence = sparse.csr_array(
         (np.ones(len(incidence_vertices), dtype=np.int32), incidence_vertices, indptr),
@@ -202,6 +198,8 @@ def convex_hull(cloud, assume_unique=False) -> Polytope:
     n, dim = points.shape
     if n < dim + 1:
         raise DegenerateInput(f"{n} points cannot span R^{dim}")
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         qh = ConvexHull(points)
     except QhullError as exc:
@@ -238,6 +236,8 @@ def is_convex_combination(points: np.ndarray, target: np.ndarray, ray=None) -> b
     """
     if len(points) == 0:
         return False
+    from scipy.optimize import linprog
+
     a_eq = np.vstack([points.T, np.ones(len(points))])
     if ray is not None:
         a_eq = np.column_stack([a_eq, np.append(ray, 0.0)])
@@ -280,9 +280,12 @@ def _sphere_points(d: int, count: int) -> np.ndarray:
             angles = (np.arange(count) + 0.5) * (2 * np.pi / count)
             _sphere_cache[key] = np.column_stack([np.cos(angles), np.sin(angles)])
         else:
+            from scipy.special import ndtri  # the standard normal quantile
+            from scipy.stats.qmc import Sobol
+
             m = int(np.ceil(np.log2(max(count, 2))))
             u = Sobol(d, scramble=False).random_base2(m)[:count]
-            z = _normal.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+            z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
             norms = np.linalg.norm(z, axis=1)
             norms[norms == 0] = 1.0
             _sphere_cache[key] = z / norms[:, None]
@@ -362,6 +365,8 @@ def intrinsic_volume(p: Polytope, i: int, n_directions: int = 2000, rng=None,
         return KubotaEstimate(surface_area(p) / 2.0, 0.0, 0)
     if n_directions < 1:
         raise ValueError("n_directions must be >= 1")
+    from scipy.spatial import ConvexHull, QhullError
+
     g = _gen(rng) if rng is not None else np.random.default_rng(0)
     frames = g.standard_normal((n_directions, d, i))
     q, _ = np.linalg.qr(frames)
@@ -376,7 +381,7 @@ def intrinsic_volume(p: Polytope, i: int, n_directions: int = 2000, rng=None,
                 vols[k] = ConvexHull(proj).volume
             except QhullError:
                 vols[k] = 0.0  # measure-zero degenerate projection
-    coef = binom(d, i) * unit_ball_volume(d) / (unit_ball_volume(i) * unit_ball_volume(d - i))
+    coef = math.comb(d, i) * unit_ball_volume(d) / (unit_ball_volume(i) * unit_ball_volume(d - i))
     value = coef * float(vols.mean())
     stderr = coef * float(vols.std(ddof=1)) / math.sqrt(n_directions) if n_directions > 1 else 0.0
     return KubotaEstimate(value, stderr, n_directions)

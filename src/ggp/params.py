@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     AlphaOutOfRange,
@@ -78,6 +77,8 @@ def unit_ball_volume(j: int) -> float:
     """Volume kappa_j of the unit ball in R^j; kappa_0 = 1."""
     if j < 0:
         raise ValueError(f"j = {j} < 0")
+    from scipy.special import gammaln
+
     return math.pi ** (j / 2.0) / math.exp(gammaln(j / 2.0 + 1.0))
 
 
@@ -85,6 +86,8 @@ def sphere_surface_area(d: int) -> float:
     """Surface measure of the unit sphere S^{d-1} in R^d."""
     if d < 1:
         raise ValueError(f"d = {d} < 1")
+    from scipy.special import gammaln
+
     return 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
 
 
@@ -120,6 +123,8 @@ def normalization(d: int, alpha: float, beta: float) -> NormalizationConstants:
         raise AlphaOutOfRange(f"alpha = {alpha} <= -1")
     if not beta >= 1:
         raise BetaOutOfRange(f"beta = {beta} < 1")
+    from scipy.special import gammaln
+
     s = (d + alpha) / beta
     try:
         radial = beta ** (s - 1.0) * math.exp(gammaln(s))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 from .errors import ValidationError
 from .params import ModelParams, gumbel_centering, unit_ball_volume
@@ -133,12 +132,16 @@ def sample_direction(rng, d: int, size=None):
 def radial_tail(params: ModelParams, r: float) -> float:
     """P(||X|| > r) for one point: the regularized upper incomplete gamma
     Q((d+alpha)/beta, r^beta/beta)."""
+    from scipy.special import gammaincc
+
     shape = (params.d + params.alpha) / params.beta
     return float(gammaincc(shape, r**params.beta / params.beta))
 
 
 def radial_tail_inverse(params: ModelParams, q):
     """Radius r with P(||X|| > r) = q, elementwise for q in (0, 1]."""
+    from scipy.special import gammainccinv
+
     shape = (params.d + params.alpha) / params.beta
     return (params.beta * gammainccinv(shape, q)) ** (1.0 / params.beta)
 
@@ -212,6 +215,8 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
         raise ValidationError("n", f"n = {n} < 2")
     if not alpha > -1 or not beta >= 1:
         raise ValidationError("alpha/beta", "need alpha > -1 and beta >= 1")
+    from scipy.special import gammainccinv
+
     g = _gen(rng)
     a_n, scale = gumbel_centering(n, alpha, beta)
     shape = (1.0 + alpha) / beta

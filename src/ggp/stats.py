@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _normal
 
 from .errors import EmptyInput
 from .sampling import _gen
@@ -50,6 +49,8 @@ class SummaryStats:
 
 
 def summary_stats(sample) -> SummaryStats:
+    from scipy.special import ndtr  # the standard normal cdf
+
     x = np.asarray(sample, dtype=float)
     n = len(x)
     if n == 0:
@@ -64,7 +65,7 @@ def summary_stats(sample) -> SummaryStats:
     z = (x - mean) / sd
     skew = float(np.mean(z**3))
     kurt = float(np.mean(z**4) - 3.0)
-    ks = ks_statistic(z, _normal.cdf)
+    ks = ks_statistic(z, ndtr)
     ci = 1.96 * sd / math.sqrt(n)
     return SummaryStats(n, mean, var, skew, kurt, ks, ci)
 

@@ -2,11 +2,16 @@ import csv
 import json
 import math
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ggp
 import ggp.cli as cli_module
 from ggp.cli import (
     RECORDS_HEADER,
@@ -415,6 +420,18 @@ class TestRunAndDeterminism:
         bad = self.config_path(tmp_path, dict(MINIMAL_GUMBEL, alpha=-3.0))
         assert main(["validate", "--config", bad]) == 2
 
+    def test_unjudged_run_exits_1_and_writes_records(self, tmp_path, capsys):
+        # in d=30 no cloud of lambda = 5 points has a hull: every replication is skipped
+        cfg = self.config_path(tmp_path, dict(CONCENTRATION, d=30, **{"lambda": 5.0},
+                                              i=30, y_grid=[1]))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL concentration_judged: not judged: 0 of 2000" in captured.out
+        assert "Traceback" not in captured.err
+        rows = (tmp_path / "o" / "concentration_records.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2000
+
     def test_failing_check_gives_nonzero_exit(self, tmp_path, monkeypatch):
         fake = RunResult(
             experiment="gumbel",
@@ -485,3 +502,73 @@ class TestGoldenHeader:
         assert SUMMARY_HEADER == [
             "experiment", "lambda", "metric", "n", "mean", "var", "ci95",
         ]
+
+
+README_EXAMPLES = re.findall(r"```json\n(.*?)```",
+                             (Path(__file__).parent.parent / "README.md").read_text(), re.S)
+# Configs whose validate check computes a critical radius, hence loads scipy.special.
+RADIUS_CONFIGS = [INTENSITY, SCALING, TAILS, VERTEX]
+NO_RADIUS_CONFIGS = [MINIMAL_GUMBEL, CLT, SLLN, CONCENTRATION, MOMENTS]
+
+
+def scipy_modules_after(statements: str, cwd) -> set:
+    """scipy-rooted module names loaded by a fresh interpreter that imports
+    this suite's ggp and runs statements."""
+    script = (f"import json, sys\nsys.path.insert(0, {str(Path(ggp.__file__).parent.parent)!r})\n"
+              f"{statements}\n"
+              "print(json.dumps([m for m in sys.modules if m.partition('.')[0] == 'scipy']))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, cwd=cwd)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestImportPolicy:
+    """Parsing a config loads no scipy, `ggp validate` at most scipy.special
+    (gammaln, for a critical radius), and a run loads the scipy modules its
+    tasks call in the parent, before the pool forks."""
+
+    @staticmethod
+    def write(directory, configs):
+        """Each config (JSON text or a dict) in its own file under directory."""
+        directory.mkdir()
+        paths = []
+        for k, config in enumerate(configs):
+            path = directory / f"cfg{k}.json"
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+            paths.append(str(path))
+        return paths
+
+    @staticmethod
+    def readme(*experiments):
+        return [c for c in README_EXAMPLES if json.loads(c)["experiment"] in experiments]
+
+    def test_parse_and_validate_load_no_scipy(self, tmp_path):
+        assert len(README_EXAMPLES) >= 4
+        parsed = self.write(tmp_path / "parse", README_EXAMPLES)
+        validated = self.write(tmp_path / "validate",
+                               self.readme("gumbel", "moments") + NO_RADIUS_CONFIGS)
+        statements = ("import ggp, ggp.cli\n"
+                      f"for path in {parsed!r}:\n"
+                      "    ggp.cli.parse_config(open(path).read())\n"
+                      f"for path in {validated!r}:\n"
+                      "    assert ggp.cli.main(['validate', '--config', path]) == 0")
+        assert scipy_modules_after(statements, tmp_path) == set()
+
+    def test_validate_with_a_critical_radius_loads_only_scipy_special(self, tmp_path):
+        special = scipy_modules_after("import scipy.special", tmp_path)
+        radius = self.write(tmp_path / "validate",
+                            self.readme("intensity", "scaling_limit") + RADIUS_CONFIGS)
+        statements = ("import ggp.cli\n"
+                      f"for path in {radius!r}:\n"
+                      "    assert ggp.cli.main(['validate', '--config', path]) == 0")
+        loaded = scipy_modules_after(statements, tmp_path)
+        assert "scipy.special" in loaded
+        assert loaded <= special, sorted(loaded - special)
+
+    def test_pool_workers_inherit_scipy_from_the_parent(self, tmp_path):
+        statements = ("from ggp import experiments\n"
+                      "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+                      "assert experiments._map_tasks(abs, [-1, -2], workers=2) == [1, 2]")
+        loaded = scipy_modules_after(statements, tmp_path)
+        assert {"scipy.spatial", "scipy.special"} <= loaded

@@ -326,6 +326,50 @@ class TestConcentrationRunner:
         assert exc.value.field == "i"
 
 
+class TestUnjudgedRuns:
+    """A statistic that fewer than 2 kept replications cannot judge is a FAIL
+    check naming the kept count: in d=30 a cloud of lambda = 5 points has no
+    hull, so every replication below is skipped."""
+
+    P30 = validate_params(30, 0, 2, 5.0)
+
+    @staticmethod
+    def statuses(result):
+        return {c.name: (c.status, c.detail) for c in result.checks}
+
+    def test_concentration(self):
+        result = concentration_check(self.P30, 2000, [1.0], seed=1)
+        assert self.statuses(result) == {
+            "concentration_judged": ("FAIL", "not judged: 0 of 2000 replications kept, need 2")}
+        assert len(result.records) == 2000
+
+    def test_clt(self):
+        result = run_clt(self.P30, 1000, seed=1)
+        assert self.statuses(result) == {
+            f"clt_judged[{m}]": ("FAIL", "not judged: 0 of 1000 replications kept, need 2")
+            for m in ("f0", "v30")}
+
+    def test_clt_metric_with_no_values(self):
+        result = run_clt(validate_params(2, 0, 2, 100.0), 1000, seed=1, check_metrics=["f7"])
+        assert [(c.name, c.status) for c in result.checks] == [("clt_judged[f7]", "FAIL")]
+
+    def test_moments(self):
+        grid = [validate_params(30, 0, 2, lam) for lam in (5.0, 6.0, 7.0)]
+        result = run_moments(grid, 200, seed=1)
+        assert [(c.name, c.status) for c in result.checks] == [
+            (f"moments_judged[d=30,alpha=0.0,beta=2.0,lambda={lam}]", "FAIL")
+            for lam in (5, 6, 7)]
+        assert len(result.records) == 3 * 200 + 3
+
+    def test_slln(self):
+        result = run_slln_trend(self.P30, a=2.0, k_max=4, p=0.6, i=30, reps=5, seed=1)
+        statuses = self.statuses(result)
+        for k in range(1, 5):
+            assert statuses[f"slln_judged[k={k}]"] == (
+                "FAIL", "not judged: 0 of 5 replications kept, need 2")
+        assert result.failed()
+
+
 class TestVertexCorrespondence:
     def test_small_scale_rate(self):
         p = validate_params(2, 0, 2, 1e4)

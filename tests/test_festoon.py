@@ -239,6 +239,22 @@ class TestStableHeight:
         assert stable_height(f, 1.0) == math.inf
 
 
+class TestInsertionProperty:
+    """Inserting a point never raises the festoon: the lower hull of the
+    lifted points can only drop when a point joins them."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @given(data=st.data())
+    def test_insertion_never_raises_boundary(self, m, data):
+        # the anchors keep B(o, 1) inside the spatial hull of both clouds
+        base = TestStableHeight.anchored(data.draw(scaled_rows(m, 1, 25, -2.0, 1.0, 3.0)), m)
+        extra = data.draw(scaled_rows(m, 1, 1, -3.0, 3.0, 4.0))
+        grid = ball_grid(1.0, 9, m)
+        before = phi_boundary_batch(extreme_points(base), grid)
+        after = phi_boundary_batch(extreme_points(np.vstack([base, extra])), grid)
+        assert np.all(after <= before + 1e-9)
+
+
 class TestPhiBoundary:
     def test_single_point_support(self):
         f = extreme_points(np.array([[0.0, -1.0]]))
