@@ -124,11 +124,6 @@ class RunResult:
 def _map_tasks(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    # The tasks build hulls and draw through scipy.special; loaded here, once,
-    # they are inherited by the forked workers instead of imported in each.
-    import scipy.spatial  # noqa: F401
-    import scipy.special  # noqa: F401
-
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
@@ -979,8 +974,10 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     vals = np.asarray(kept[0].get(f"v{i}", []))
     if len(vals) < 2:
         result.checks.append(_unjudged("concentration_judged", len(vals), reps))
+    if len(vals) == 0:
         return result
-    mean, sd = vals.mean(), vals.std(ddof=1)
+    # One value has no sd: nothing exceeds y * nan, so every p_exceed reads 0.
+    mean, sd = vals.mean(), (vals.std(ddof=1) if len(vals) > 1 else math.nan)
     y_grid = np.asarray(sorted(y_grid), dtype=float)
     emp = np.array([np.mean(np.abs(vals - mean) >= y * sd) for y in y_grid])
     bound = np.minimum(1.0, 2.0 * np.exp(-(y_grid**2) / 2.0 ** (2 * d + i + 7)))
@@ -988,6 +985,8 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     violated = emp > bound + 3 * se
     agg = {f"p_exceed_{y:g}": float(p) for y, p in zip(y_grid, emp)}
     result.records.append(_aggregate("concentration", params, seed, agg))
+    if len(vals) < 2:
+        return result
     result.checks.append(
         _check(
             "concentration_no_violation",

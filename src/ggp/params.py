@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,6 +184,7 @@ def critical_radius(params: ModelParams, constant_mode: str = "corrected") -> fl
     return r
 
 
+@lru_cache(maxsize=64, typed=True)
 def gumbel_centering(n: int, alpha: float, beta: float) -> tuple[float, float]:
     """Centering a_n and scaling (beta log n)^((beta-1)/beta) for 1-d maxima.
 
@@ -190,7 +192,8 @@ def gumbel_centering(n: int, alpha: float, beta: float) -> tuple[float, float]:
           - [(beta-alpha-1) log(beta log n) - beta log c] / (beta (beta log n)^((beta-1)/beta)),
 
     written in expanded form so the alpha = beta - 1 case stays finite.
-    Uses the one-dimensional normalizer, which is exact in 1-d.
+    Uses the one-dimensional normalizer, which is exact in 1-d. Cached, since
+    every Gumbel replication asks for the same (n, alpha, beta).
     """
     if n < 2:
         raise ValueError(f"n = {n} < 2")

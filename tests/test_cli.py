@@ -524,9 +524,8 @@ def scipy_modules_after(statements: str, cwd) -> set:
 
 
 class TestImportPolicy:
-    """Parsing a config loads no scipy, `ggp validate` at most scipy.special
-    (gammaln, for a critical radius), and a run loads the scipy modules its
-    tasks call in the parent, before the pool forks."""
+    """Parsing a config loads no scipy, and `ggp validate` at most
+    scipy.special (gammaln, for a critical radius)."""
 
     @staticmethod
     def write(directory, configs):
@@ -565,10 +564,3 @@ class TestImportPolicy:
         loaded = scipy_modules_after(statements, tmp_path)
         assert "scipy.special" in loaded
         assert loaded <= special, sorted(loaded - special)
-
-    def test_pool_workers_inherit_scipy_from_the_parent(self, tmp_path):
-        statements = ("from ggp import experiments\n"
-                      "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
-                      "assert experiments._map_tasks(abs, [-1, -2], workers=2) == [1, 2]")
-        loaded = scipy_modules_after(statements, tmp_path)
-        assert {"scipy.spatial", "scipy.special"} <= loaded

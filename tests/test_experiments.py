@@ -343,6 +343,21 @@ class TestUnjudgedRuns:
             "concentration_judged": ("FAIL", "not judged: 0 of 2000 replications kept, need 2")}
         assert len(result.records) == 2000
 
+    def test_concentration_one_kept_still_writes_the_aggregate(self, monkeypatch):
+        calls = []
+
+        def first_kept(rng, params):
+            calls.append(rng)
+            return {"skipped": 0.0, "v2": 1.0} if len(calls) == 1 else {"skipped": 1.0}
+
+        monkeypatch.setattr(experiments, "_polytope_task", first_kept)
+        result = concentration_check(validate_params(2, 0, 2, 100.0), 2000, [0.5, 1.0], seed=1)
+        assert self.statuses(result) == {
+            "concentration_judged": ("FAIL", "not judged: 1 of 2000 replications kept, need 2")}
+        assert len(result.records) == 2001
+        assert result.records[-1].replication == -1
+        assert result.records[-1].metrics == {"p_exceed_0.5": 0.0, "p_exceed_1": 0.0}
+
     def test_clt(self):
         result = run_clt(self.P30, 1000, seed=1)
         assert self.statuses(result) == {
