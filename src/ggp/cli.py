@@ -91,6 +91,8 @@ def default_workers() -> int:
         if n < 1:
             raise ValidationError("GGP_WORKERS", "must be >= 1")
         return n
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -85,6 +85,16 @@ MIN_TREND_POINTS = 3
 STREAM_STRIDE = 1_000_000
 MASS_STREAM = 10**9
 BOOTSTRAP_STREAM = 2_000_000_000
+# What a process pool costs beyond the work it spreads, in seconds: forking a
+# ProcessPoolExecutor(2) in a warm process with numpy and scipy loaded,
+# mapping 400 trivial tasks and shutting it down took a median of 22-23 ms
+# (19-61 ms over 20 trials; 2-core VM, Python 3.11), before the workers'
+# cold caches slow their first replications.
+POOL_START_S = 0.03
+# A run's first replication pays for cold caches: a 30-100 us Gumbel
+# replication took 140-450 us as the first call after other work (same VM).
+# A probe shorter than this may be mostly that cost, so it is re-timed.
+COLD_CALL_S = 0.001
 
 
 @dataclass(frozen=True)
@@ -121,12 +131,46 @@ class RunResult:
         return any(c.status == "FAIL" for c in self.checks)
 
 
-def _map_tasks(fn, tasks, workers: int):
+def _map_tasks(fn, tasks, workers: int, probes):
+    """[fn(task) for task in tasks], on at most workers processes.
+
+    With more than one worker and task, fn(tasks[probes[0]]) runs first in
+    this process and is timed; it also loads, before any fork, the modules
+    the tasks import lazily. A pool pays off only when the serial time S of
+    the rest exceeds POOL_START_S + S / workers, so if probe time x remaining
+    tasks is below that break-even the rest runs here, in order. A probe
+    shorter than COLD_CALL_S that says otherwise is re-timed on the next of
+    probes, and the shorter time counts. If the loop here passes the
+    break-even anyway, the tasks still left go to the pool.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    results = [None] * len(tasks)
+    break_even = POOL_START_S * workers / (workers - 1)
+    rest = set(range(len(tasks)))
+    probe_s = math.inf
+    for k in probes:
+        t0 = time.perf_counter()
+        results[k] = fn(tasks[k])
+        probe_s = min(probe_s, time.perf_counter() - t0)
+        rest.discard(k)
+        if probe_s >= COLD_CALL_S or probe_s * len(rest) < break_even:
+            break
+    rest = sorted(rest)
+    if probe_s * len(rest) < break_even:
+        t0 = time.perf_counter()
+        for done, k in enumerate(rest):
+            if time.perf_counter() - t0 > break_even:
+                rest = rest[done:]
+                break
+            results[k] = fn(tasks[k])
+        else:
+            return results
     chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+    with ProcessPoolExecutor(max_workers=min(workers, len(rest))) as pool:
+        for k, row in zip(rest, pool.map(fn, [tasks[k] for k in rest], chunksize=chunk)):
+            results[k] = row
+    return results
 
 
 def _check(name, ok, detail) -> CheckOutcome:
@@ -197,7 +241,9 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     """reps replications of task(stream, params, *args) for each parameter group.
 
     Replication rep of group pi draws from stream pi * STREAM_STRIDE + rep,
-    so results do not depend on how the pool schedules the replications.
+    so results do not depend on where or in which order replications run:
+    in this process, or on a pool that _map_tasks starts only when the
+    timed probe replication says the pool would pay for itself.
     A task returns its replication's metrics, or (metrics, side) to hand
     back a side value that is not recorded. Returns the per-replication
     records, group-major and replication-minor; per group, each metric's
@@ -206,7 +252,10 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     check_reps(reps, len(groups))
     jobs = [(task, seed, pi * STREAM_STRIDE + rep, params, args)
             for pi, params in enumerate(groups) for rep in range(reps)]
-    rows = _map_tasks(_replication, jobs, workers)
+    # probe the likely costliest replications: the last two of the largest lambda
+    last = max(range(len(groups)), key=lambda pi: (groups[pi].lam, pi), default=0)
+    probes = [last * reps + reps - 1, last * reps + reps - 2][:reps]
+    rows = _map_tasks(_replication, jobs, workers, probes)
     records, kept, sides = [], [{} for _ in groups], []
     for (_, _, stream_id, params, _), (out, wall) in zip(jobs, rows):
         metrics, side = out if isinstance(out, tuple) else (out, None)

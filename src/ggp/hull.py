@@ -11,6 +11,7 @@ The facet grouping (facet_groups) and the convex-combination LP
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -153,21 +154,40 @@ def _pairs_at_least(gram, k: int, n_diagonal: int) -> int:
     return (int(np.count_nonzero(gram.data >= k)) - n_diagonal) // 2
 
 
+def _distinct_subsets(simplices: np.ndarray, k: int, n_vertices: int) -> int:
+    """Distinct k-vertex subsets of the rows of simplices (rows sorted
+    ascending), each keyed as one base-n_vertices int64."""
+    columns = np.array(list(itertools.combinations(range(simplices.shape[1]), k))).T
+    keys = simplices[:, columns[0]]
+    for c in columns[1:]:
+        keys = keys * n_vertices + simplices[:, c]
+    keys = np.sort(keys, axis=None)
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+
+
 def _count_faces(dim, n_vertices, n_facets, incidence_facets, incidence_vertices):
     """f-vector from the merged-facet incidence; exact for d <= 4.
 
-    With M the sparse facet-vertex incidence matrix, a vertex pair spans an
-    edge iff it lies in >= d-1 common facets, (M^T M)_ij >= d-1 (>= 2 in
-    d=3, >= 3 in d=4: the minimal common face of a non-edge pair is at
-    least 2-dimensional and lies in fewer facets). A ridge in d=4 is a
-    facet pair sharing >= 3 vertices, (M M^T)_ij >= 3. Every vertex lies
-    in >= d facets and every facet has >= d vertices, so each diagonal
+    When every merged facet is a simplex (d vertices), every face is a
+    simplex lying in some facet, and each vertex pair (each triple in d=4)
+    of a facet spans one: f1 (and f2) count the distinct pairs (triples).
+    Otherwise, with M the sparse facet-vertex incidence matrix, a vertex
+    pair spans an edge iff it lies in >= d-1 common facets, (M^T M)_ij >=
+    d-1 (>= 2 in d=3, >= 3 in d=4: the minimal common face of a non-edge
+    pair is at least 2-dimensional and lies in fewer facets). A ridge in
+    d=4 is a facet pair sharing >= 3 vertices, (M M^T)_ij >= 3. Every vertex
+    lies in >= d facets and every facet has >= d vertices, so each diagonal
     entry passes its threshold and is subtracted from the count.
     """
     if dim == 2:
         return (n_vertices, n_vertices)
     if dim > 4:
         return (n_vertices,) + (None,) * (dim - 2) + (n_facets,)
+    # subset keys reach n_vertices ** (dim - 1) and must fit an int64
+    if len(incidence_vertices) == dim * n_facets and n_vertices ** (dim - 1) < 2**63:
+        simplices = incidence_vertices.reshape(n_facets, dim)
+        faces = [_distinct_subsets(simplices, k, n_vertices) for k in range(2, dim)]
+        return (n_vertices, *faces, n_facets)
     from scipy import sparse
 
     indptr = np.searchsorted(incidence_facets, np.arange(n_facets + 1))

@@ -58,7 +58,17 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(MINIMAL_GUMBEL))
         assert cfg.experiment == "gumbel"
         assert cfg.output_format == "csv"
-        assert cfg.workers == (os.cpu_count() or 1)
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        assert cfg.workers == usable
+
+    def test_default_workers_count_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("GGP_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert parse_config(json.dumps(MINIMAL_GUMBEL)).workers == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert parse_config(json.dumps(MINIMAL_GUMBEL)).workers == 64
 
     def test_env_workers_default(self, monkeypatch):
         monkeypatch.setenv("GGP_WORKERS", "3")

@@ -1,5 +1,7 @@
 import math
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,6 +42,39 @@ def record_key(records):
     ]
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """How many tasks each process pool the engine starts is handed."""
+    mapped = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def map(self, fn, tasks, **kwargs):
+            mapped.append(len(tasks))
+            return super().map(fn, tasks, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    return mapped
+
+
+def _stub_task(rng, params, slow_lam, delay):
+    """One uniform draw from the replication's stream, after sleeping delay
+    seconds if the group's lambda is slow_lam."""
+    if params.lam == slow_lam:
+        time.sleep(delay)
+    return {"u": float(rng.generator().uniform())}
+
+
+def _cold_probe_task(rng, params):
+    """Slow only on stream 19, the probe of one group of 20 replications."""
+    if rng.stream_id == 19:
+        time.sleep(0.01)
+    return {"u": float(rng.generator().uniform())}
+
+
+def _failing_task(rng, params):
+    raise ValueError(f"replication {rng.stream_id} failed")
+
+
 class TestGumbelRunner:
     def test_preconditions(self):
         with pytest.raises(ValidationError):
@@ -55,6 +90,14 @@ class TestGumbelRunner:
     def test_worker_count_invariance(self):
         a = run_gumbel(0, 1, 1000, 120, seed=9, workers=1)
         b = run_gumbel(0, 1, 1000, 120, seed=9, workers=2)
+        assert record_key(a.records) == record_key(b.records)
+
+    def test_worker_count_invariance_through_the_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
+        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
+        a = run_gumbel(0, 1, 1000, 120, seed=9, workers=1)
+        b = run_gumbel(0, 1, 1000, 120, seed=9, workers=2)
+        assert pools == [119]
         assert record_key(a.records) == record_key(b.records)
 
     def test_ks_decreases_with_n(self):
@@ -99,6 +142,15 @@ class TestMomentsRunner:
         grid = [validate_params(2, 0, 2, 50.0)]
         a = run_moments(grid, 200, seed=3, workers=1)
         b = run_moments(grid, 200, seed=3, workers=2)
+        assert record_key(a.records) == record_key(b.records)
+
+    def test_worker_invariant_through_the_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
+        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
+        grid = [validate_params(2, 0, 2, 50.0)]
+        a = run_moments(grid, 200, seed=3, workers=1)
+        b = run_moments(grid, 200, seed=3, workers=2)
+        assert pools == [199]
         assert record_key(a.records) == record_key(b.records)
 
     def test_short_grid_reports_info_without_fit(self):
@@ -205,6 +257,75 @@ class TestTailsRunner:
         shape = next(c for c in result.checks if c.name == "tails_exponential_shape")
         assert shape.status == "INFO" and "not judged" in shape.detail
         assert math.isnan(result.records[-1].metrics["tail_slope"])
+
+
+class TestDispatch:
+    """With workers > 1, replicate times a probe replication in-process and
+    starts a process pool only when the rest would cost more than the pool."""
+
+    GROUPS = [validate_params(2, 0, 2, 1.0), validate_params(2, 0, 2, 2.0)]
+
+    @pytest.mark.parametrize("pool_start_s, mapped", [(0.0, [399]), (math.inf, [])])
+    def test_each_branch_matches_one_worker(self, monkeypatch, pools, pool_start_s, mapped):
+        grid = [validate_params(2, 0, 2, 50.0), validate_params(2, 0, 2, 80.0)]
+        serial = run_moments(grid, 200, seed=3, workers=1)
+        monkeypatch.setattr(experiments, "POOL_START_S", pool_start_s)
+        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
+        parallel = run_moments(grid, 200, seed=3, workers=2)
+        assert pools == mapped
+        assert record_key(parallel.records) == record_key(serial.records)
+        assert [c.status for c in parallel.checks] == [c.status for c in serial.checks]
+
+    def test_small_run_starts_no_process(self, monkeypatch):
+        serial = run_gumbel(0, 1, 1000, 120, seed=9, workers=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a process pool")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+        parallel = run_gumbel(0, 1, 1000, 120, seed=9, workers=2)
+        assert record_key(parallel.records) == record_key(serial.records)
+
+    def test_probe_is_the_last_replication_of_the_largest_lambda(self, monkeypatch):
+        monkeypatch.setattr(experiments, "POOL_START_S", math.inf)
+        groups = [validate_params(2, 0, 2, lam) for lam in (3.0, 5.0, 5.0, 1.0)]
+        calls = []
+        experiments.replicate("stub", lambda rng, params: calls.append(rng.stream_id) or {},
+                              groups, 3, 1, 2)
+        stride = experiments.STREAM_STRIDE
+        assert calls[0] == 2 * stride + 2  # ties go to the later group
+        assert sorted(calls) == [pi * stride + rep for pi in range(4) for rep in range(3)]
+
+    @pytest.mark.parametrize("cold_call_s, mapped", [(0.05, []), (0.0, [19])])
+    def test_short_probe_is_timed_again(self, monkeypatch, pools, cold_call_s, mapped):
+        # the probe says pool; below COLD_CALL_S the next replication is timed
+        # too, and its shorter time keeps the run in-process
+        monkeypatch.setattr(experiments, "COLD_CALL_S", cold_call_s)
+        serial = experiments.replicate("stub", _cold_probe_task, self.GROUPS[:1], 20, 5, 1)
+        parallel = experiments.replicate("stub", _cold_probe_task, self.GROUPS[:1], 20, 5, 2)
+        assert pools == mapped
+        assert record_key(parallel[0]) == record_key(serial[0])
+
+    def test_slow_probe_sends_the_rest_to_the_pool(self, pools):
+        serial = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 1, 2.0, 0.01)
+        parallel = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 2, 2.0, 0.01)
+        assert pools == [15]
+        assert record_key(parallel[0]) == record_key(serial[0])
+        assert parallel[1:] == serial[1:]
+
+    def test_slow_rest_reaches_the_pool_through_the_fallback(self, pools):
+        # the probe (lambda 2) is fast, so the rest starts in-process; the slow
+        # lambda-1 group passes the break-even and hands what is left to a pool
+        serial = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 1, 1.0, 0.03)
+        parallel = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 2, 1.0, 0.03)
+        assert len(pools) == 1 and 0 < pools[0] < 15
+        assert record_key(parallel[0]) == record_key(serial[0])
+        assert parallel[1:] == serial[1:]
+
+    def test_probe_exception_propagates(self, pools):
+        with pytest.raises(ValueError, match=r"replication 1000001 failed"):
+            experiments.replicate("stub", _failing_task, self.GROUPS, 2, 5, 2)
+        assert pools == []
 
 
 @pytest.fixture

@@ -169,6 +169,19 @@ class TestConvexHull:
                 assert np.array_equal(view.vertex_indices, f.vertex_indices)
                 assert np.array_equal(view.normal, f.normal) and view.offset == f.offset
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_simplicial_f_vector_matches_sparse_reference(self, d):
+        # random clouds, inside a ball or on its sphere, have simplicial hulls,
+        # whose f1 (and f2) count distinct vertex pairs (triples) of facets
+        rng = np.random.default_rng(20 + d)
+        for k in range(16):
+            pts = rng.standard_normal((int(rng.integers(d + 2, 600)), d))
+            if k % 2:
+                pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            p = convex_hull(pts)
+            assert len(p.incidence_vertices) == d * len(p.facet_offsets)
+            assert p.f_vector == reference_facets(pts)[1]
+
     def test_facet_groups_match_unique_grouping(self):
         for pts in facet_table_clouds():
             qh = ConvexHull(unique_rows_in_order(pts))
