@@ -6,21 +6,17 @@ from .festoon import (
     Festoon,
     extreme_points,
     lift,
-    phi_boundary,
-    psi_boundary,
-    psi_lambda_boundary,
+    phi_boundary_batch,
+    psi_envelope,
+    psi_lambda_envelope,
     rescaled_hull_boundary,
-    sup_distance,
 )
 from .hull import (
     Polytope,
     convex_hull,
-    intrinsic_volume,
     is_vertex_ball,
     is_vertex_lp,
-    radial_function,
-    surface_area,
-    volume,
+    radial_function_batch,
 )
 from .params import (
     ModelParams,
@@ -31,21 +27,17 @@ from .params import (
     validate_params,
 )
 from .rescale import (
-    QuasiGrain,
-    ScaledPoint,
     exp_inverse,
     exp_map,
-    grain_boundary,
     inverse_transform,
     rescaled_intensity,
-    transform,
+    transform_batch,
 )
 from .sampling import (
     PointCloud,
     RngStream,
     ScaledWindow,
     sample_direction,
-    sample_limit_process,
     sample_polytope_input,
     sample_radius,
     sample_standardized_max,

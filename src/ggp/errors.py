@@ -55,10 +55,6 @@ class OutsideWindow(GgpError):
     """Scaled point lies outside the target window of the scaling map."""
 
 
-class CosineDegenerate(GgpError):
-    """Downward grain boundary undefined at geodesic distance >= pi/2."""
-
-
 class OutsideSupport(GgpError):
     """Query location outside the spatial hull of the extreme points."""
 

@@ -698,8 +698,8 @@ def _polytope_task(rng, params):
         for j, fj in enumerate(poly.f_vector):
             if fj is not None:
                 out[f"f{j}"] = float(fj)
-        out[f"v{params.d}"] = poly._volume
-        out[f"v{params.d - 1}"] = poly._area / 2.0
+        out[f"v{params.d}"] = poly.volume
+        out[f"v{params.d - 1}"] = poly.area / 2.0
     return out
 
 
@@ -1085,7 +1085,7 @@ def _vertex_task(rng, params, L, r_lambda):
             if ix in hull_set:
                 gap = w[ix, -1] - phi_boundary_batch(fest, w[ix, :-1][None, :])[0]
             else:
-                gap = w[ix, -1] - rescaled_hull_boundary(poly, w[ix, :-1], params, r_lambda)
+                gap = w[ix, -1] - rescaled_hull_boundary(poly, w[ix:ix + 1, :-1], params, r_lambda)[0]
             if abs(gap) <= margin:
                 exceptions += 1
         return {

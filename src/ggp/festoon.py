@@ -23,56 +23,49 @@ import numpy as np
 from .errors import EmptyInput, OutsideSupport
 from .hull import Polytope, facet_groups, is_convex_combination, radial_function_batch
 from .params import ModelParams
-from .rescale import ScaledPoint, exp_map
+from .rescale import exp_map
 
 __all__ = [
     "Festoon",
     "lift",
     "extreme_points",
-    "phi_boundary",
     "phi_boundary_batch",
-    "psi_boundary",
-    "psi_lambda_boundary",
+    "psi_envelope",
     "psi_lambda_envelope",
     "rescaled_hull_boundary",
     "stable_height",
-    "sup_distance",
     "windowed_festoon",
     "ball_grid",
 ]
 
 
 def _as_scaled_array(points) -> np.ndarray:
-    """Normalize a list of ScaledPoint or an (n, m+1) array to an array."""
-    if isinstance(points, np.ndarray):
-        arr = points.astype(float, copy=False)
-    else:
-        rows = [p.as_array() if isinstance(p, ScaledPoint) else np.asarray(p, float) for p in points]
-        if len(rows) == 0:
-            raise EmptyInput("no scaled points")
-        arr = np.vstack(rows)
+    """Normalize (n, m+1) rows (v_1..v_m, h) to a float array."""
+    arr = np.asarray(points, dtype=float)
+    if arr.size == 0:
+        raise EmptyInput("no scaled points")
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("expected rows (v_1..v_m, h) with m >= 1")
-    if arr.shape[0] == 0:
-        raise EmptyInput("no scaled points")
     return arr
+
+
+def _as_grid(grid, m: int) -> np.ndarray:
+    """Spatial locations as a (k, m) float array; ValueError for any other shape."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] != m:
+        raise ValueError(f"expected a grid of shape (k, {m}), got {grid.shape}")
+    return grid
 
 
 def lift(w):
     """Parabolic lifting s = h + ||v||^2 / 2.
 
-    Accepts a ScaledPoint, a single row (v.., h) or an (n, m+1) array and
-    returns the same shape with h replaced by s.
+    Maps an (n, m+1) array of rows (v.., h) to the rows (v.., s).
     """
-    if isinstance(w, ScaledPoint):
-        arr = w.as_array()
-        return np.concatenate([arr[:-1], [arr[-1] + 0.5 * float(arr[:-1] @ arr[:-1])]])
     arr = np.asarray(w, dtype=float)
-    single = arr.ndim == 1
-    a = arr[None, :] if single else arr
-    out = a.copy()
-    out[:, -1] = a[:, -1] + 0.5 * np.sum(a[:, :-1] ** 2, axis=1)
-    return out[0] if single else out
+    out = arr.copy()
+    out[:, -1] = arr[:, -1] + 0.5 * np.sum(arr[:, :-1] ** 2, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,19 +166,15 @@ def _spatial_hull(spatial: np.ndarray):
     return qh.equations
 
 
-def phi_boundary(f: Festoon, v):
-    """Festoon boundary height at one spatial location v (see phi_boundary_batch)."""
-    return float(phi_boundary_batch(f, v)[0])
-
-
 def phi_boundary_batch(f: Festoon, grid: np.ndarray) -> np.ndarray:
     """Festoon boundary over a (k, m) batch of spatial locations.
 
     Equals the lifted lower-hull height minus ||v||^2/2; raises
     OutsideSupport if any location leaves the spatial hull of the extreme
-    points (there the boundary is unbounded).
+    points (there the boundary is unbounded), and ValueError unless grid
+    has shape (k, m).
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    grid = _as_grid(grid, f.spatial_dim)
     spatial = f.extreme_points[:, :-1]
     tol = 1e-9 * max(1.0, float(np.max(np.abs(spatial))))
     if f.spatial_dim == 1:
@@ -253,17 +242,15 @@ def stable_height(f: Festoon, L: float) -> float:
     return float(np.max(icpts[near] + 0.5 * np.sum(grads[near] ** 2, axis=1)))
 
 
-def psi_boundary(points, v):
-    """Lower envelope of upward unit paraboloids planted at the points."""
+def psi_envelope(points, grid: np.ndarray) -> np.ndarray:
+    """Lower envelope of upward unit paraboloids h0 + ||v - v0||^2/2 planted
+    at the points (v0.., h0), over a (k, m) grid; returns (k,). The R -> inf
+    limit of psi_lambda_envelope.
+    """
     arr = _as_scaled_array(points)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    d2 = np.sum((arr[:, :-1] - v[None, :]) ** 2, axis=1)
-    return float(np.min(arr[:, -1] + 0.5 * d2))
-
-
-def psi_lambda_boundary(points, v, params: ModelParams, r_lambda: float):
-    """Lower envelope of upward quasi-grains at finite intensity, at one v."""
-    return float(psi_lambda_envelope(points, np.atleast_2d(v), params.beta, r_lambda)[0])
+    grid = _as_grid(grid, arr.shape[1] - 1)
+    d2 = np.sum((grid[:, None, :] - arr[None, :, :-1]) ** 2, axis=2)
+    return np.min(arr[None, :, -1] + 0.5 * d2, axis=1)
 
 
 def psi_lambda_envelope(points, grid: np.ndarray, beta: float, r_lambda: float) -> np.ndarray:
@@ -274,6 +261,7 @@ def psi_lambda_envelope(points, grid: np.ndarray, beta: float, r_lambda: float) 
     amplification.
     """
     arr = _as_scaled_array(points)
+    grid = _as_grid(grid, arr.shape[1] - 1)
     rb = r_lambda**beta
     scale = r_lambda ** (-beta / 2.0)
     ug = exp_map(grid * scale)  # (k, m+1)
@@ -285,19 +273,16 @@ def psi_lambda_envelope(points, grid: np.ndarray, beta: float, r_lambda: float) 
     return vals.min(axis=1)
 
 
-def rescaled_hull_boundary(p: Polytope, v, params: ModelParams, r_lambda: float):
-    """Height of the rescaled polytope boundary above spatial location v.
+def rescaled_hull_boundary(p: Polytope, grid: np.ndarray, params: ModelParams, r_lambda: float):
+    """Height of the rescaled polytope boundary over a (k, d-1) grid of
+    spatial locations v; returns (k,).
 
     h(v) = R^beta (1 - rho(u)/R) with u the exponential image of v and rho
     the hull's radial function; requires the origin interior to the hull.
     """
-    v = np.asarray(v, dtype=float)
-    single = v.ndim <= 1
-    vv = np.atleast_2d(v)
-    u = exp_map(vv * r_lambda ** (-params.beta / 2.0))
+    u = exp_map(_as_grid(grid, p.dim - 1) * r_lambda ** (-params.beta / 2.0))
     rho = radial_function_batch(p, u)
-    h = r_lambda ** (params.beta - 1.0) * (r_lambda - rho)
-    return float(h[0]) if single else h
+    return r_lambda ** (params.beta - 1.0) * (r_lambda - rho)
 
 
 def ball_grid(L: float, grid_n: int, m: int) -> np.ndarray:
@@ -306,22 +291,6 @@ def ball_grid(L: float, grid_n: int, m: int) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([a.ravel() for a in mesh])
     return pts[np.linalg.norm(pts, axis=1) <= L + 1e-12]
-
-
-def sup_distance(f, g, L: float, grid_n: int, spatial_dim: int = 1) -> float:
-    """Max |f - g| over a deterministic grid of the spatial L-ball.
-
-    f and g map a batch (k, m) of locations to (k,) heights; each is called
-    once on the whole grid, and any other result shape raises ValueError.
-    """
-    grid = ball_grid(L, grid_n, spatial_dim)
-    heights = []
-    for fun in (f, g):
-        out = np.asarray(fun(grid), dtype=float)
-        if out.shape != (len(grid),):
-            raise ValueError(f"expected heights of shape ({len(grid)},), got {out.shape}")
-        heights.append(out)
-    return float(np.max(np.abs(heights[0] - heights[1])))
 
 
 def windowed_festoon(scaled_points: np.ndarray, L: float, spatial_limit: float | None = None):

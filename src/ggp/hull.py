@@ -1,4 +1,4 @@
-"""Exact d-dimensional convex hulls with face counts and intrinsic volumes.
+"""Exact d-dimensional convex hulls with face counts, volume and surface area.
 
 Hull construction is delegated to Qhull (scipy.spatial.ConvexHull), which
 merges coplanar facets. The merged facets are kept as one array table
@@ -12,42 +12,20 @@ The facet grouping (facet_groups) and the convex-combination LP
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInput, IndexOutOfRange, OriginOutside, OriginPoint
-from .params import unit_ball_volume
-from .sampling import PointCloud, _gen
+from .sampling import PointCloud
 
 __all__ = [
-    "Facet",
-    "FacetView",
     "Polytope",
-    "KubotaEstimate",
     "convex_hull",
     "is_vertex_lp",
     "is_vertex_ball",
-    "volume",
-    "surface_area",
-    "intrinsic_volume",
-    "radial_function",
     "radial_function_batch",
 ]
-
-
-@dataclass(frozen=True)
-class Facet:
-    """One (d-1)-face: outward unit normal, offset, and its vertex indices.
-
-    Vertex indices point into the owning Polytope's vertex array; the facet
-    plane is {x : <normal, x> = offset} with <normal, x> <= offset inside.
-    """
-
-    normal: np.ndarray
-    offset: float
-    vertex_indices: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,7 +38,8 @@ class Polytope:
     facet, then vertex; vertex indices point into vertices. f_vector holds
     (f_0, ..., f_{d-1}); middle entries are None for d > 4 where ridge
     enumeration is not performed. vertex_input_indices maps each vertex
-    back to its row in the original (pre-deduplication) input.
+    back to its row in the original (pre-deduplication) input. volume and
+    area are Qhull's d-volume and surface area (the perimeter when d = 2).
     """
 
     dim: int
@@ -71,38 +50,16 @@ class Polytope:
     incidence_vertices: np.ndarray
     f_vector: tuple
     vertex_input_indices: np.ndarray
-    _volume: float
-    _area: float
+    volume: float
+    area: float
 
     @property
-    def facets(self) -> FacetView:
-        """Per-facet view of the table; len() is the merged-facet count."""
-        return FacetView(self)
+    def facets(self) -> np.ndarray:
+        """The merged facets' outward normals; len() is the merged-facet count."""
+        return self.facet_normals
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.vertices))) or 1.0
-
-
-class FacetView:
-    """The merged facets of a Polytope as a read-only sequence of Facet.
-
-    len() is the merged-facet count; each Facet is built only when indexed
-    (iteration indexes until IndexError), so the facet table stays the one
-    stored form.
-    """
-
-    def __init__(self, poly: Polytope):
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly.facet_offsets)
-
-    def __getitem__(self, g: int) -> Facet:
-        p = self._poly
-        g = range(len(self))[g]  # bounds check and negative indices
-        lo, hi = np.searchsorted(p.incidence_facets, [g, g + 1])
-        return Facet(normal=p.facet_normals[g].copy(), offset=float(p.facet_offsets[g]),
-                     vertex_indices=p.incidence_vertices[lo:hi].copy())
 
 
 def _dedup(points: np.ndarray):
@@ -242,8 +199,8 @@ def convex_hull(cloud, assume_unique=False) -> Polytope:
         incidence_vertices=incidence_vertices,
         f_vector=_count_faces(dim, n_vertices, len(eqs), incidence_facets, incidence_vertices),
         vertex_input_indices=orig_idx[vert_idx],
-        _volume=float(qh.volume),
-        _area=float(qh.area),
+        volume=float(qh.volume),
+        area=float(qh.area),
     )
 
 
@@ -340,82 +297,10 @@ def is_vertex_ball(cloud, index: int) -> bool:
     return bool(np.any(np.all(margin > eps, axis=1)))
 
 
-def volume(p: Polytope) -> float:
-    """Volume of the full-dimensional polytope."""
-    return p._volume
-
-
-def surface_area(p: Polytope) -> float:
-    """Sum of facet (d-1)-measures; the perimeter when d = 2."""
-    return p._area
-
-
-@dataclass(frozen=True)
-class KubotaEstimate:
-    """Monte Carlo intrinsic-volume estimate with its standard error."""
-
-    value: float
-    stderr: float
-    n_directions: int
-
-    def __float__(self):
-        return self.value
-
-
-def intrinsic_volume(p: Polytope, i: int, n_directions: int = 2000, rng=None,
-                     force_mc: bool = False) -> KubotaEstimate:
-    """i-th intrinsic volume V_i.
-
-    i = d and i = d-1 fall through to the exact volume and half surface
-    area (force_mc keeps the Monte Carlo route for cross-checks). Otherwise
-    V_i is estimated as
-
-        binom(d, i) * kappa_d / (kappa_i * kappa_{d-i})
-            * mean of vol_i(projection onto a uniform random i-subspace),
-
-    using orthonormalized Gaussian frames; projection hull volumes reuse
-    this module's hull engine in i dimensions.
-    """
-    d = p.dim
-    if not 1 <= i <= d:
-        raise IndexOutOfRange(f"i = {i} not in 1..{d}")
-    if i == d:
-        return KubotaEstimate(volume(p), 0.0, 0)
-    if i == d - 1 and not force_mc:
-        return KubotaEstimate(surface_area(p) / 2.0, 0.0, 0)
-    if n_directions < 1:
-        raise ValueError("n_directions must be >= 1")
-    from scipy.spatial import ConvexHull, QhullError
-
-    g = _gen(rng) if rng is not None else np.random.default_rng(0)
-    frames = g.standard_normal((n_directions, d, i))
-    q, _ = np.linalg.qr(frames)
-    vols = np.empty(n_directions)
-    verts = p.vertices
-    for k in range(n_directions):
-        proj = verts @ q[k]
-        if i == 1:
-            vols[k] = float(proj.max() - proj.min())
-        else:
-            try:
-                vols[k] = ConvexHull(proj).volume
-            except QhullError:
-                vols[k] = 0.0  # measure-zero degenerate projection
-    coef = math.comb(d, i) * unit_ball_volume(d) / (unit_ball_volume(i) * unit_ball_volume(d - i))
-    value = coef * float(vols.mean())
-    stderr = coef * float(vols.std(ddof=1)) / math.sqrt(n_directions) if n_directions > 1 else 0.0
-    return KubotaEstimate(value, stderr, n_directions)
-
-
 def _require_origin_interior(p: Polytope):
     eps = 1e-12 * p.scale()
     if np.any(p.facet_offsets <= eps):
         raise OriginOutside("origin is not interior to the polytope")
-
-
-def radial_function(p: Polytope, u: np.ndarray) -> float:
-    """Distance from the origin to the boundary along direction u."""
-    return float(radial_function_batch(p, np.asarray(u, dtype=float)[None, :])[0])
 
 
 def radial_function_batch(p: Polytope, dirs: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""The scaling transformation, its window, the exact rescaled intensity,
-and the quasi-paraboloid grain boundaries.
+"""The scaling transformation, its inverse and window, and the exact
+rescaled intensity, all on arrays of points.
 
 A point x != o maps to (v, h) with v = R^(beta/2) * exp^{-1}(x/||x||) in the
 tangent plane at the north pole and h = R^beta (1 - ||x||/R); the origin maps
@@ -10,61 +10,20 @@ variables (density times Jacobian), never through its Taylor expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CosineDegenerate, OutsideWindow
+from .errors import OutsideWindow
 from .params import ModelParams, normalization
 
 __all__ = [
-    "ScaledPoint",
-    "QuasiGrain",
-    "north_pole",
     "antipode_sentinel",
     "exp_map",
     "exp_inverse",
-    "transform",
     "transform_batch",
     "inverse_transform",
-    "window_contains",
     "rescaled_intensity",
-    "geodesic_distance",
-    "grain_boundary",
 ]
-
-
-@dataclass(frozen=True)
-class ScaledPoint:
-    """A point (v, h) of the rescaled space R^{d-1} x R."""
-
-    v: np.ndarray
-    h: float
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(np.asarray(self.v, dtype=float)), [self.h]])
-
-
-@dataclass(frozen=True)
-class QuasiGrain:
-    """Curved grain planted at an apex; the finite-intensity paraboloid analogue."""
-
-    apex: ScaledPoint
-    orientation: str  # "up" or "down"
-    r_lambda: float
-    beta: float
-
-    def __post_init__(self):
-        if self.orientation not in ("up", "down"):
-            raise ValueError(f"orientation must be 'up' or 'down', got {self.orientation!r}")
-        if self.r_lambda < 1:
-            raise ValueError("r_lambda must be >= 1")
-
-
-def north_pole(d: int) -> np.ndarray:
-    u = np.zeros(d)
-    u[-1] = 1.0
-    return u
 
 
 def antipode_sentinel(d: int) -> np.ndarray:
@@ -75,44 +34,35 @@ def antipode_sentinel(d: int) -> np.ndarray:
 
 
 def exp_map(v: np.ndarray) -> np.ndarray:
-    """Exponential map at the north pole: tangent vectors (.., d-1) -> sphere (.., d)."""
+    """Exponential map at the north pole: tangent vectors (n, d-1) -> sphere (n, d)."""
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    vv = v[None, :] if single else v
-    t = np.linalg.norm(vv, axis=1)
-    d = vv.shape[1] + 1
-    out = np.empty((len(vv), d))
+    t = np.linalg.norm(v, axis=1)
+    d = v.shape[1] + 1
+    out = np.empty((len(v), d))
     safe = np.where(t > 0, t, 1.0)
-    out[:, :-1] = vv * (np.sin(t) / safe)[:, None]
+    out[:, :-1] = v * (np.sin(t) / safe)[:, None]
     out[:, -1] = np.cos(t)
-    return out[0] if single else out
+    return out
 
 
 def exp_inverse(u: np.ndarray) -> np.ndarray:
-    """Inverse exponential map at the north pole; the antipode gets the sentinel.
+    """Inverse exponential map at the north pole, sphere (n, d) -> tangent
+    vectors (n, d-1); the antipode gets the sentinel.
 
     Uses atan2 of (tangential norm, height) so the geodesic length is stable
     near both poles.
     """
     u = np.asarray(u, dtype=float)
-    single = u.ndim == 1
-    uu = u[None, :] if single else u
-    d = uu.shape[1]
-    s = np.linalg.norm(uu[:, :-1], axis=1)
-    t = np.arctan2(s, uu[:, -1])
-    out = np.zeros((len(uu), d - 1))
+    d = u.shape[1]
+    s = np.linalg.norm(u[:, :-1], axis=1)
+    t = np.arctan2(s, u[:, -1])
+    out = np.zeros((len(u), d - 1))
     pos = s > 0
-    out[pos] = uu[pos, :-1] * (t[pos] / s[pos])[:, None]
-    antip = (~pos) & (uu[:, -1] < 0)
+    out[pos] = u[pos, :-1] * (t[pos] / s[pos])[:, None]
+    antip = (~pos) & (u[:, -1] < 0)
     if np.any(antip):
         out[antip] = antipode_sentinel(d)
-    return out[0] if single else out
-
-
-def transform(x: np.ndarray, params: ModelParams, r_lambda: float) -> ScaledPoint:
-    """Scaling map of a single point; the origin goes to (o, R^beta)."""
-    w = transform_batch(np.asarray(x, dtype=float)[None, :], params.beta, r_lambda)[0]
-    return ScaledPoint(v=w[:-1], h=float(w[-1]))
+    return out
 
 
 def transform_batch(x: np.ndarray, beta: float, r_lambda: float) -> np.ndarray:
@@ -134,27 +84,28 @@ def transform_batch(x: np.ndarray, beta: float, r_lambda: float) -> np.ndarray:
     return out
 
 
-def window_contains(v: np.ndarray, h: float, beta: float, r_lambda: float, tol=1e-9) -> bool:
-    """Whether (v, h) lies in the window R^(beta/2) B(o, pi) x (-inf, R^beta]."""
+def _check_window(arr: np.ndarray, beta: float, r_lambda: float):
+    """Raise OutsideWindow unless every row (v.., h) of arr lies in the
+    window R^(beta/2) B(o, pi) x (-inf, R^beta], up to a 1e-9 tolerance."""
     vmax = math.pi * r_lambda ** (beta / 2.0)
-    return (np.linalg.norm(v) <= vmax * (1 + tol)) and (h <= r_lambda**beta * (1 + tol) + tol)
+    vnorm = np.linalg.norm(arr[:, :-1], axis=1)
+    inside = (vnorm <= vmax * (1 + 1e-9)) & (arr[:, -1] <= r_lambda**beta * (1 + 1e-9) + 1e-9)
+    if not np.all(inside):
+        k = int(np.argmin(inside))
+        raise OutsideWindow(f"(||v||={vnorm[k]:.4g}, h={arr[k, -1]:.4g}) outside the window")
 
 
 def inverse_transform(w, params: ModelParams, r_lambda: float) -> np.ndarray:
-    """Unique preimage of a scaled point; raises OutsideWindow off the window."""
-    if isinstance(w, ScaledPoint):
-        v, h = np.atleast_1d(np.asarray(w.v, dtype=float)), float(w.h)
-    else:
-        arr = np.asarray(w, dtype=float)
-        v, h = arr[:-1], float(arr[-1])
+    """Unique preimages of scaled points: one row (v.., h) or an (n, d)
+    array of rows; raises OutsideWindow if any row leaves the window."""
+    arr = np.asarray(w, dtype=float)
+    single = arr.ndim == 1
+    arr = np.atleast_2d(arr)
     beta = params.beta
-    if not window_contains(v, h, beta, r_lambda):
-        raise OutsideWindow(f"(||v||={np.linalg.norm(v):.4g}, h={h:.4g}) outside the window")
-    r = r_lambda - h / r_lambda ** (beta - 1.0)
-    if r <= 0.0:
-        return np.zeros(params.d)
-    u = exp_map(v / r_lambda ** (beta / 2.0))
-    return r * u
+    _check_window(arr, beta, r_lambda)
+    r = np.maximum(r_lambda - arr[:, -1] / r_lambda ** (beta - 1.0), 0.0)
+    x = r[:, None] * exp_map(arr[:, :-1] / r_lambda ** (beta / 2.0))
+    return x[0] if single else x
 
 
 def rescaled_intensity(w, params: ModelParams, r_lambda: float, constants=None):
@@ -164,25 +115,18 @@ def rescaled_intensity(w, params: ModelParams, r_lambda: float, constants=None):
                * R^(-beta(d-1)/2),
 
     with r the preimage radius, theta = R^(-beta/2) ||v||, and phi the
-    normalized density (using c_star). Accepts a ScaledPoint or an (n, d)
-    array of rows (v.., h); integrates to lam over the window.
+    normalized density (using c_star). Accepts one row (v.., h) or an (n, d)
+    array of rows; integrates to lam over the window.
     """
     d, alpha, beta = params.d, params.alpha, params.beta
     if constants is None:
         constants = normalization(d, alpha, beta)
-    if isinstance(w, ScaledPoint):
-        arr = w.as_array()[None, :]
-        single = True
-    else:
-        arr = np.asarray(w, dtype=float)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
+    arr = np.asarray(w, dtype=float)
+    single = arr.ndim == 1
+    arr = np.atleast_2d(arr)
+    _check_window(arr, beta, r_lambda)
     v, h = arr[:, :-1], arr[:, -1]
     vnorm = np.linalg.norm(v, axis=1)
-    vmax = math.pi * r_lambda ** (beta / 2.0)
-    if np.any(vnorm > vmax * (1 + 1e-9)) or np.any(h > r_lambda**beta * (1 + 1e-9) + 1e-9):
-        raise OutsideWindow("point outside the scaling window")
     r = r_lambda - h / r_lambda ** (beta - 1.0)
     r = np.maximum(r, 0.0)
     theta = vnorm / r_lambda ** (beta / 2.0)
@@ -194,52 +138,3 @@ def rescaled_intensity(w, params: ModelParams, r_lambda: float, constants=None):
     log_jac = -(beta - 1.0) * math.log(r_lambda) - (beta * (d - 1) / 2.0) * math.log(r_lambda)
     dens = params.lam * np.exp(log_phi + log_r_part + log_jac) * sinc
     return float(dens[0]) if single else dens
-
-
-def _half_angle_sin_sq(v1, v2, beta, r_lambda):
-    """sin^2(d/2) for the geodesic distance d between exponential images.
-
-    Computed from chord lengths as diff^2 / (diff^2 + summ^2), which keeps
-    full precision where 1 - cos(d) would cancel catastrophically.
-    """
-    scale = r_lambda ** (-beta / 2.0)
-    u1 = exp_map(np.asarray(v1, dtype=float) * scale)
-    u2 = exp_map(np.asarray(v2, dtype=float) * scale)
-    d2 = np.sum((u1 - u2) ** 2, axis=-1)
-    s2 = np.sum((u1 + u2) ** 2, axis=-1)
-    return d2 / (d2 + s2)
-
-
-def geodesic_distance(v1: np.ndarray, v2: np.ndarray, beta: float, r_lambda: float):
-    """Geodesic distance on the sphere between the images of rescaled tangent
-    vectors v1 and v2 under the exponential map.
-
-    Stable two-argument arctangent form: theta = 2 atan2(||u1-u2||, ||u1+u2||).
-    Supports broadcasting of a batch of v1 rows against a single v2.
-    """
-    scale = r_lambda ** (-beta / 2.0)
-    u1 = exp_map(np.asarray(v1, dtype=float) * scale)
-    u2 = exp_map(np.asarray(v2, dtype=float) * scale)
-    diff = np.linalg.norm(u1 - u2, axis=-1)
-    summ = np.linalg.norm(u1 + u2, axis=-1)
-    return 2.0 * np.arctan2(diff, summ)
-
-
-def grain_boundary(grain: QuasiGrain, v: np.ndarray):
-    """Boundary height of a quasi-grain at spatial location(s) v.
-
-    Upward grains: h = R^beta (1 - cos(d)) + h' cos(d).
-    Downward grains: h = R^beta - (R^beta - h') / cos(d), undefined at
-    geodesic distance >= pi/2 (CosineDegenerate). Both use
-    1 - cos(d) = 2 sin^2(d/2) so the R^beta amplification stays accurate.
-    """
-    rb = grain.r_lambda**grain.beta
-    h0 = grain.apex.h
-    s2 = _half_angle_sin_sq(np.asarray(v, dtype=float), np.asarray(grain.apex.v, dtype=float),
-                            grain.beta, grain.r_lambda)
-    c = 1.0 - 2.0 * s2
-    if grain.orientation == "up":
-        return (rb - h0) * 2.0 * s2 + h0
-    if np.any(c <= 1e-12):
-        raise CosineDegenerate("downward grain undefined at geodesic distance >= pi/2")
-    return (h0 - rb * 2.0 * s2) / c

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .params import ModelParams, gumbel_centering, unit_ball_volume
+from .params import ModelParams, gumbel_centering
 
 __all__ = [
     "RngStream",
@@ -25,7 +25,6 @@ __all__ = [
     "radial_tail",
     "radial_tail_inverse",
     "sample_polytope_input",
-    "sample_limit_process",
     "sample_standardized_max",
 ]
 
@@ -75,10 +74,8 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class ScaledWindow:
-    """Spatial ball of radius L times height interval (h_min, h_max].
-
-    h_min may be -inf; the window mass under intensity e^h stays finite.
-    """
+    """Spatial ball of radius L times height interval (h_min, h_max] of the
+    rescaled space; h_min may be -inf."""
 
     spatial_radius: float
     h_min: float
@@ -89,12 +86,6 @@ class ScaledWindow:
             raise ValidationError("spatial_radius", "must be > 0")
         if not self.h_min < self.h_max:
             raise ValidationError("h_min", "must be < h_max")
-
-    def mass(self, d: int) -> float:
-        """Expected point count under the limiting intensity e^h dv dh."""
-        vol = unit_ball_volume(d - 1) * self.spatial_radius ** (d - 1)
-        low = 0.0 if math.isinf(self.h_min) else math.exp(self.h_min)
-        return vol * (math.exp(self.h_max) - low)
 
 
 def sample_radius(rng, d: int, alpha: float, beta: float, size=None):
@@ -109,20 +100,14 @@ def sample_radius(rng, d: int, alpha: float, beta: float, size=None):
     return (beta * t) ** (1.0 / beta)
 
 
-def sample_direction(rng, d: int, size=None):
-    """Uniform directions on S^{d-1} via normalized Gaussian vectors."""
+def sample_direction(rng, d: int, size: int):
+    """size uniform directions on S^{d-1}, shape (size, d), via normalized
+    Gaussian vectors."""
     g = _gen(rng)
-    if size is None:
-        u = g.standard_normal(d)
-        n = np.linalg.norm(u)
-        while n == 0.0:  # probability-zero guard
-            u = g.standard_normal(d)
-            n = np.linalg.norm(u)
-        return u / n
     u = g.standard_normal((size, d))
     n = np.linalg.norm(u, axis=1, keepdims=True)
     bad = n[:, 0] == 0.0
-    while np.any(bad):
+    while np.any(bad):  # probability-zero guard
         u[bad] = g.standard_normal((int(bad.sum()), d))
         n = np.linalg.norm(u, axis=1, keepdims=True)
         bad = n[:, 0] == 0.0
@@ -171,31 +156,6 @@ def sample_polytope_input(rng, params: ModelParams, r_min: float = 0.0,
     # size-0 draws leave the generator untouched, so an empty cloud needs no branch
     u = sample_direction(g, params.d, size=n)
     return PointCloud(dim=params.d, points=u * r[:, None])
-
-
-def sample_limit_process(rng, d: int, window: ScaledWindow) -> np.ndarray:
-    """Poisson process on the window with intensity e^h dv dh.
-
-    Returns an array of shape (n, d) whose rows are (v_1..v_{d-1}, h).
-    Heights use the exact inverse CDF of the truncated exponential-of-h law;
-    spatial coordinates are uniform in the (d-1)-ball.
-    """
-    g = _gen(rng)
-    n = int(g.poisson(window.mass(d)))
-    out = np.empty((n, d))
-    if n == 0:
-        return out
-    m = d - 1
-    dirs = sample_direction(g, m, size=n)
-    radii = window.spatial_radius * g.random(n) ** (1.0 / m)
-    out[:, :m] = dirs * radii[:, None]
-    u = g.random(n)
-    if math.isinf(window.h_min):
-        out[:, m] = window.h_max + np.log(u)
-    else:
-        lo, hi = math.exp(window.h_min), math.exp(window.h_max)
-        out[:, m] = np.log(lo + u * (hi - lo))
-    return out
 
 
 def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):

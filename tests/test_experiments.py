@@ -525,8 +525,8 @@ def polytope_metrics(cloud, d):
     poly = convex_hull(cloud, assume_unique=True)
     out = {"skipped": 0.0, "n_points": float(len(cloud))}
     out.update({f"f{j}": float(fj) for j, fj in enumerate(poly.f_vector) if fj is not None})
-    out[f"v{d}"] = poly._volume
-    out[f"v{d - 1}"] = poly._area / 2.0
+    out[f"v{d}"] = poly.volume
+    out[f"v{d - 1}"] = poly.area / 2.0
     return out
 
 
@@ -561,8 +561,8 @@ class TestShellSampling:
             whole = convex_hull(pts, assume_unique=True)
             assert sorted(map(tuple, part.vertices)) == sorted(map(tuple, whole.vertices))
             assert part.f_vector == whole.f_vector
-            assert part._volume == pytest.approx(whole._volume, rel=1e-12)
-            assert part._area == pytest.approx(whole._area, rel=1e-12)
+            assert part.volume == pytest.approx(whole.volume, rel=1e-12)
+            assert part.area == pytest.approx(whole.area, rel=1e-12)
         assert certified >= 5
 
     @pytest.mark.parametrize("d, lam, reps", [(2, 5000.0, 300), (3, 3000.0, 300), (4, 2000.0, 200)])
@@ -704,7 +704,7 @@ class TestFestoonShell:
         h0 = r_lambda ** (p.beta - 1) * (r_lambda - r0)
         shell_w = np.array([[-2.5, 0.0], [2.5, 0.0], [3.0, 2.0], [5.0, -10.0], [9.0, -5.0],
                             [-9.0, -5.0], [-5.0, -3.0]])
-        shell = np.array([inverse_transform(row, p, r_lambda) for row in shell_w])
+        shell = inverse_transform(shell_w, p, r_lambda)
         inner = inverse_transform(np.array([0.0, h0 + 0.1]), p, r_lambda)
         assert np.linalg.norm(inner) < r0 < experiments._inball(convex_hull(shell))
 
@@ -769,7 +769,7 @@ class TestFestoonShell:
         phi0 = float(phi_boundary_batch(fest, np.zeros((1, 1)))[0])
         assert phi0 > h0 + 0.5
         inner_w = np.array([0.0, (h0 + phi0) / 2])
-        shell = np.array([inverse_transform(row, p, r_lambda) for row in shell_w])
+        shell = inverse_transform(shell_w, p, r_lambda)
         inner = inverse_transform(inner_w, p, r_lambda)
         assert np.linalg.norm(shell, axis=1).min() > r0 > np.linalg.norm(inner)
 

@@ -11,18 +11,16 @@ from ggp.festoon import (
     ball_grid,
     extreme_points,
     lift,
-    phi_boundary,
     phi_boundary_batch,
-    psi_boundary,
-    psi_lambda_boundary,
+    psi_envelope,
+    psi_lambda_envelope,
     rescaled_hull_boundary,
     stable_height,
-    sup_distance,
     windowed_festoon,
 )
-from ggp.hull import convex_hull
+from ggp.hull import convex_hull, radial_function_batch
 from ggp.params import critical_radius, validate_params
-from ggp.rescale import ScaledPoint, transform, transform_batch
+from ggp.rescale import exp_map, transform_batch
 from ggp.sampling import RngStream, sample_direction, sample_polytope_input
 
 
@@ -87,12 +85,14 @@ def brute_force_extremes(points, tie_tol=1e-7, endpoints_only=False):
 
 class TestLift:
     def test_examples(self):
-        assert np.allclose(lift(np.array([0.0, -1.0])), [0.0, -1.0])
-        assert np.allclose(lift(np.array([1.0, 0.0])), [1.0, 0.5])
+        assert np.allclose(lift(np.array([[0.0, -1.0]])), [[0.0, -1.0]])
+        assert np.allclose(lift(np.array([[1.0, 0.0]])), [[1.0, 0.5]])
 
     def test_scaled_point_input(self):
-        out = lift(ScaledPoint(v=np.array([2.0]), h=1.0))
-        assert np.allclose(out, [2.0, 3.0])
+        # scaled points (v, h) as the rows of one array, m = 1 and m = 2
+        out = lift(np.array([[2.0, 1.0], [0.0, -1.0]]))
+        assert np.allclose(out, [[2.0, 3.0], [0.0, -1.0]])
+        assert np.allclose(lift(np.array([[1.0, 2.0, 0.5]])), [[1.0, 2.0, 3.0]])
 
     def test_membership_equivalence(self):
         # (v,h) in the downward paraboloid at w0 iff the lift lies in the
@@ -103,7 +103,7 @@ class TestLift:
             w0 = rng.uniform(-2, 2, m + 1)
             w = rng.uniform(-2, 2, m + 1)
             in_paraboloid = w[-1] <= w0[-1] - 0.5 * np.sum((w[:-1] - w0[:-1]) ** 2)
-            lw, lw0 = lift(w), lift(w0)
+            lw, lw0 = lift(np.vstack([w, w0]))
             in_halfspace = lw[-1] <= lw0[-1] + w0[:-1] @ (lw[:-1] - lw0[:-1])
             assert in_paraboloid == in_halfspace
 
@@ -258,15 +258,31 @@ class TestInsertionProperty:
 class TestPhiBoundary:
     def test_single_point_support(self):
         f = extreme_points(np.array([[0.0, -1.0]]))
-        assert phi_boundary(f, np.array([0.0])) == pytest.approx(-1.0, abs=1e-12)
+        assert phi_boundary_batch(f, np.array([[0.0]]))[0] == pytest.approx(-1.0, abs=1e-12)
         with pytest.raises(OutsideSupport):
-            phi_boundary(f, np.array([0.5]))
+            phi_boundary_batch(f, np.array([[0.5]]))
 
     def test_three_point_interpolation(self):
         pts = np.array([[-1.0, 0.0], [0.0, -0.4], [1.0, 0.0]])
         f = extreme_points(pts)
         # lifted chord from (0, -0.4) to (1, 0.5) has height 0.05 at v = 0.5
-        assert phi_boundary(f, np.array([0.5])) == pytest.approx(0.05 - 0.125, abs=1e-12)
+        assert phi_boundary_batch(f, np.array([[0.5]]))[0] == pytest.approx(0.05 - 0.125,
+                                                                           abs=1e-12)
+
+    def test_grid_must_have_shape_k_m(self):
+        # in spatial dimension 1 a 1-D grid of three locations once gave one
+        # value, and a (k, 2) grid lost its second column without an error
+        pts = np.array([[-1.0, 0.0], [0.0, -0.4], [1.0, 0.0]])
+        f = extreme_points(pts)
+        grid = np.array([[-0.5], [0.0], [0.5]])
+        assert phi_boundary_batch(f, grid) == pytest.approx([-0.075, -0.4, -0.075], abs=1e-12)
+        for bad in (grid[:, 0], np.hstack([grid, grid]), grid[None], np.float64(0.0)):
+            with pytest.raises(ValueError):
+                phi_boundary_batch(f, bad)
+            with pytest.raises(ValueError):
+                psi_envelope(pts, bad)
+            with pytest.raises(ValueError):
+                psi_lambda_envelope(pts, bad, 2.0, 10.0)
 
     def test_boundary_passes_through_extremes(self):
         rng = np.random.default_rng(4)
@@ -276,15 +292,14 @@ class TestPhiBoundary:
                 rng.uniform(-3, 0, 25),
             ])
             f = extreme_points(pts)
-            for row in f.extreme_points:
-                assert phi_boundary(f, row[:-1]) == pytest.approx(row[-1], abs=1e-9)
+            ext = f.extreme_points
+            assert phi_boundary_batch(f, ext[:, :-1]) == pytest.approx(ext[:, -1], abs=1e-9)
 
     def test_boundary_below_all_points(self):
         rng = np.random.default_rng(5)
         pts = np.column_stack([rng.uniform(-2, 2, 40), rng.uniform(-3, 1, 40)])
         f = extreme_points(pts)
-        for row in pts:
-            assert phi_boundary(f, row[:-1]) <= row[-1] + 1e-12
+        assert np.all(phi_boundary_batch(f, pts[:, :-1]) <= pts[:, -1] + 1e-12)
 
     def test_psi_dominated_by_phi(self):
         # on the support the upward envelope lies below the festoon: any
@@ -301,10 +316,10 @@ class TestPhiBoundary:
                 for _ in range(20):
                     va = rng.uniform(-1.5, 1.5, spatial_dim)
                     try:
-                        phi = phi_boundary(f, va)
+                        phi = phi_boundary_batch(f, va[None])[0]
                     except OutsideSupport:
                         continue
-                    assert psi_boundary(pts, va) <= phi + 1e-9
+                    assert psi_envelope(pts, va[None])[0] <= phi + 1e-9
 
     def test_festoon_can_exceed_envelope_over_pits(self):
         # explicit configuration where the festoon arc rides above the
@@ -312,14 +327,15 @@ class TestPhiBoundary:
         pts = np.array([[-2.0, 0.0], [0.0, -3.0], [2.0, 0.0]])
         f = extreme_points(pts)
         assert list(f.extreme_indices) == [0, 1, 2]
-        v = np.array([-1.5])
-        assert phi_boundary(f, v) == pytest.approx(-0.375, abs=1e-12)
-        assert psi_boundary(pts, v) == pytest.approx(-1.875, abs=1e-12)
+        v = np.array([[-1.5]])
+        assert phi_boundary_batch(f, v)[0] == pytest.approx(-0.375, abs=1e-12)
+        assert psi_envelope(pts, v)[0] == pytest.approx(-1.875, abs=1e-12)
 
     def test_scalar_equals_batch_on_degenerate_festoons(self):
         # one or two points and collinear/coplanar lifts: the LP membership
         # and least-squares paths; on each support phi(v) = s(v) - |v|^2/2
-        # with s the affine function through the lifts
+        # with s the affine function through the lifts, one location at a
+        # time as in one batch
         coplanar = np.array([[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
         cases = [
             (np.array([[0.3, -1.0]]), [[0.3]], lambda v: -1.0 + 0.045 - 0.5 * v @ v),
@@ -337,55 +353,50 @@ class TestPhiBoundary:
         ]
         for pts, locations, expected in cases:
             f = extreme_points(pts)
-            for v in np.array(locations):
-                batch = phi_boundary_batch(f, v[None])[0]
-                assert phi_boundary(f, v) == batch
-                assert batch == pytest.approx(expected(v), abs=1e-9)
+            locations = np.array(locations)
+            batch = phi_boundary_batch(f, locations)
+            for v, height in zip(locations, batch):
+                assert phi_boundary_batch(f, v[None])[0] == height
+                assert height == pytest.approx(expected(v), abs=1e-9)
         two = extreme_points(np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         with pytest.raises(OutsideSupport):
-            phi_boundary(two, np.array([0.0, 0.5]))
+            phi_boundary_batch(two, np.array([[0.0, 0.5]]))
 
 
 class TestPsiBoundaries:
     def test_single_point(self):
         pts = np.array([[0.0, 0.0]])
-        for v in (0.0, 0.7, -1.3):
-            assert psi_boundary(pts, np.array([v])) == pytest.approx(v**2 / 2, rel=1e-12)
+        vs = np.array([0.0, 0.7, -1.3])
+        assert psi_envelope(pts, vs[:, None]) == pytest.approx(vs**2 / 2, rel=1e-12)
 
     def test_two_point_envelope(self):
         pts = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        assert psi_boundary(pts, np.array([0.0])) == pytest.approx(0.5, rel=1e-12)
+        assert psi_envelope(pts, np.array([[0.0]]))[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_brute_force_grid_equality(self):
         rng = np.random.default_rng(7)
         pts = np.column_stack([rng.uniform(-2, 2, (30, 2)), rng.uniform(-2, 1, 30)])
-        for _ in range(100):
-            v = rng.uniform(-2, 2, 2)
-            direct = min(h + 0.5 * np.sum((v - vv) ** 2) for *vv, h in pts.tolist())
-            assert psi_boundary(pts, v) == pytest.approx(direct, rel=1e-12)
+        vs = np.array([rng.uniform(-2, 2, 2) for _ in range(100)])
+        direct = [min(h + 0.5 * np.sum((v - vv) ** 2) for *vv, h in pts.tolist()) for v in vs]
+        assert psi_envelope(pts, vs) == pytest.approx(direct, rel=1e-12)
 
     def test_quasi_envelope_at_apex(self):
         params = validate_params(2, 0, 2, 1e5)
         r = critical_radius(params)
         pts = np.array([[0.4, -0.7]])
-        assert psi_lambda_boundary(pts, np.array([0.4]), params, r) == pytest.approx(-0.7,
-                                                                                     abs=1e-9)
+        h = psi_lambda_envelope(pts, np.array([[0.4]]), params.beta, r)
+        assert h[0] == pytest.approx(-0.7, abs=1e-9)
 
     def test_quasi_envelope_converges_to_ideal(self):
         rng = np.random.default_rng(8)
         params = validate_params(2, 0, 2, 1e5)
         gaps = {rl: [] for rl in (5.0, 10.0, 20.0)}
+        grid = np.linspace(-1, 1, 21)[:, None]
         for _ in range(50):
             pts = np.column_stack([rng.uniform(-2, 2, 15), rng.uniform(-2, 1, 15)])
             for rl in gaps:
-                sup = max(
-                    abs(
-                        psi_lambda_boundary(pts, np.array([v]), params, rl)
-                        - psi_boundary(pts, np.array([v]))
-                    )
-                    for v in np.linspace(-1, 1, 21)
-                )
-                gaps[rl].append(sup)
+                quasi = psi_lambda_envelope(pts, grid, params.beta, rl)
+                gaps[rl].append(np.max(np.abs(quasi - psi_envelope(pts, grid))))
         med = {rl: np.median(g) for rl, g in gaps.items()}
         assert med[20.0] < med[10.0] < med[5.0]
 
@@ -393,10 +404,9 @@ class TestPsiBoundaries:
         rng = np.random.default_rng(9)
         params = validate_params(2, 0, 2, 1e5)
         pts = np.column_stack([rng.uniform(-2, 2, 20), rng.uniform(-2, 1, 20)])
-        for v in np.linspace(-1, 1, 9):
-            quasi = psi_lambda_boundary(pts, np.array([v]), params, 1e9)
-            ideal = psi_boundary(pts, np.array([v]))
-            assert quasi == pytest.approx(ideal, abs=1e-6)
+        grid = np.linspace(-1, 1, 9)[:, None]
+        quasi = psi_lambda_envelope(pts, grid, params.beta, 1e9)
+        assert quasi == pytest.approx(psi_envelope(pts, grid), abs=1e-6)
 
 
 class TestRescaledHullBoundary:
@@ -414,68 +424,49 @@ class TestRescaledHullBoundary:
         r = critical_radius(params)
         cloud = sample_polytope_input(RngStream(2, 0), params)
         poly = convex_hull(cloud)
-        from ggp.hull import radial_function
-        from ggp.rescale import exp_map
-        for v in np.linspace(-1, 1, 7):
-            u = exp_map(np.array([v]) / r)
-            rho = radial_function(poly, u)
-            w = transform(rho * u, params, r)
-            assert rescaled_hull_boundary(poly, np.array([v]), params, r) == pytest.approx(
-                w.h, abs=1e-9
-            )
+        vs = np.linspace(-1, 1, 7)[:, None]
+        u = exp_map(vs / r)
+        rho = radial_function_batch(poly, u)
+        w = transform_batch(rho[:, None] * u, params.beta, r)
+        assert rescaled_hull_boundary(poly, vs, params, r) == pytest.approx(w[:, -1], abs=1e-9)
 
     def test_far_point_pushes_boundary_down(self):
         params = validate_params(2, 0, 2, 1e4)
         r = critical_radius(params)
         cloud = sample_polytope_input(RngStream(3, 0), params)
         base = convex_hull(cloud)
-        h0 = rescaled_hull_boundary(base, np.array([0.0]), params, r)
+        (h0,) = rescaled_hull_boundary(base, np.zeros((1, 1)), params, r)
         spiked = convex_hull(np.vstack([cloud.points, [[0.0, 10.0 * r]]]))
-        h1 = rescaled_hull_boundary(spiked, np.array([0.0]), params, r)
+        (h1,) = rescaled_hull_boundary(spiked, np.zeros((1, 1)), params, r)
         assert h1 < h0 - 5.0
+
+    def test_grid_must_have_shape_k_m(self):
+        params = validate_params(3, 0, 2, 1e5)
+        poly = convex_hull(np.vstack([np.eye(3), -np.eye(3)]))
+        for bad in (np.zeros(2), np.zeros((4, 3)), np.zeros((4, 1))):
+            with pytest.raises(ValueError):
+                rescaled_hull_boundary(poly, bad, params, 10.0)
 
 
 class TestSupDistance:
-    def test_identical_functions(self):
-        f = lambda g: np.zeros(len(g))
-        assert sup_distance(f, f, 1.0, 21, 1) == 0.0
-
-    def test_constant_shift(self):
-        f = lambda g: np.sum(g**2, axis=1)
-        g = lambda x: np.sum(x**2, axis=1) + 0.75
-        assert sup_distance(f, g, 1.0, 21, 2) == pytest.approx(0.75, rel=1e-12)
+    """The sup-distance of the scaling runner: max |phi - psi| over ball_grid."""
 
     def test_grid_refinement_stability(self):
         rng = np.random.default_rng(11)
         pts = np.column_stack([rng.uniform(-4, 4, 30), rng.uniform(-3, 0, 30)])
         f = extreme_points(pts)
-        phi = lambda grid: phi_boundary_batch(f, grid)
-        psi = lambda grid: np.array([psi_boundary(pts, row) for row in grid])
-        coarse = sup_distance(phi, psi, 1.0, 20, 1)
-        fine = sup_distance(phi, psi, 1.0, 40, 1)
+
+        def sup_distance(grid_n):
+            grid = ball_grid(1.0, grid_n, 1)
+            return float(np.max(np.abs(phi_boundary_batch(f, grid) - psi_envelope(pts, grid))))
+
+        coarse, fine = sup_distance(20), sup_distance(40)
         assert abs(fine - coarse) <= 0.1 * max(fine, 1e-9)
-
-    def test_each_callable_evaluated_once(self):
-        calls = []
-
-        def f(grid):
-            calls.append(grid.shape)
-            return np.zeros(len(grid))
-
-        sup_distance(f, f, 1.0, 21, 2)
-        assert calls == [ball_grid(1.0, 21, 2).shape] * 2
-
-    def test_wrong_shape_rejected(self):
-        zeros = lambda g: np.zeros(len(g))
-        for bad in (lambda g: np.zeros((len(g), 1)), lambda g: 0.0, lambda g: np.zeros(3)):
-            with pytest.raises(ValueError):
-                sup_distance(zeros, bad, 1.0, 21, 1)
 
     def test_outside_support_propagates(self):
         f = extreme_points(np.array([[-0.5, 0.0], [0.5, 0.0]]))
-        phi = lambda grid: phi_boundary_batch(f, grid)
         with pytest.raises(OutsideSupport):
-            sup_distance(phi, lambda g: np.zeros(len(g)), 1.0, 21, 1)
+            phi_boundary_batch(f, ball_grid(1.0, 21, 1))
 
 
 class TestWindowedFestoon:

@@ -3,38 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from ggp.errors import CosineDegenerate, OutsideWindow
+from ggp.errors import OutsideWindow
+from ggp.festoon import psi_lambda_envelope
 from ggp.params import critical_radius, normalization, validate_params
 from ggp.rescale import (
-    QuasiGrain,
-    ScaledPoint,
     antipode_sentinel,
     exp_inverse,
     exp_map,
-    geodesic_distance,
-    grain_boundary,
     inverse_transform,
-    north_pole,
     rescaled_intensity,
-    transform,
     transform_batch,
 )
 from ggp.sampling import RngStream, sample_direction, sample_polytope_input
 
+NORTH_POLE_3 = np.array([[0.0, 0.0, 1.0]])
+
 
 class TestExpMap:
     def test_north_pole_maps_to_zero(self):
-        assert np.allclose(exp_inverse(north_pole(3)), np.zeros(2))
+        assert np.allclose(exp_inverse(NORTH_POLE_3), np.zeros((1, 2)))
 
     def test_antipode_sentinel(self):
-        v = exp_inverse(-north_pole(3))
-        assert np.allclose(v, antipode_sentinel(3))
+        v = exp_inverse(-NORTH_POLE_3)
+        assert np.allclose(v, antipode_sentinel(3)[None, :])
         assert np.linalg.norm(v) == pytest.approx(math.pi, rel=1e-12)
         # the sentinel is a genuine preimage of the antipode
-        assert np.allclose(exp_map(v), -north_pole(3), atol=1e-12)
+        assert np.allclose(exp_map(v), -NORTH_POLE_3, atol=1e-12)
 
     def test_equatorial_distance(self):
-        u = np.array([1.0, 0.0, 0.0])
+        u = np.array([[1.0, 0.0, 0.0]])
         v = exp_inverse(u)
         assert np.linalg.norm(v) == pytest.approx(math.pi / 2, rel=1e-12)
 
@@ -51,15 +48,15 @@ class TestTransform:
         self.r = critical_radius(self.params)
 
     def test_critical_sphere_maps_to_zero_height(self):
-        x = self.r * north_pole(2)
-        w = transform(x, self.params, self.r)
-        assert np.allclose(w.v, 0.0)
-        assert w.h == pytest.approx(0.0, abs=1e-12)
+        x = np.array([[0.0, self.r]])
+        (w,) = transform_batch(x, self.params.beta, self.r)
+        assert np.allclose(w[:-1], 0.0)
+        assert w[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_origin_maps_to_top(self):
-        w = transform(np.zeros(2), self.params, self.r)
-        assert np.allclose(w.v, 0.0)
-        assert w.h == pytest.approx(self.r**2, rel=1e-12)
+        (w,) = transform_batch(np.zeros((1, 2)), self.params.beta, self.r)
+        assert np.allclose(w[:-1], 0.0)
+        assert w[-1] == pytest.approx(self.r**2, rel=1e-12)
         back = inverse_transform(w, self.params, self.r)
         assert np.allclose(back, 0.0)
 
@@ -70,7 +67,7 @@ class TestTransform:
             r = critical_radius(params)
             x = rng.standard_normal((1000, d)) * 2.0
             w = transform_batch(x, beta, r)
-            back = np.array([inverse_transform(row, params, r) for row in w])
+            back = inverse_transform(w, params, r)
             assert np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x))) < 1e-9
 
     def test_image_containment(self):
@@ -84,6 +81,11 @@ class TestTransform:
             inverse_transform(np.array([0.0, self.r**2 + 1.0]), self.params, self.r)
         with pytest.raises(OutsideWindow):
             inverse_transform(np.array([math.pi * self.r * 1.01, 0.0]), self.params, self.r)
+        # one row outside rejects the whole batch
+        inside = np.array([[0.0, 0.0], [1.0, -2.0]])
+        assert inverse_transform(inside, self.params, self.r).shape == (2, 2)
+        with pytest.raises(OutsideWindow):
+            inverse_transform(np.vstack([inside, [0.0, self.r**2 + 1.0]]), self.params, self.r)
 
     def test_height_decreasing_along_rays(self):
         u = sample_direction(RngStream(4, 0), 3, size=20)
@@ -161,36 +163,16 @@ class TestRescaledIntensity:
 
 
 class TestGrains:
+    """Upward quasi-grains: psi_lambda_envelope of a single apex."""
+
     def setup_method(self):
         self.params = validate_params(2, 0, 2, 1e6)
         self.r = critical_radius(self.params)
 
-    def grain(self, orientation, h0=-0.5, r_lambda=None):
-        return QuasiGrain(
-            apex=ScaledPoint(v=np.array([0.3]), h=h0),
-            orientation=orientation,
-            r_lambda=r_lambda or self.r,
-            beta=self.params.beta,
-        )
-
     def test_boundary_at_apex(self):
-        for orientation in ("up", "down"):
-            g = self.grain(orientation)
-            assert grain_boundary(g, np.array([0.3])) == pytest.approx(-0.5, abs=1e-9)
-
-    def test_down_grain_degenerate_at_quarter_turn(self):
-        g = self.grain("down")
-        far = g.apex.v + math.pi / 2 * self.r ** (self.params.beta / 2)
-        with pytest.raises(CosineDegenerate):
-            grain_boundary(g, np.array([far[0]]))
-
-    def test_up_dominates_down(self):
-        g_up = self.grain("up")
-        g_dn = self.grain("down")
-        for v in np.linspace(-1.5, 1.5, 21):
-            if abs(v - 0.3) < 1e-9:
-                continue
-            assert grain_boundary(g_up, np.array([v])) > grain_boundary(g_dn, np.array([v]))
+        apex = np.array([[0.3, -0.5]])
+        h = psi_lambda_envelope(apex, np.array([[0.3]]), self.params.beta, self.r)
+        assert h[0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_parabolic_approximation_scale(self):
         # the gap to h0 + ||v - v0||^2/2 must shrink at least at the
@@ -203,10 +185,9 @@ class TestGrains:
             for lam in (1e3, 1e6, 1e12):
                 params = validate_params(d, 0, beta, lam)
                 r = critical_radius(params)
-                g = QuasiGrain(ScaledPoint(v0, h0), "up", r, beta)
                 offsets = np.linspace(-1.0, 1.0, 51)
                 vs = v0[None, :] + offsets[:, None] * np.eye(d - 1)[0][None, :]
-                quasi = np.array([grain_boundary(g, v) for v in vs])
+                quasi = psi_lambda_envelope(np.append(v0, h0)[None, :], vs, beta, r)
                 ideal = h0 + offsets**2 / 2
                 gaps.append(np.max(np.abs(quasi - ideal)))
                 radii.append(r)
@@ -221,20 +202,9 @@ class TestGrains:
             params = validate_params(2, 0, 2, lam)
             r = critical_radius(params)
             for h0 in (0.0, -2.0, 1.0):
-                g = QuasiGrain(ScaledPoint(np.array([0.0]), h0), "up", r, 2.0)
                 for L in (0.5, 1.0, 2.0):
                     vs = np.linspace(-L, L, 41)
-                    quasi = np.array([grain_boundary(g, np.array([v])) for v in vs])
+                    quasi = psi_lambda_envelope(np.array([[0.0, h0]]), vs[:, None], 2.0, r)
                     gap = np.max(np.abs(quasi - (h0 + vs**2 / 2)))
                     bound = c1 * r**-1 * L**3 + c2 * abs(h0) * r**-2 * L**2
                     assert gap <= bound
-
-    def test_geodesic_matches_arccos(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            v1 = rng.uniform(-2, 2, 2)
-            v2 = rng.uniform(-2, 2, 2)
-            d = geodesic_distance(v1, v2, 2.0, self.r)
-            u1, u2 = exp_map(v1 / self.r), exp_map(v2 / self.r)
-            expected = math.acos(np.clip(u1 @ u2, -1, 1))
-            assert d == pytest.approx(expected, abs=1e-12)

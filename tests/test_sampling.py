@@ -6,6 +6,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import gammaincc
 from scipy.stats import chi2, ks_2samp, kstest
 
+from ggp import experiments
 from ggp.errors import ValidationError
 from ggp.sampling import (
     PointCloud,
@@ -14,12 +15,11 @@ from ggp.sampling import (
     radial_tail,
     radial_tail_inverse,
     sample_direction,
-    sample_limit_process,
     sample_polytope_input,
     sample_radius,
     sample_standardized_max,
 )
-from ggp.params import gumbel_centering, validate_params
+from ggp.params import critical_radius, gumbel_centering, validate_params
 from ggp.stats import gumbel_cdf, ks_statistic
 
 
@@ -194,41 +194,19 @@ class TestRestrictedPolytopeInput:
 
 
 class TestLimitProcess:
-    def test_halfline_window_mass(self):
-        window = ScaledWindow(1.0, -np.inf, 0.0)
-        assert window.mass(2) == pytest.approx(2.0, rel=1e-12)
-        counts = [len(sample_limit_process(RngStream(11, k), 2, window)) for k in range(10**4)]
-        assert 1.94 <= np.mean(counts) <= 2.06
+    """The limit-process window of the intensity runner and its mass under
+    the limiting intensity e^h dv dh."""
 
     def test_compact_window_mass(self):
+        # the runner's limit-mode cell masses, summed over a split window
         window = ScaledWindow(2.0, -1.0, 0.0)
         expected = math.pi * 4 * (1 - math.exp(-1))
-        assert window.mass(3) == pytest.approx(expected, rel=1e-12)
-        assert window.mass(3) == pytest.approx(7.9438, abs=1e-3)
-
-    def test_random_windows_within_poisson_bounds(self):
-        rng = np.random.default_rng(12)
-        for k in range(10):
-            d = int(rng.integers(2, 5))
-            window = ScaledWindow(
-                float(rng.uniform(0.5, 3.0)),
-                float(rng.uniform(-4, -1)),
-                float(rng.uniform(0, 2)),
-            )
-            mass = window.mass(d)
-            reps = 400
-            counts = [len(sample_limit_process(RngStream(13, 100 * k + j), d, window))
-                      for j in range(reps)]
-            se = math.sqrt(mass / reps)
-            assert abs(np.mean(counts) - mass) < 3 * se + 1e-9
-
-    def test_heights_follow_truncated_exponential(self):
-        window = ScaledWindow(1.0, -np.inf, 0.5)
-        pts = sample_limit_process(RngStream(14, 0), 2, ScaledWindow(1.0, -np.inf, 0.5))
-        reps = [sample_limit_process(RngStream(14, k), 2, window) for k in range(3000)]
-        h = np.concatenate([r[:, -1] for r in reps if len(r)])
-        ks = ks_statistic(h, lambda x: np.exp(np.minimum(x, 0.5) - 0.5))
-        assert ks < 0.02
+        p = validate_params(3, 0.0, 2.0, 1e5)
+        rho_edges = [0.0, 0.5, window.spatial_radius]
+        h_edges = [window.h_min, -0.3, window.h_max]
+        mass = experiments._cell_masses(p, critical_radius(p), rho_edges, h_edges, "limit").sum()
+        assert mass == pytest.approx(expected, rel=1e-12)
+        assert mass == pytest.approx(7.9438, abs=1e-3)
 
     def test_window_validation(self):
         with pytest.raises(ValidationError):
