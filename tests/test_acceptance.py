@@ -6,9 +6,7 @@ quantified analysis in the reason string (see the repository notes for the
 derivations); nothing is loosened silently.
 """
 
-import itertools
 import json
-import math
 import os
 
 import numpy as np

@@ -20,9 +20,8 @@ from ggp.cli import (
     emit_summary,
     main,
     parse_config,
-    run,
 )
-from ggp.errors import EmptyInput, GgpError, IoError, ParseError, ValidationError
+from ggp.errors import EmptyInput, GgpError, ParseError, ValidationError
 from ggp.experiments import CheckOutcome, ExperimentRecord, RunResult
 
 MINIMAL_GUMBEL = {

@@ -520,6 +520,14 @@ class TestCltRunner:
             run_clt(validate_params(2, 0, 2, 1000.0), 500, seed=1)
 
 
+SHELL_POINTS = experiments.SHELL_POINTS
+
+
+def shell_table(size):
+    """A SHELL_POINTS table that forces one shell size in every dimension."""
+    return dict.fromkeys(SHELL_POINTS, size)
+
+
 def polytope_metrics(cloud, d):
     """_polytope_task's metrics computed directly from a whole cloud."""
     poly = convex_hull(cloud, assume_unique=True)
@@ -532,8 +540,8 @@ def polytope_metrics(cloud, d):
 
 class TestShellSampling:
     def test_small_intensity_records_match_full_path(self):
-        # at lambda <= SHELL_POINTS a replication hulls its whole cloud, draw for draw
-        for d, lam in ((2, float(experiments.SHELL_POINTS)), (3, 300.0), (4, 200.0)):
+        # at lambda <= the shell size a replication hulls its whole cloud, draw for draw
+        for d, lam in ((2, float(experiments._shell_points(2))), (3, 300.0), (4, 200.0)):
             p = validate_params(d, 0, 2, lam)
             for sid in range(5):
                 cloud = sample_polytope_input(RngStream(5, sid), p)
@@ -569,20 +577,46 @@ class TestShellSampling:
     def test_shell_path_matches_full_path_in_law(self, monkeypatch, d, lam, reps):
         p = validate_params(d, 0, 2, lam)
 
-        def sample(seed, shell_points):
-            monkeypatch.setattr(experiments, "SHELL_POINTS", shell_points)
+        def sample(seed, table):
+            monkeypatch.setattr(experiments, "SHELL_POINTS", table)
             return [experiments._polytope_task(RngStream(seed, sid), p) for sid in range(reps)]
 
-        full = sample(41, math.inf)
-        # 1024 certifies in round 1; 8 often needs round 2 or the whole cloud
-        for seed, shell_points in ((42, 1024), (43, 8)):
-            shell = sample(seed, shell_points)
+        full = sample(41, shell_table(math.inf))
+        # the production size certifies in round 1; 8 often needs round 2 or the whole cloud
+        for seed, table in ((42, SHELL_POINTS), (43, shell_table(8))):
+            shell = sample(seed, table)
             for key in ("f0", f"v{d}", "n_points"):
                 a, b = [m[key] for m in full], [m[key] for m in shell]
-                assert ks_2samp(a, b).pvalue > 1e-3, (shell_points, key)
+                assert ks_2samp(a, b).pvalue > 1e-3, (table, key)
 
+    def test_shell_size_grows_with_dimension(self):
+        sizes = [experiments._shell_points(d) for d in range(2, 9)]
+        assert sizes == [192, 512] + [1024] * 5
 
-SHELL_POINTS = experiments.SHELL_POINTS
+    @pytest.mark.parametrize("d, alpha, beta, lam", [
+        (2, 0, 2, 1e4), (2, 0, 2, 1e6), (2, 1, 1, 1e4), (2, 1, 1, 1e6), (2, 2, 4, 1e4),
+        (2, 2, 4, 1e6), (3, 0, 2, 1e4), (3, 0, 2, 1e5), (3, 1, 1, 1e4), (3, 1, 1, 1e5),
+    ])
+    def test_round_one_certifies_the_traffic_it_serves(self, monkeypatch, d, alpha, beta, lam):
+        # a replication certified in round 1 samples its cloud once
+        p = validate_params(d, alpha, beta, lam)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sample_polytope_input(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_polytope_input", counted)
+        tasks = {"_polytope_task": lambda rng: experiments._polytope_task(rng, p),
+                 "_scaling_task": lambda rng: experiments._scaling_task(rng, p, 1.0, 21)}
+        reps = 60
+        for name, task in tasks.items():
+            round_one = 0
+            for sid in range(reps):
+                calls.clear()
+                task(RngStream(37, sid))
+                round_one += len(calls) == 1
+            assert round_one >= 0.95 * reps, (name, round_one)
 
 
 def split_sampler(points):
@@ -626,10 +660,10 @@ class TestFestoonShell:
     whole cloud is handed out annulus by annulus, so every replication the
     certificates accept must give the whole cloud's result."""
 
-    def run_split(self, monkeypatch, task, points, shell_points):
+    def run_split(self, monkeypatch, task, points, table):
         sample, calls = split_sampler(points)
         monkeypatch.setattr(experiments, "sample_polytope_input", sample)
-        monkeypatch.setattr(experiments, "SHELL_POINTS", shell_points)
+        monkeypatch.setattr(experiments, "SHELL_POINTS", table)
         return task(), calls
 
     @pytest.mark.parametrize("d, alpha, beta, lam", [
@@ -641,7 +675,7 @@ class TestFestoonShell:
         for sid in range(12):
             points = sample_polytope_input(RngStream(23, sid), p).points
             task = lambda: experiments._scaling_task(RngStream(23, sid), p, 1.0, 21)  # noqa: E731
-            whole, _ = self.run_split(monkeypatch, task, points, math.inf)
+            whole, _ = self.run_split(monkeypatch, task, points, shell_table(math.inf))
             shell, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
             certified += len(calls) == 1
             assert shell["skipped"] == whole["skipped"] == 0.0
@@ -659,10 +693,10 @@ class TestFestoonShell:
             points = sample_polytope_input(RngStream(29, sid), p).points
             task = lambda: experiments._vertex_task(RngStream(29, sid), p, 1.0, r_lambda)  # noqa: E731
             results = []
-            for shell_points in (math.inf, SHELL_POINTS):
+            for table in (shell_table(math.inf), SHELL_POINTS):
                 last = capture(monkeypatch, ["transform_batch", "convex_hull",
                                              "windowed_festoon"])
-                metrics, calls = self.run_split(monkeypatch, task, points, shell_points)
+                metrics, calls = self.run_split(monkeypatch, task, points, table)
                 results.append((metrics, window_sets(last, 1.0)))
                 monkeypatch.undo()
             (whole, whole_sets), (shell, shell_sets) = results
@@ -683,8 +717,8 @@ class TestFestoonShell:
             points = sample_polytope_input(RngStream(31, sid), p).points
             args = (RngStream(31, sid), p, 1.0, 21 if task_name == "_scaling_task" else r_lambda)
             task = lambda: getattr(experiments, task_name)(*args)  # noqa: E731
-            whole, _ = self.run_split(monkeypatch, task, points, math.inf)
-            shell, calls = self.run_split(monkeypatch, task, points, 8)
+            whole, _ = self.run_split(monkeypatch, task, points, shell_table(math.inf))
+            shell, calls = self.run_split(monkeypatch, task, points, shell_table(8))
             if len(calls) > 1:
                 widened["whole" if calls[-1][0] == 0.0 else "annulus"] += 1
             assert shell["skipped"] == whole["skipped"]
@@ -697,10 +731,11 @@ class TestFestoonShell:
         # hand-built d = 2 cloud: no shell point lies in B(o, L + 1), so the
         # shell's windowed_festoon guesses h_min = -1 and a narrow window;
         # the inner point sets the whole cloud's h_min, whose wider window
-        # takes in the low point at v = 5 and lowers the festoon over B(o, L)
+        # takes in the low point at v = 5 and lowers the festoon over B(o, L);
+        # the shell's hull holds B(o, r0) only at a 1024-point shell
         p = validate_params(2, 0, 2, 1e4)
         r_lambda = critical_radius(p)
-        r0 = float(radial_tail_inverse(p, SHELL_POINTS / p.lam))
+        r0 = float(radial_tail_inverse(p, 1024 / p.lam))
         h0 = r_lambda ** (p.beta - 1) * (r_lambda - r0)
         shell_w = np.array([[-2.5, 0.0], [2.5, 0.0], [3.0, 2.0], [5.0, -10.0], [9.0, -5.0],
                             [-9.0, -5.0], [-5.0, -3.0]])
@@ -715,8 +750,8 @@ class TestFestoonShell:
 
         points = np.vstack([shell, inner])
         task = lambda: experiments._scaling_task(RngStream(1, 0), p, 1.0, 21)  # noqa: E731
-        whole, _ = self.run_split(monkeypatch, task, points, math.inf)
-        got, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
+        whole, _ = self.run_split(monkeypatch, task, points, shell_table(math.inf))
+        got, calls = self.run_split(monkeypatch, task, points, shell_table(1024))
         assert calls[-1][0] == 0.0 and got == whole
 
     @pytest.mark.parametrize("d, alpha, beta, lam, reps", [
@@ -725,13 +760,13 @@ class TestFestoonShell:
     def test_shell_path_matches_whole_path_in_law(self, monkeypatch, d, alpha, beta, lam, reps):
         p = validate_params(d, alpha, beta, lam)
 
-        def sample(seed, shell_points):
-            monkeypatch.setattr(experiments, "SHELL_POINTS", shell_points)
+        def sample(seed, table):
+            monkeypatch.setattr(experiments, "SHELL_POINTS", table)
             out = [experiments._scaling_task(RngStream(seed, sid), p, 1.0, 21)
                    for sid in range(reps)]
             return [m for m in out if not m["skipped"]]
 
-        whole, shell = sample(51, math.inf), sample(52, SHELL_POINTS)
+        whole, shell = sample(51, shell_table(math.inf)), sample(52, SHELL_POINTS)
         assert len(shell) >= len(whole) - reps // 20
         for key in ("sup_dist", "n_vertices", "n_extreme"):
             a, b = [m[key] for m in whole], [m[key] for m in shell]
@@ -740,7 +775,7 @@ class TestFestoonShell:
     def test_round_three_samples_the_rest_of_the_cloud(self, monkeypatch):
         # a certificate that still falls short after round 2 gets the whole cloud
         p = validate_params(2, 0, 2, 1e4)
-        r0 = float(radial_tail_inverse(p, SHELL_POINTS / p.lam))
+        r0 = float(radial_tail_inverse(p, experiments._shell_points(p.d) / p.lam))
         points = sample_polytope_input(RngStream(3, 0), p).points
         sample, calls = split_sampler(points)
         monkeypatch.setattr(experiments, "sample_polytope_input", sample)
@@ -758,10 +793,11 @@ class TestFestoonShell:
     def test_point_below_active_paraboloid_is_rejected(self, monkeypatch):
         # hand-built d = 2 cloud: a shell whose festoon piece over v = 0 rises
         # above the shell's lowest unsampled height h0, and one inner point
-        # between h0 and that piece
+        # between h0 and that piece; the shell lies outside r0 only at a
+        # 1024-point shell
         p = validate_params(2, 0, 2, 1e4)
         r_lambda = critical_radius(p)
-        r0 = float(radial_tail_inverse(p, SHELL_POINTS / p.lam))
+        r0 = float(radial_tail_inverse(p, 1024 / p.lam))
         h0 = r_lambda ** (p.beta - 1) * (r_lambda - r0)
         ring = 0.9 * math.pi * r_lambda ** (p.beta / 2)  # far side: makes the hull hold o
         shell_w = np.array([[-4.0, 1.0], [4.0, 1.0], [-1.5, 3.5], [ring, -5.0], [-ring, -5.0]])
@@ -783,6 +819,6 @@ class TestFestoonShell:
 
         points = np.vstack([shell, inner])
         task = lambda: experiments._scaling_task(RngStream(1, 0), p, 1.0, 21)  # noqa: E731
-        whole, _ = self.run_split(monkeypatch, task, points, math.inf)
-        got, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
+        whole, _ = self.run_split(monkeypatch, task, points, shell_table(math.inf))
+        got, calls = self.run_split(monkeypatch, task, points, shell_table(1024))
         assert len(calls) > 1 and got == whole
