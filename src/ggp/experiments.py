@@ -40,7 +40,6 @@ from .sampling import (
     RngStream,
     radial_tail,
     radial_tail_inverse,
-    sample_direction,
     sample_polytope_input,
     sample_standardized_max,
 )
@@ -89,10 +88,9 @@ SHELL_POINTS = {2: 192, 3: 512, 4: 1024}
 MIN_TREND_POINTS = 3
 # Replication rep of parameter group pi draws from stream pi * STREAM_STRIDE + rep,
 # so reps must stay below it and every replication stream below the streams
-# reserved for run-level draws: the intensity mass integral at MASS_STREAM and
-# the bootstrap of the k-th intensity of a law at BOOTSTRAP_STREAM + k (check_reps).
+# reserved for the bootstrap of the k-th intensity of a law at
+# BOOTSTRAP_STREAM + k (check_reps).
 STREAM_STRIDE = 1_000_000
-MASS_STREAM = 10**9
 BOOTSTRAP_STREAM = 2_000_000_000
 # What a process pool costs beyond the work it spreads, in seconds: forking a
 # ProcessPoolExecutor(2) in a warm process with numpy and scipy loaded,
@@ -209,11 +207,11 @@ def _too_short(grid):
 
 def check_reps(reps, n_groups=1):
     """Bounds shared by every runner: distinct (group, rep) pairs get
-    distinct streams, all below the reserved MASS_STREAM."""
+    distinct streams, all below the reserved BOOTSTRAP_STREAM."""
     if reps >= STREAM_STRIDE:
         raise ValidationError("reps", f"need reps < {STREAM_STRIDE}")
-    if n_groups * STREAM_STRIDE > MASS_STREAM:
-        raise ValidationError("lambda_grid", f"need at most {MASS_STREAM // STREAM_STRIDE} "
+    if n_groups * STREAM_STRIDE > BOOTSTRAP_STREAM:
+        raise ValidationError("lambda_grid", f"need at most {BOOTSTRAP_STREAM // STREAM_STRIDE} "
                                              f"parameter groups, got {n_groups}")
 
 
@@ -390,40 +388,6 @@ def _intensity_task(rng, params, window, rho_edges, h_edges, r_lambda):
     return {"window_count": float(n_window)}, counts
 
 
-def _mass_monte_carlo(params, r_lambda, n_samples, rng):
-    """Importance-sampling integral of the exact intensity over the window.
-
-    Proposal: spatial coordinate uniform in the full window ball, height from
-    a Laplace law truncated at R^beta whose center tracks the radial mode and
-    whose scale dominates the intensity's height tail for every beta >= 1.
-    """
-    g = rng.generator() if isinstance(rng, RngStream) else rng
-    d, beta = params.d, params.beta
-    rb = r_lambda**beta
-    vmax = math.pi * r_lambda ** (beta / 2.0)
-    r_mode = (d - 1 + params.alpha) ** (1.0 / beta)
-    mu = rb * (1.0 - r_mode / r_lambda)
-    b = max(2.0, r_lambda ** (beta - 1.0))
-    # truncated Laplace(mu, b) on (-inf, rb]: invert the piecewise CDF
-    z_hi = 1.0 - 0.5 * math.exp(-(rb - mu) / b) if rb >= mu else 0.5 * math.exp((rb - mu) / b)
-    u = g.random(n_samples) * z_hi
-    h = np.where(
-        u <= 0.5,
-        mu + b * np.log(2.0 * u),
-        mu - b * np.log(np.maximum(2.0 * (1.0 - u), 1e-300)),
-    )
-    dens_h = 0.5 / b * np.exp(-np.abs(h - mu) / b) / z_hi
-    m = d - 1
-    dirs = sample_direction(g, m, size=n_samples)
-    radii = vmax * g.random(n_samples) ** (1.0 / m)
-    v = dirs * radii[:, None]
-    vol_ball = unit_ball_volume(m) * vmax**m
-    pts = np.column_stack([v, h])
-    nu = rescaled_intensity(pts, params, r_lambda)
-    weights = nu * vol_ball / dens_h  # proposal density is dens_h / vol_ball
-    return float(np.mean(weights))
-
-
 def check_intensity(params, window):
     """Preconditions of run_intensity; returns the validated parameters and R."""
     # the height slabs divide [e^h_min, e^h_max], so e^h_max must be a finite float
@@ -443,15 +407,14 @@ def run_intensity(
     rel_tol=0.05,
     mass_tol=0.01,
     min_expected=200.0,
-    mass_samples=1_000_000,
     limit_lams=(1e4, 1e8),
 ) -> RunResult:
     """Binned rescaled-process counts against the exact intensity and its limit.
 
     Pass rules: aggregated per-cell counts match the exact-intensity masses to
-    rel_tol on cells with aggregate expectation >= min_expected; an importance
-    Monte Carlo integral of the intensity over the window returns the total
-    intensity to mass_tol; the quadrature distance to the e^h limit shrinks
+    rel_tol on cells with aggregate expectation >= min_expected; the quadrature
+    integral of the exact intensity over the whole rescaled window returns
+    lambda to mass_tol; the quadrature distance to the e^h limit shrinks
     between the two comparison intensities in limit_lams.
     """
     params, r_lambda = check_intensity(params, window)
@@ -482,14 +445,19 @@ def run_intensity(
         )
     )
 
-    mass = _mass_monte_carlo(params, r_lambda, mass_samples, RngStream(seed, MASS_STREAM))
+    # the whole window: every direction, and heights from the radius that a
+    # point exceeds with probability 1e-17 up to the origin's R^beta
+    beta = params.beta
+    h_lo = r_lambda ** (beta - 1.0) * (r_lambda - radial_tail_inverse(params, 1e-17))
+    mass = float(_cell_masses(params, r_lambda,
+                              np.linspace(0.0, math.pi * r_lambda ** (beta / 2.0), 9),
+                              np.linspace(h_lo, r_lambda**beta, 65), "exact").sum())
     mass_err = abs(mass / params.lam - 1.0)
     result.checks.append(
         _check(
             "intensity_window_mass",
             mass_err < mass_tol,
-            f"MC mass / lambda = {mass / params.lam:.5f} (rel err {mass_err:.5f}, "
-            f"{mass_samples:.0g} samples)",
+            f"quadrature mass / lambda = {mass / params.lam:.5f} (rel err {mass_err:.2e})",
         )
     )
 
@@ -511,7 +479,7 @@ def run_intensity(
     result.records.append(_aggregate("intensity", params, seed, {
         "max_rel_err": max_rel,
         "chi_square": chi2,
-        "mass_mc_rel_err": mass_err,
+        "mass_rel_err": mass_err,
         "limit_err_lo": limit_errs[0],
         "limit_err_hi": limit_errs[-1],
     }))
@@ -842,17 +810,15 @@ def run_clt(
     skew_tol=0.25,
     kurt_tol=0.5,
     ks_tol=0.04,
-    check_metrics=None,
 ) -> RunResult:
     """Normality of standardized face counts and intrinsic volumes."""
     params = check_clt(params, reps)
     records, kept, _ = replicate("clt", _polytope_task, [params], reps, seed, workers)
     result = RunResult("clt", records)
     d = params.d
-    metrics = check_metrics or ["f0", f"v{d}"]
-    reported = ["f0", f"f{d - 1}", "v1", f"v{d}"]
+    metrics = ["f0", f"v{d}"]
     agg = {}
-    for name in dict.fromkeys(reported + metrics):
+    for name in ["f0", f"f{d - 1}", "v1", f"v{d}"]:
         vals = kept[0].get(name, [])
         if name in metrics and len(vals) < 2:
             result.checks.append(_unjudged(f"clt_judged[{name}]", len(vals), reps))
@@ -972,8 +938,8 @@ def check_slln(params_base, a, k_max, p, i) -> list:
         raise ValidationError("p", f"need p > {threshold:.4f}")
     if not a > 1:
         raise ValidationError("a", "need a > 1")
-    if not 4 <= k_max <= MASS_STREAM // STREAM_STRIDE:
-        raise ValidationError("k_max", f"need 4 <= k_max <= {MASS_STREAM // STREAM_STRIDE}")
+    if not 4 <= k_max <= BOOTSTRAP_STREAM // STREAM_STRIDE:
+        raise ValidationError("k_max", f"need 4 <= k_max <= {BOOTSTRAP_STREAM // STREAM_STRIDE}")
     try:
         return [validate_params(d, alpha, beta, a**k) for k in range(1, k_max + 1)]
     except OverflowError as exc:

@@ -98,15 +98,19 @@ def extreme_points(points, assume_unique=False) -> Festoon:
 
     The extreme set is the vertex set of the lower convex hull of the lifted
     points (the hull extended upward in the lift direction), for every
-    spatial dimension m >= 1. Exact duplicate rows are removed first; ties
-    keep the first occurrence. assume_unique skips that row sort, as in
-    hull.convex_hull, for points drawn from a continuous law.
+    spatial dimension m >= 1. Rows with the same lift are removed first:
+    exact duplicates, and rows at one v whose heights differ by less than
+    the rounding of h + ||v||^2/2, which the lower hull cannot tell apart;
+    ties keep the first occurrence. assume_unique skips that row sort, as
+    in hull.convex_hull, for points drawn from a continuous law.
     """
     arr = _as_scaled_array(points)
+    lifted = lift(arr)
     if not assume_unique:
-        _, first = np.unique(arr, axis=0, return_index=True)
-        arr = arr[np.sort(first)]
-    ext_idx, planes, cells = _lower_hull(lift(arr))
+        _, first = np.unique(lifted, axis=0, return_index=True)
+        first = np.sort(first)
+        arr, lifted = arr[first], lifted[first]
+    ext_idx, planes, cells = _lower_hull(lifted)
     hull_data = {"planes": planes, "cells": cells,
                  "spatial_hull": _spatial_hull(arr[ext_idx, :-1])}
     return Festoon(points=arr, extreme_indices=ext_idx, spatial_dim=arr.shape[1] - 1,

@@ -9,7 +9,8 @@ the closed-form constant
 
 which normalizes the one-dimensional marginal but not, in general, the
 d-dimensional density. All samplers and the rescaled intensity use
-``c_star``; ``c_paper`` is kept for diagnostics.
+``c_star``; ``c_paper`` is the one-dimensional normalizer that
+``gumbel_centering`` uses.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
@@ -98,7 +97,6 @@ class NormalizationConstants:
 
     z_total is the full-space integral of ||x||^alpha exp(-||x||^beta/beta);
     c_star = z_total^(-1/d) makes the density a probability density.
-    constants_agree flags whether c_paper matches c_star to 1e-12.
     """
 
     d: int
@@ -107,8 +105,6 @@ class NormalizationConstants:
     z_total: float
     c_star: float
     c_paper: float
-    kappa: np.ndarray  # kappa[j] = volume of unit j-ball, 0 <= j <= d
-    constants_agree: bool
 
 
 def normalization(d: int, alpha: float, beta: float) -> NormalizationConstants:
@@ -138,8 +134,6 @@ def normalization(d: int, alpha: float, beta: float) -> NormalizationConstants:
         raise ParameterOverflow(f"d = {d}, alpha = {alpha}, beta = {beta}") from exc
     if not 0.0 < c_star < math.inf:
         raise ParameterOverflow(f"d = {d}, alpha = {alpha}, beta = {beta}")
-    kappa = np.array([unit_ball_volume(j) for j in range(d + 1)])
-    agree = abs(c_star - c_paper) <= 1e-12 * max(1.0, abs(c_star))
     return NormalizationConstants(
         d=d,
         alpha=alpha,
@@ -147,8 +141,6 @@ def normalization(d: int, alpha: float, beta: float) -> NormalizationConstants:
         z_total=z_total,
         c_star=c_star,
         c_paper=c_paper,
-        kappa=kappa,
-        constants_agree=agree,
     )
 
 
@@ -157,19 +149,15 @@ def critical_exponent(d: int, alpha: float, beta: float) -> float:
     return (beta * (d + 1) - 2 * d - 2 * alpha) / 2.0
 
 
-def critical_radius(params: ModelParams, constant_mode: str = "corrected") -> float:
+def critical_radius(params: ModelParams) -> float:
     """Radius R of the ball the polytope boundary tracks at intensity lam.
 
     R^beta = beta log(lam) + d beta log(c) - E log(beta log(lam)), with
-    E the critical exponent. This expanded form stays finite when E = 0.
-    ``constant_mode`` selects c: "corrected" uses c_star (default),
-    "paper" uses the closed-form constant. Raises IntensityTooSmall when
-    the bracket is non-positive or the resulting radius dips below 1.
+    E the critical exponent and c = c_star. This expanded form stays finite
+    when E = 0. Raises IntensityTooSmall when the bracket is non-positive or
+    the resulting radius dips below 1.
     """
-    if constant_mode not in ("corrected", "paper"):
-        raise ValueError(f"unknown constant_mode {constant_mode!r}")
-    norm = normalization(params.d, params.alpha, params.beta)
-    c = norm.c_star if constant_mode == "corrected" else norm.c_paper
+    c = normalization(params.d, params.alpha, params.beta).c_star
     beta, d = params.beta, params.d
     bl = beta * math.log(params.lam)
     if bl <= 0:

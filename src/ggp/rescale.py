@@ -96,16 +96,13 @@ def _check_window(arr: np.ndarray, beta: float, r_lambda: float):
 
 
 def inverse_transform(w, params: ModelParams, r_lambda: float) -> np.ndarray:
-    """Unique preimages of scaled points: one row (v.., h) or an (n, d)
-    array of rows; raises OutsideWindow if any row leaves the window."""
+    """Unique preimages of an (n, d) array of scaled points (v.., h);
+    raises OutsideWindow if any row leaves the window."""
     arr = np.asarray(w, dtype=float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
     beta = params.beta
     _check_window(arr, beta, r_lambda)
     r = np.maximum(r_lambda - arr[:, -1] / r_lambda ** (beta - 1.0), 0.0)
-    x = r[:, None] * exp_map(arr[:, :-1] / r_lambda ** (beta / 2.0))
-    return x[0] if single else x
+    return r[:, None] * exp_map(arr[:, :-1] / r_lambda ** (beta / 2.0))
 
 
 def rescaled_intensity(w, params: ModelParams, r_lambda: float, constants=None):
@@ -115,15 +112,13 @@ def rescaled_intensity(w, params: ModelParams, r_lambda: float, constants=None):
                * R^(-beta(d-1)/2),
 
     with r the preimage radius, theta = R^(-beta/2) ||v||, and phi the
-    normalized density (using c_star). Accepts one row (v.., h) or an (n, d)
-    array of rows; integrates to lam over the window.
+    normalized density (using c_star), at each row of an (n, d) array;
+    integrates to lam over the window.
     """
     d, alpha, beta = params.d, params.alpha, params.beta
     if constants is None:
         constants = normalization(d, alpha, beta)
     arr = np.asarray(w, dtype=float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
     _check_window(arr, beta, r_lambda)
     v, h = arr[:, :-1], arr[:, -1]
     vnorm = np.linalg.norm(v, axis=1)
@@ -136,5 +131,4 @@ def rescaled_intensity(w, params: ModelParams, r_lambda: float, constants=None):
     # so the density vanishes at r = 0 (the image of the origin)
     log_r_part = np.where(r > 0, (d - 1 + alpha) * np.log(np.where(r > 0, r, 1.0)), -np.inf)
     log_jac = -(beta - 1.0) * math.log(r_lambda) - (beta * (d - 1) / 2.0) * math.log(r_lambda)
-    dens = params.lam * np.exp(log_phi + log_r_part + log_jac) * sinc
-    return float(dens[0]) if single else dens
+    return params.lam * np.exp(log_phi + log_r_part + log_jac) * sinc

@@ -281,7 +281,7 @@ class TestParseConfig:
 
     def test_reserved_streams_unreachable(self, tmp_path, capsys):
         # group 2000's first replication stream would be 2000 * 1_000_000, the
-        # first bootstrap stream; any group past 1000 reaches the intensity mass stream
+        # first bootstrap stream, so 2 laws x 1001 intensities are too many
         path = tmp_path / "cfg.json"
         lams = [1e3 + k for k in range(1001)]
         path.write_text(json.dumps(dict(SCALING, alphas_betas=[[0, 2], [1, 1]],

@@ -183,14 +183,26 @@ class TestIntensityRunner:
     def test_small_scale_consistency(self):
         p = validate_params(2, 0, 2, 1e5)
         window = ScaledWindow(2.0, -5.0, 1.0)
-        result = run_intensity(
-            p, window, (1, 3), reps=150, seed=5, mass_samples=300_000, mass_tol=0.02,
-            rel_tol=0.12,
-        )
+        result = run_intensity(p, window, (1, 3), reps=150, seed=5, rel_tol=0.12)
         by_name = {c.name: c for c in result.checks}
         assert by_name["intensity_window_mass"].status == "PASS"
         assert by_name["intensity_limit_trend"].status == "PASS"
         assert by_name["intensity_binned_vs_exact"].status == "PASS"
+
+    def test_window_mass_by_quadrature(self):
+        # the exact intensity integrates back to lambda over the whole window,
+        # and the integral draws from no stream, so every seed gets the same
+        window = ScaledWindow(2.0, -5.0, 1.0)
+        for d, alpha, beta, lam in [(2, 0, 2, 1e6), (2, 1, 1, 1e4), (3, -0.5, 3, 1e5),
+                                    (4, 0, 2, 1e5), (5, 0.5, 1.5, 1e6)]:
+            p = validate_params(d, alpha, beta, lam)
+            errs = []
+            for seed in (1, 2):
+                result = run_intensity(p, window, (1, 2), reps=2, seed=seed)
+                (mass,) = [c for c in result.checks if c.name == "intensity_window_mass"]
+                assert mass.status == "PASS" and "quadrature" in mass.detail
+                errs.append(result.records[-1].metrics["mass_rel_err"])
+            assert errs[0] == errs[1] <= 1e-9
 
 
 def whole_cloud_intensity_counts(seed, rep, params, window, rho_edges, h_edges, r_lambda):
@@ -370,19 +382,18 @@ class TestPreconditionChecks:
         assert exc.value.field == field
 
     def test_streams_stay_below_the_reserved_ones(self, monkeypatch):
-        # the last replication stream of 1000 groups is 10**9 - 1; group 1000
-        # would start at the intensity mass stream, group 2000 at the bootstrap's
-        last = 999 * experiments.STREAM_STRIDE + experiments.STREAM_STRIDE - 1
-        assert last == experiments.MASS_STREAM - 1
-        experiments.check_reps(experiments.STREAM_STRIDE - 1, 1000)
-        assert 2000 * experiments.STREAM_STRIDE == experiments.BOOTSTRAP_STREAM
+        # the last replication stream of 2000 groups is 2 * 10**9 - 1; group
+        # 2000 would start at the first bootstrap stream
+        last = 1999 * experiments.STREAM_STRIDE + experiments.STREAM_STRIDE - 1
+        assert last == experiments.BOOTSTRAP_STREAM - 1
+        experiments.check_reps(experiments.STREAM_STRIDE - 1, 2000)
         monkeypatch.setattr(experiments, "_map_tasks", lambda *a: pytest.fail("sampled"))
-        grid = [validate_params(2, 0, 2, 1e3 + k) for k in range(1001)]
+        grid = [validate_params(2, 0, 2, 1e3 + k) for k in range(2001)]
         for call, field in (
-            (lambda: experiments.check_reps(1, 1001), "lambda_grid"),
+            (lambda: experiments.check_reps(1, 2001), "lambda_grid"),
             (lambda: run_scaling_limit(grid, 1.0, 2, seed=1), "lambda_grid"),
             (lambda: run_moments(grid, 200, seed=1), "lambda_grid"),
-            (lambda: run_slln_trend(P2, a=1.001, k_max=1001, p=0.6, i=2, reps=2, seed=1),
+            (lambda: run_slln_trend(P2, a=1.001, k_max=2001, p=0.6, i=2, reps=2, seed=1),
              "k_max"),
         ):
             with pytest.raises(ValidationError) as exc:
@@ -484,10 +495,6 @@ class TestUnjudgedRuns:
         assert self.statuses(result) == {
             f"clt_judged[{m}]": ("FAIL", "not judged: 0 of 1000 replications kept, need 2")
             for m in ("f0", "v30")}
-
-    def test_clt_metric_with_no_values(self):
-        result = run_clt(validate_params(2, 0, 2, 100.0), 1000, seed=1, check_metrics=["f7"])
-        assert [(c.name, c.status) for c in result.checks] == [("clt_judged[f7]", "FAIL")]
 
     def test_moments(self):
         grid = [validate_params(30, 0, 2, lam) for lam in (5.0, 6.0, 7.0)]
@@ -740,7 +747,7 @@ class TestFestoonShell:
         shell_w = np.array([[-2.5, 0.0], [2.5, 0.0], [3.0, 2.0], [5.0, -10.0], [9.0, -5.0],
                             [-9.0, -5.0], [-5.0, -3.0]])
         shell = inverse_transform(shell_w, p, r_lambda)
-        inner = inverse_transform(np.array([0.0, h0 + 0.1]), p, r_lambda)
+        inner = inverse_transform(np.array([0.0, h0 + 0.1])[None], p, r_lambda)[0]
         assert np.linalg.norm(inner) < r0 < experiments._inball(convex_hull(shell))
 
         w = transform_batch(shell, p.beta, r_lambda)
@@ -806,7 +813,7 @@ class TestFestoonShell:
         assert phi0 > h0 + 0.5
         inner_w = np.array([0.0, (h0 + phi0) / 2])
         shell = inverse_transform(shell_w, p, r_lambda)
-        inner = inverse_transform(inner_w, p, r_lambda)
+        inner = inverse_transform(inner_w[None], p, r_lambda)[0]
         assert np.linalg.norm(shell, axis=1).min() > r0 > np.linalg.norm(inner)
 
         w = transform_batch(shell, p.beta, r_lambda)

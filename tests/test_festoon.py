@@ -132,6 +132,16 @@ class TestExtremePoints:
         assert len(f.points) == 2
         assert len(f.extreme_indices) == 2
 
+    def test_rows_with_one_lift_collapse(self):
+        # 0.125 + 1e-150 rounds to 0.125, so both rows at v = 0.5 lift to one
+        # point: the first is kept, also after points are added behind them
+        pts = np.array([[0.5, 0.0], [-2.0, 1.0], [0.5, 1e-150], [2.0, 1.0]])
+        for rows in (pts, np.vstack([pts, [[3.0, 0.5], [-3.0, 2.0]]])):
+            f = extreme_points(rows)
+            assert len(f.points) == len(rows) - 1
+            assert [0.5, 0.0] in f.extreme_points.tolist()
+            assert [0.5, 1e-150] not in f.points.tolist()
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             extreme_points(np.empty((0, 2)))

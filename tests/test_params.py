@@ -54,14 +54,12 @@ class TestNormalization:
             n = normalization(d, 0, 2)
             assert abs(n.c_star - (2 * math.pi) ** -0.5) < 1e-12
             assert abs(n.c_paper - n.c_star) < 1e-12
-            assert n.constants_agree
 
     def test_d2_alpha1_beta1_mismatch_flagged(self):
         n = normalization(2, 1, 1)
         assert abs(n.z_total - 4 * math.pi) < 1e-10
         assert abs(n.c_star - (4 * math.pi) ** -0.5) < 1e-12
         assert abs(n.c_paper - 0.5) < 1e-12
-        assert not n.constants_agree
 
     def test_one_dimensional_density_constant(self):
         n = normalization(1, 0, 1)
@@ -78,11 +76,10 @@ class TestNormalization:
             assert n.z_total == pytest.approx(quad_z_total(d, alpha, beta), rel=1e-8)
 
     def test_kappa_values(self):
-        n = normalization(3, 0, 2)
-        assert abs(n.kappa[0] - 1.0) < 1e-12
-        assert abs(n.kappa[1] - 2.0) < 1e-12
-        assert abs(n.kappa[2] - math.pi) < 1e-12
-        assert n.kappa[3] == pytest.approx(4 * math.pi / 3, rel=1e-12)
+        assert abs(unit_ball_volume(0) - 1.0) < 1e-12
+        assert abs(unit_ball_volume(1) - 2.0) < 1e-12
+        assert abs(unit_ball_volume(2) - math.pi) < 1e-12
+        assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-12)
         assert unit_ball_volume(3) == pytest.approx(4.18879, abs=1e-5)
 
     def test_pushforward_mass(self):
@@ -135,13 +132,12 @@ class TestCriticalRadius:
             assert np.all(np.diff(values) > 0)
 
     def test_gaussian_mode_agreement(self):
+        # for the Gaussian law the closed-form constant gives the same radius
         p = validate_params(3, 0, 2, 1e5)
-        assert critical_radius(p, "paper") == pytest.approx(critical_radius(p, "corrected"),
-                                                            rel=1e-12)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            critical_radius(validate_params(2, 0, 2, 1e5), "wrong")
+        bl = 2 * math.log(p.lam)
+        c = normalization(3, 0, 2).c_paper
+        r_paper = (bl + 3 * 2 * math.log(c) - critical_exponent(3, 0, 2) * math.log(bl)) ** 0.5
+        assert critical_radius(p) == pytest.approx(r_paper, rel=1e-12)
 
 
 class TestGumbelCentering:

@@ -57,7 +57,7 @@ class TestTransform:
         (w,) = transform_batch(np.zeros((1, 2)), self.params.beta, self.r)
         assert np.allclose(w[:-1], 0.0)
         assert w[-1] == pytest.approx(self.r**2, rel=1e-12)
-        back = inverse_transform(w, self.params, self.r)
+        back = inverse_transform(w[None], self.params, self.r)[0]
         assert np.allclose(back, 0.0)
 
     def test_roundtrip_random_points(self):
@@ -78,9 +78,9 @@ class TestTransform:
 
     def test_outside_window_rejected(self):
         with pytest.raises(OutsideWindow):
-            inverse_transform(np.array([0.0, self.r**2 + 1.0]), self.params, self.r)
+            inverse_transform(np.array([0.0, self.r**2 + 1.0])[None], self.params, self.r)
         with pytest.raises(OutsideWindow):
-            inverse_transform(np.array([math.pi * self.r * 1.01, 0.0]), self.params, self.r)
+            inverse_transform(np.array([math.pi * self.r * 1.01, 0.0])[None], self.params, self.r)
         # one row outside rejects the whole batch
         inside = np.array([[0.0, 0.0], [1.0, -2.0]])
         assert inverse_transform(inside, self.params, self.r).shape == (2, 2)
@@ -107,7 +107,7 @@ class TestRescaledIntensity:
         for lam in (1e4, 1e6, 1e8):
             params = validate_params(2, 0, 2, lam)
             r = critical_radius(params)
-            nu = rescaled_intensity(np.array([0.5, -1.0]), params, r)
+            nu = rescaled_intensity(np.array([0.5, -1.0])[None], params, r)[0]
             errs.append(abs(nu - math.exp(-1)) / math.exp(-1))
         assert errs[2] < errs[1] < errs[0]
         assert errs[0] == pytest.approx(0.2972, abs=2e-3)
@@ -137,7 +137,7 @@ class TestRescaledIntensity:
             consts = normalization(d, alpha, beta)
             for _ in range(5):
                 w = np.concatenate([rng.uniform(-1, 1, d - 1), rng.uniform(-2, 2, 1)])
-                x = inverse_transform(w, params, r)
+                x = inverse_transform(w[None], params, r)[0]
                 # numeric Jacobian of the inverse map
                 eps = 1e-5
                 cols = []
@@ -145,21 +145,19 @@ class TestRescaledIntensity:
                     wp, wm = w.copy(), w.copy()
                     wp[j] += eps
                     wm[j] -= eps
-                    cols.append(
-                        (inverse_transform(wp, params, r) - inverse_transform(wm, params, r))
-                        / (2 * eps)
-                    )
+                    diff = inverse_transform(np.vstack([wp, wm]), params, r)
+                    cols.append((diff[0] - diff[1]) / (2 * eps))
                 det_fd = abs(np.linalg.det(np.column_stack(cols)))
                 norm_x = np.linalg.norm(x)
                 phi = consts.c_star**d * norm_x**alpha * math.exp(-(norm_x**beta) / beta)
-                nu = rescaled_intensity(w, params, r)
+                nu = rescaled_intensity(w[None], params, r)[0]
                 assert nu == pytest.approx(params.lam * phi * det_fd, rel=1e-6)
 
     def test_outside_window_rejected(self):
         params = validate_params(2, 0, 2, 1e5)
         r = critical_radius(params)
         with pytest.raises(OutsideWindow):
-            rescaled_intensity(np.array([0.0, r**2 + 1.0]), params, r)
+            rescaled_intensity(np.array([0.0, r**2 + 1.0])[None], params, r)
 
 
 class TestGrains:
