@@ -138,8 +138,13 @@ class RunResult:
         return any(c.status == "FAIL" for c in self.checks)
 
 
+def _run_share(fn, share):
+    """[fn(task) for task in share]: one process's share of a pool run."""
+    return [fn(t) for t in share]
+
+
 def _map_tasks(fn, tasks, workers: int, probes):
-    """[fn(task) for task in tasks], on at most workers processes.
+    """[fn(task) for task in tasks], on this process and at most workers - 1 others.
 
     With more than one worker and task, fn(tasks[probes[0]]) runs first in
     this process and is timed; it also loads, before any fork, the modules
@@ -148,7 +153,10 @@ def _map_tasks(fn, tasks, workers: int, probes):
     tasks is below that break-even the rest runs here, in order. A probe
     shorter than COLD_CALL_S that says otherwise is re-timed on the next of
     probes, and the shorter time counts. If the loop here passes the
-    break-even anyway, the tasks still left go to the pool.
+    break-even anyway, the tasks still left are shared out: they split into
+    w = min(workers, tasks left) strided shares, a pool of w - 1 processes
+    runs one share each while this process runs the first, and every row
+    lands at its task's index.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
@@ -173,9 +181,18 @@ def _map_tasks(fn, tasks, workers: int, probes):
             results[k] = fn(tasks[k])
         else:
             return results
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=min(workers, len(rest))) as pool:
-        for k, row in zip(rest, pool.map(fn, [tasks[k] for k in rest], chunksize=chunk)):
+    w = min(workers, len(rest))
+    if w < 2:  # at most one task left, nothing to share
+        for k in rest:
+            results[k] = fn(tasks[k])
+        return results
+    shares = [rest[i::w] for i in range(w)]
+    with ProcessPoolExecutor(max_workers=w - 1) as pool:
+        futures = [pool.submit(_run_share, fn, [tasks[k] for k in share]) for share in shares[1:]]
+        rows = [_run_share(fn, [tasks[k] for k in shares[0]])]
+        rows += [future.result() for future in futures]
+    for share, share_rows in zip(shares, rows):
+        for k, row in zip(share, share_rows):
             results[k] = row
     return results
 
@@ -342,25 +359,29 @@ def _spatial_shell_factor(rho, d):
 def _cell_masses(params, r_lambda, rho_edges, h_edges, mode, n_gauss=24):
     """Integral of the exact (or limiting e^h) intensity over (||v||, h) cells."""
     nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    out = np.empty((len(rho_edges) - 1, len(h_edges) - 1))
-    d = params.d
-    consts = normalization(d, params.alpha, params.beta)
-    for i in range(len(rho_edges) - 1):
-        r0, r1 = rho_edges[i], rho_edges[i + 1]
-        rho = 0.5 * (r1 - r0) * nodes + 0.5 * (r1 + r0)
-        wr = 0.5 * (r1 - r0) * weights * _spatial_shell_factor(rho, d)
-        for j in range(len(h_edges) - 1):
-            h0, h1 = h_edges[j], h_edges[j + 1]
-            hh = 0.5 * (h1 - h0) * nodes + 0.5 * (h1 + h0)
-            wh = 0.5 * (h1 - h0) * weights
-            if mode == "limit":
-                vals = np.outer(np.ones_like(rho), np.exp(hh))
-            else:
-                pts = np.zeros((n_gauss * n_gauss, d))
-                pts[:, 0] = np.repeat(rho, n_gauss)
-                pts[:, -1] = np.tile(hh, n_gauss)
-                vals = rescaled_intensity(pts, params, r_lambda, consts).reshape(n_gauss, n_gauss)
-            out[i, j] = float(wr @ vals @ wh)
+    rho_edges, h_edges = np.asarray(rho_edges, dtype=float), np.asarray(h_edges, dtype=float)
+    r0, r1 = rho_edges[:-1, None], rho_edges[1:, None]
+    rho = 0.5 * (r1 - r0) * nodes + 0.5 * (r1 + r0)  # (rho cells, n_gauss)
+    wr = 0.5 * (r1 - r0) * weights * _spatial_shell_factor(rho, params.d)
+    h0, h1 = h_edges[:-1, None], h_edges[1:, None]
+    hh = 0.5 * (h1 - h0) * nodes + 0.5 * (h1 + h0)  # (h cells, n_gauss)
+    wh = 0.5 * (h1 - h0) * weights
+    n_rho, n_h = len(rho), len(hh)
+    if mode == "limit":
+        vals = np.broadcast_to(np.exp(hh)[None, :, None, :], (n_rho, n_h, n_gauss, n_gauss)).copy()
+    else:
+        # one call over every cell's nodes; node (a, b) of cell (i, j) sits at
+        # ||v|| = rho[i, a], h = hh[j, b]
+        pts = np.zeros((n_rho, n_h, n_gauss, n_gauss, params.d))
+        pts[..., 0] = rho[:, None, :, None]
+        pts[..., -1] = hh[None, :, None, :]
+        consts = normalization(params.d, params.alpha, params.beta)
+        vals = rescaled_intensity(pts.reshape(-1, params.d), params, r_lambda,
+                                  consts).reshape(n_rho, n_h, n_gauss, n_gauss)
+    out = np.empty((n_rho, n_h))
+    for i in range(n_rho):
+        for j in range(n_h):
+            out[i, j] = float(wr[i] @ vals[i, j] @ wh[j])
     return out
 
 

@@ -180,6 +180,15 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
     g = _gen(rng)
     a_n, scale = gumbel_centering(n, alpha, beta)
     shape = (1.0 + alpha) / beta
+    if size is None:
+        # one branch on Python scalars; the power stays a scalar **, which
+        # an array ** (SIMD pow) does not match to the last bit
+        k, u = g.binomial(n, 0.5), g.random()
+        if k == 0:
+            q, sign = np.exp(np.log1p(-u) / n), -1.0
+        else:
+            q, sign = 1.0 if u == 0.0 else -np.expm1(np.log(u) / k), 1.0
+        return float(scale * (sign * (beta * gammainccinv(shape, q)) ** (1.0 / beta) - a_n))
     k = g.binomial(n, 0.5, size)
     u = g.random(size)
     neg = k == 0

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -44,16 +46,21 @@ def record_key(records):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """How many tasks each process pool the engine starts is handed."""
-    mapped = []
+    """Per process pool the engine starts, the sizes of the shares submitted
+    to it; the share this process runs itself is not counted."""
+    started = []
 
     class CountingPool(ProcessPoolExecutor):
-        def map(self, fn, tasks, **kwargs):
-            mapped.append(len(tasks))
-            return super().map(fn, tasks, **kwargs)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append([])
+
+        def submit(self, fn, /, *args, **kwargs):
+            started[-1].append(len(args[-1]))
+            return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
-    return mapped
+    return started
 
 
 def _stub_task(rng, params, slow_lam, delay):
@@ -73,6 +80,14 @@ def _cold_probe_task(rng, params):
 
 def _failing_task(rng, params):
     raise ValueError(f"replication {rng.stream_id} failed")
+
+
+def _pid_task(rng, params, bad_stream=-1):
+    """One uniform draw, with the id of the process that ran it as the side
+    value; raises on stream bad_stream."""
+    if rng.stream_id == bad_stream:
+        raise ValueError(f"replication {rng.stream_id} failed")
+    return {"u": float(rng.generator().uniform())}, os.getpid()
 
 
 class TestGumbelRunner:
@@ -97,7 +112,7 @@ class TestGumbelRunner:
         monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
         a = run_gumbel(0, 1, 1000, 120, seed=9, workers=1)
         b = run_gumbel(0, 1, 1000, 120, seed=9, workers=2)
-        assert pools == [119]
+        assert pools == [[59]]
         assert record_key(a.records) == record_key(b.records)
 
     def test_ks_decreases_with_n(self):
@@ -150,7 +165,7 @@ class TestMomentsRunner:
         grid = [validate_params(2, 0, 2, 50.0)]
         a = run_moments(grid, 200, seed=3, workers=1)
         b = run_moments(grid, 200, seed=3, workers=2)
-        assert pools == [199]
+        assert pools == [[99]]
         assert record_key(a.records) == record_key(b.records)
 
     def test_short_grid_reports_info_without_fit(self):
@@ -277,7 +292,7 @@ class TestDispatch:
 
     GROUPS = [validate_params(2, 0, 2, 1.0), validate_params(2, 0, 2, 2.0)]
 
-    @pytest.mark.parametrize("pool_start_s, mapped", [(0.0, [399]), (math.inf, [])])
+    @pytest.mark.parametrize("pool_start_s, mapped", [(0.0, [[199]]), (math.inf, [])])
     def test_each_branch_matches_one_worker(self, monkeypatch, pools, pool_start_s, mapped):
         grid = [validate_params(2, 0, 2, 50.0), validate_params(2, 0, 2, 80.0)]
         serial = run_moments(grid, 200, seed=3, workers=1)
@@ -308,7 +323,7 @@ class TestDispatch:
         assert calls[0] == 2 * stride + 2  # ties go to the later group
         assert sorted(calls) == [pi * stride + rep for pi in range(4) for rep in range(3)]
 
-    @pytest.mark.parametrize("cold_call_s, mapped", [(0.05, []), (0.0, [19])])
+    @pytest.mark.parametrize("cold_call_s, mapped", [(0.05, []), (0.0, [[9]])])
     def test_short_probe_is_timed_again(self, monkeypatch, pools, cold_call_s, mapped):
         # the probe says pool; below COLD_CALL_S the next replication is timed
         # too, and its shorter time keeps the run in-process
@@ -321,7 +336,7 @@ class TestDispatch:
     def test_slow_probe_sends_the_rest_to_the_pool(self, pools):
         serial = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 1, 2.0, 0.01)
         parallel = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 2, 2.0, 0.01)
-        assert pools == [15]
+        assert pools == [[7]]
         assert record_key(parallel[0]) == record_key(serial[0])
         assert parallel[1:] == serial[1:]
 
@@ -330,7 +345,7 @@ class TestDispatch:
         # lambda-1 group passes the break-even and hands what is left to a pool
         serial = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 1, 1.0, 0.03)
         parallel = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 2, 1.0, 0.03)
-        assert len(pools) == 1 and 0 < pools[0] < 15
+        assert len(pools) == 1 and len(pools[0]) == 1 and 0 < pools[0][0] < 8
         assert record_key(parallel[0]) == record_key(serial[0])
         assert parallel[1:] == serial[1:]
 
@@ -338,6 +353,40 @@ class TestDispatch:
         with pytest.raises(ValueError, match=r"replication 1000001 failed"):
             experiments.replicate("stub", _failing_task, self.GROUPS, 2, 5, 2)
         assert pools == []
+
+    def test_pool_runs_all_shares_but_the_one_run_here(self, monkeypatch, pools):
+        # 15 replications after the probe split into strided shares of 5:
+        # the first runs in this process, the other two on a pool of two
+        monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
+        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
+        serial = experiments.replicate("stub", _pid_task, self.GROUPS, 8, 5, 1)
+        parallel = experiments.replicate("stub", _pid_task, self.GROUPS, 8, 5, 3)
+        assert pools == [[5, 5]]
+        assert record_key(parallel[0]) == record_key(serial[0])
+        assert parallel[1] == serial[1]
+        pids = parallel[2]
+        here = [k for k, pid in enumerate(pids) if pid == os.getpid()]
+        assert here == [0, 3, 6, 9, 12, 15]  # the first share and the probe
+        assert multiprocessing.active_children() == []
+
+    def test_one_task_left_starts_no_pool(self, monkeypatch, pools):
+        # a slow probe points to the pool, but one replication is left to share
+        monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
+        serial = experiments.replicate("stub", _stub_task, self.GROUPS[:1], 2, 5, 1, 1.0, 0.01)
+        parallel = experiments.replicate("stub", _stub_task, self.GROUPS[:1], 2, 5, 2, 1.0, 0.01)
+        assert pools == []
+        assert record_key(parallel[0]) == record_key(serial[0])
+
+    @pytest.mark.parametrize("bad_stream", [1, 2], ids=["pool_share", "own_share"])
+    def test_share_exception_propagates(self, monkeypatch, pools, bad_stream):
+        # with two workers, odd replications of group 0 go to the pool and
+        # even ones run here
+        monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
+        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
+        with pytest.raises(ValueError, match=rf"replication {bad_stream} failed"):
+            experiments.replicate("stub", _pid_task, self.GROUPS, 8, 5, 2, bad_stream)
+        assert pools == [[7]]
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

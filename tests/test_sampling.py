@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,39 @@ class TestStandardizedMax:
                 g = FixedGenerator(k, u)
                 assert math.isfinite(sample_standardized_max(g, n, 0.5, 1.5))
                 assert np.all(np.isfinite(sample_standardized_max(g, n, 0.5, 1.5, size=3)))
+
+    # Scalar draws pinned bit for bit (float.hex), since every Gumbel record
+    # is one: four draws from default_rng(3), whose binomial is 0 on the first
+    # and third at n = 2, so the all-negative branch runs for beta = 1 and != 1.
+    PINNED = {
+        (2, 0.0, 1.0): ["-0x1.14bc22624c697p-3", "0x1.708e9940a0a31p+0",
+                        "-0x1.229f12b1402ecp-2", "0x1.647074f7ecd69p-3"],
+        (2, 0.5, 1.5): ["-0x1.646bb14804eb9p-1", "0x1.589243f7133c3p+0",
+                        "-0x1.d6fa2b1327b56p-1", "0x1.1368fd21b461ap-4"],
+        (2, -0.5, 3.0): ["-0x1.de0b2bee36ab2p-8", "0x1.3fe0d652d1f94p+0",
+                         "-0x1.934ad97e98efcp-4", "0x1.39ce852c6b16fp-4"],
+        (10**5, 0.0, 1.0): ["0x1.819a5235f7488p+0", "0x1.769db6c586dc0p-3",
+                            "0x1.2defc7ab50e68p+0", "0x1.a775ae4195340p-2"],
+        (10**5, 0.0, 2.0): ["0x1.7c71e63b72409p+0", "0x1.f28c09402ced2p-4",
+                            "0x1.280fb7a61d0c8p+0", "0x1.761fd6426f984p-2"],
+    }
+
+    @pytest.mark.parametrize("n, alpha, beta", list(PINNED))
+    def test_scalar_draws_are_pinned(self, n, alpha, beta):
+        g = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [sample_standardized_max(g, n, alpha, beta).hex() for _ in range(4)]
+        assert got == self.PINNED[n, alpha, beta]
+
+    @pytest.mark.parametrize("alpha, beta, pinned", [(0.0, 1.0, "-0x1.8dbc239b0b862p+2"),
+                                                     (0.5, 1.5, "-0x1.35643c33c5c19p+3")])
+    def test_zero_uniform_is_pinned_without_warning(self, alpha, beta, pinned):
+        # u = 0 inverts to t = 0 in both branches, so m = 0 and the value is -scale * a_n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0, 1, 700):
+                assert sample_standardized_max(FixedGenerator(k, 0.0), 1000, alpha, beta).hex() == pinned
 
     def test_batch_matches_scalar_law(self):
         n, alpha, beta = 50, 0.5, 1.5
