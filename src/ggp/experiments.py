@@ -367,21 +367,22 @@ def _cell_masses(params, r_lambda, rho_edges, h_edges, mode, n_gauss=24):
     hh = 0.5 * (h1 - h0) * nodes + 0.5 * (h1 + h0)  # (h cells, n_gauss)
     wh = 0.5 * (h1 - h0) * weights
     n_rho, n_h = len(rho), len(hh)
-    if mode == "limit":
-        vals = np.broadcast_to(np.exp(hh)[None, :, None, :], (n_rho, n_h, n_gauss, n_gauss)).copy()
-    else:
-        # one call over every cell's nodes; node (a, b) of cell (i, j) sits at
-        # ||v|| = rho[i, a], h = hh[j, b]
-        pts = np.zeros((n_rho, n_h, n_gauss, n_gauss, params.d))
-        pts[..., 0] = rho[:, None, :, None]
-        pts[..., -1] = hh[None, :, None, :]
+    if mode == "exact":
         consts = normalization(params.d, params.alpha, params.beta)
-        vals = rescaled_intensity(pts.reshape(-1, params.d), params, r_lambda,
-                                  consts).reshape(n_rho, n_h, n_gauss, n_gauss)
+    else:  # e^h depends on h alone, so one (n_h, n_gauss, n_gauss) table serves every row
+        vals = np.repeat(np.exp(hh)[:, None, :], n_gauss, axis=1)
     out = np.empty((n_rho, n_h))
     for i in range(n_rho):
+        if mode == "exact":
+            # one call per rho row, so memory grows with n_h alone; node (a, b)
+            # of cell (i, j) sits at ||v|| = rho[i, a], h = hh[j, b]
+            pts = np.zeros((n_h, n_gauss, n_gauss, params.d))
+            pts[..., 0] = rho[i, None, :, None]
+            pts[..., -1] = hh[:, None, :]
+            vals = rescaled_intensity(pts.reshape(-1, params.d), params, r_lambda,
+                                      consts).reshape(n_h, n_gauss, n_gauss)
         for j in range(n_h):
-            out[i, j] = float(wr[i] @ vals[i, j] @ wh[j])
+            out[i, j] = float(wr[i] @ vals[j] @ wh[j])
     return out
 
 

@@ -169,7 +169,8 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
     the maximum of k has CDF (1 - Q(t))^k, so Q(t) = 1 - u^(1/k); the minimum
     of n has P(min > t) = Q(t)^n, so Q(t) = (1 - u)^(1/n). u = 0 maps to
     t = 0 in both branches, so every value is finite. Returns
-    (beta log n)^((beta-1)/beta) * (M_n - a_n), a float for size=None.
+    (beta log n)^((beta-1)/beta) * (M_n - a_n) as a float, or for size=N an
+    array of N such draws taken in turn.
     """
     if n < 2:
         raise ValidationError("n", f"n = {n} < 2")
@@ -178,22 +179,15 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
     from scipy.special import gammainccinv
 
     g = _gen(rng)
+    if size is not None:
+        return np.array([sample_standardized_max(g, n, alpha, beta) for _ in range(size)])
     a_n, scale = gumbel_centering(n, alpha, beta)
     shape = (1.0 + alpha) / beta
-    if size is None:
-        # one branch on Python scalars; the power stays a scalar **, which
-        # an array ** (SIMD pow) does not match to the last bit
-        k, u = g.binomial(n, 0.5), g.random()
-        if k == 0:
-            q, sign = np.exp(np.log1p(-u) / n), -1.0
-        else:
-            q, sign = 1.0 if u == 0.0 else -np.expm1(np.log(u) / k), 1.0
-        return float(scale * (sign * (beta * gammainccinv(shape, q)) ** (1.0 / beta) - a_n))
-    k = g.binomial(n, 0.5, size)
-    u = g.random(size)
-    neg = k == 0
-    with np.errstate(divide="ignore"):  # log(0) = -inf gives Q = 1, t = 0
-        q = np.where(neg, np.exp(np.log1p(-u) / n), -np.expm1(np.log(u) / np.maximum(k, 1)))
-    m = np.where(neg, -1.0, 1.0) * (beta * gammainccinv(shape, q)) ** (1.0 / beta)
-    out = scale * (m - a_n)
-    return float(out) if size is None else out
+    # one branch on Python scalars; the power stays a scalar **, which an
+    # array ** (SIMD pow) does not match to the last bit
+    k, u = g.binomial(n, 0.5), g.random()
+    if k == 0:
+        q, sign = np.exp(np.log1p(-u) / n), -1.0
+    else:
+        q, sign = 1.0 if u == 0.0 else -np.expm1(np.log(u) / k), 1.0
+    return float(scale * (sign * (beta * gammainccinv(shape, q)) ** (1.0 / beta) - a_n))

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -218,6 +219,22 @@ class TestIntensityRunner:
                 assert mass.status == "PASS" and "quadrature" in mass.detail
                 errs.append(result.records[-1].metrics["mass_rel_err"])
             assert errs[0] == errs[1] <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["exact", "limit"])
+    def test_cell_masses_memory_does_not_grow_with_rho_bins(self, mode):
+        # bins come from the config, so the quadrature must not hold every
+        # cell's 576 nodes at once: 32 times the rho bins, about the same peak
+        p = validate_params(3, 0, 2, 1e5)
+        r_lambda, h_edges = critical_radius(p), np.linspace(-2.0, 1.5, 9)
+        peaks = []
+        for n_rho in (2, 64):
+            tracemalloc.start()
+            try:
+                experiments._cell_masses(p, r_lambda, np.linspace(0.0, 1.5, n_rho + 1), h_edges, mode)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 def whole_cloud_intensity_counts(seed, rep, params, window, rho_edges, h_edges, r_lambda):
