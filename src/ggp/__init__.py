@@ -14,7 +14,6 @@ from .festoon import (
 from .hull import (
     Polytope,
     convex_hull,
-    is_vertex_ball,
     is_vertex_lp,
     radial_function_batch,
 )
@@ -34,7 +33,6 @@ from .rescale import (
     transform_batch,
 )
 from .sampling import (
-    PointCloud,
     RngStream,
     ScaledWindow,
     sample_direction,

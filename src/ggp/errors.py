@@ -37,10 +37,6 @@ class DegenerateInput(GgpError):
     """Point set is affinely dependent; the hull is lower-dimensional."""
 
 
-class OriginPoint(GgpError):
-    """A point coincides with the origin where that is not allowed."""
-
-
 class IndexOutOfRange(GgpError, IndexError):
     """Index outside its valid range."""
 

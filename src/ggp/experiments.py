@@ -396,7 +396,7 @@ def _intensity_task(rng, params, window, rho_edges, h_edges, r_lambda):
     counts = np.zeros((len(rho_edges) - 1, len(h_edges) - 1))
     n_window = 0
     if r_max > r_min:
-        cloud = sample_polytope_input(rng, params, r_min, r_max).points
+        cloud = sample_polytope_input(rng, params, r_min, r_max)
     else:  # h_min >= R^beta lies above every height
         cloud = np.empty((0, params.d))
     if len(cloud):
@@ -623,17 +623,17 @@ def _sample_shell(rng: RngStream, params: ModelParams, evaluate):
     """
     size = _shell_points(params.d)
     if params.lam <= size:
-        points = sample_polytope_input(rng, params).points
+        points = sample_polytope_input(rng, params)
         return evaluate(points, 0.0)[0], len(points)
     g = rng.generator()
     inner = float(radial_tail_inverse(params, size / params.lam))
-    points = sample_polytope_input(g, params, r_min=inner).points
+    points = sample_polytope_input(g, params, r_min=inner)
     result, needed = evaluate(points, inner)
     for whole in (False, True):
         if inner == 0.0 or _certified(needed, inner):
             break
         outer, inner = inner, 0.0 if whole else max(needed, 0.0)
-        annulus = sample_polytope_input(g, params, r_min=inner, r_max=outer).points
+        annulus = sample_polytope_input(g, params, r_min=inner, r_max=outer)
         points = np.vstack([points, annulus])
         result, needed = evaluate(points, inner)
     n_inner = int(g.poisson(params.lam * (1.0 - radial_tail(params, inner))))
@@ -887,7 +887,7 @@ def _tails_task(rng, params, M, h_cap, grid_n, r_lambda):
     # which already decides every threshold below it
     if len(cloud) == 0:
         return {"sup_abs": h_cap}
-    w = transform_batch(cloud.points, params.beta, r_lambda)
+    w = transform_batch(cloud, params.beta, r_lambda)
     kept = w[w[:, -1] <= h_cap]
     grid = ball_grid(M, grid_n, params.d - 1)
     if len(kept) == 0:

@@ -3,8 +3,8 @@
 Hull construction is delegated to Qhull (scipy.spatial.ConvexHull), which
 merges coplanar facets. The merged facets are kept as one array table
 (normals, offsets, facet-vertex incidence pairs) that drives face counting,
-the radial function and all containment checks. Two independent vertex oracles
-(an LP feasibility test and a covering-balls test) cross-validate the hull.
+the radial function and all containment checks. One exact vertex oracle, an
+LP feasibility test, cross-validates the hull.
 The facet grouping (facet_groups) and the convex-combination LP
 (is_convex_combination) also serve the festoon's lifted lower hull.
 """
@@ -16,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, IndexOutOfRange, OriginOutside, OriginPoint
-from .sampling import PointCloud
+from .errors import DegenerateInput, IndexOutOfRange, OriginOutside, ValidationError
 
 __all__ = [
     "Polytope",
     "convex_hull",
     "is_vertex_lp",
-    "is_vertex_ball",
     "radial_function_batch",
 ]
 
@@ -70,11 +68,11 @@ def _dedup(points: np.ndarray):
 
 
 def _as_points(cloud) -> np.ndarray:
-    if isinstance(cloud, PointCloud):
-        return cloud.points
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2:
         raise DegenerateInput("expected a 2-d array of points")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("points", "coordinates must be finite")
     return pts
 
 
@@ -240,61 +238,6 @@ def is_vertex_lp(cloud, index: int) -> bool:
     if not 0 <= index < n:
         raise IndexOutOfRange(f"index {index} out of range for {n} points")
     return not is_convex_combination(np.delete(points, index, axis=0), points[index])
-
-
-_sphere_cache: dict = {}
-
-
-def _sphere_points(d: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy points on S^{d-1}.
-
-    Equally spaced angles on the circle; Sobol points pushed through the
-    Gaussian map in higher dimensions.
-    """
-    key = (d, count)
-    if key not in _sphere_cache:
-        if d == 2:
-            angles = (np.arange(count) + 0.5) * (2 * np.pi / count)
-            _sphere_cache[key] = np.column_stack([np.cos(angles), np.sin(angles)])
-        else:
-            from scipy.special import ndtri  # the standard normal quantile
-            from scipy.stats.qmc import Sobol
-
-            m = int(np.ceil(np.log2(max(count, 2))))
-            u = Sobol(d, scramble=False).random_base2(m)[:count]
-            z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-            norms = np.linalg.norm(z, axis=1)
-            norms[norms == 0] = 1.0
-            _sphere_cache[key] = z / norms[:, None]
-    return _sphere_cache[key]
-
-
-def is_vertex_ball(cloud, index: int) -> bool:
-    """Covering-balls vertex oracle (approximate, for cross-validation).
-
-    x' is a vertex iff the ball with diameter segment [o, x'] is not covered
-    by the union of the corresponding balls of the other points. The decision
-    samples 10 * 4^(d-1) deterministic points z on the candidate ball's
-    boundary sphere; z lies outside the ball of y iff ||z||^2 > <z, y>.
-    Exact duplicates of x' resolve to "not a vertex".
-    """
-    points = _as_points(cloud)
-    n, dim = points.shape
-    if not 0 <= index < n:
-        raise IndexOutOfRange(f"index {index} out of range for {n} points")
-    x = points[index]
-    r = np.linalg.norm(x)
-    if r == 0.0:
-        raise OriginPoint("test point at the origin")
-    others = np.delete(points, index, axis=0)
-    if len(others) == 0:
-        return True
-    z = x / 2.0 + (r / 2.0) * _sphere_points(dim, 10 * 4 ** (dim - 1))
-    # outside y's ball: ||z||^2 - <z, y> > 0; require a small positive margin
-    # so duplicated points (margin exactly 0) count as covered
-    margin = (z * z).sum(axis=1)[:, None] - z @ others.T
-    eps = 1e-12 * max(1.0, r * r)
-    return bool(np.any(np.all(margin > eps, axis=1)))
 
 
 def _require_origin_interior(p: Polytope):

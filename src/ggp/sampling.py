@@ -18,7 +18,6 @@ from .params import ModelParams, gumbel_centering
 
 __all__ = [
     "RngStream",
-    "PointCloud",
     "ScaledWindow",
     "sample_radius",
     "sample_direction",
@@ -51,25 +50,6 @@ def _gen(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """A sampled point set in R^dim; points has shape (n, dim)."""
-
-    dim: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValidationError("points", f"expected shape (n, {self.dim})")
-        if pts.size and not np.all(np.isfinite(pts)):
-            raise ValidationError("points", "coordinates must be finite")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self):
-        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -132,9 +112,9 @@ def radial_tail_inverse(params: ModelParams, q):
 
 
 def sample_polytope_input(rng, params: ModelParams, r_min: float = 0.0,
-                          r_max: float = math.inf) -> PointCloud:
+                          r_max: float = math.inf) -> np.ndarray:
     """Poisson(lambda) many isotropic points with the generalized gamma radial law,
-    restricted to the annulus r_min < ||x|| <= r_max.
+    restricted to the annulus r_min < ||x|| <= r_max, as an (n, d) array.
 
     By Poisson restriction the points in the annulus form a Poisson process
     of mean lambda (Q(t_min) - Q(t_max)), independent of those outside it
@@ -155,7 +135,7 @@ def sample_polytope_input(rng, params: ModelParams, r_min: float = 0.0,
         r = sample_radius(g, params.d, params.alpha, params.beta, size=n)
     # size-0 draws leave the generator untouched, so an empty cloud needs no branch
     u = sample_direction(g, params.d, size=n)
-    return PointCloud(dim=params.d, points=u * r[:, None])
+    return u * r[:, None]
 
 
 def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):

@@ -45,7 +45,6 @@ class SummaryStats:
     skewness: float
     excess_kurtosis: float
     ks_normal: float  # KS distance of the standardized sample to N(0,1)
-    mean_ci95: float  # half-width of the 95% CI for the mean
 
 
 def summary_stats(sample) -> SummaryStats:
@@ -57,17 +56,16 @@ def summary_stats(sample) -> SummaryStats:
         raise EmptyInput("empty sample")
     mean = float(x.mean())
     if n < 2:
-        return SummaryStats(n, mean, math.nan, math.nan, math.nan, math.nan, math.nan)
+        return SummaryStats(n, mean, math.nan, math.nan, math.nan, math.nan)
     var = float(x.var(ddof=1))
     sd = math.sqrt(var)
     if sd == 0.0:
-        return SummaryStats(n, mean, var, 0.0, 0.0, 1.0, 0.0)
+        return SummaryStats(n, mean, var, 0.0, 0.0, 1.0)
     z = (x - mean) / sd
     skew = float(np.mean(z**3))
     kurt = float(np.mean(z**4) - 3.0)
     ks = ks_statistic(z, ndtr)
-    ci = 1.96 * sd / math.sqrt(n)
-    return SummaryStats(n, mean, var, skew, kurt, ks, ci)
+    return SummaryStats(n, mean, var, skew, kurt, ks)
 
 
 def bootstrap_median_ci(sample, rng, n_boot: int = 2000, level: float = 0.95):

@@ -1,5 +1,10 @@
-"""Shared test settings: Hypothesis runs a fixed, bounded set of examples,
-so every run of the suite checks the same cases."""
+"""Shared test settings: Hypothesis runs a fixed, bounded set of examples.
+
+derandomize=True fixes the cases only for a fixed source tree and a fixed set
+of loaded modules: Hypothesis (6.155, pinned in pyproject.toml) mixes the
+literals of the loaded modules into its draws, so an edit to a constant in
+src/ggp or tests/, or loading another module, changes the examples that every
+property test sees."""
 
 from hypothesis import settings
 

@@ -395,6 +395,21 @@ class TestRunAndDeterminism:
             paths.append((out / "gumbel_records.csv").read_bytes())
         assert paths[0] == paths[1] == paths[2]
 
+    def test_json_output_holds_the_csv_rows(self, tmp_path):
+        tiny = dict(MINIMAL_GUMBEL, reps=100, seed=5)
+        for fmt in ("csv", "json"):
+            cfg = self.config_path(tmp_path, dict(tiny, output_format=fmt))
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / fmt),
+                         "--workers", "1"]) in (0, 1)
+        for kind, header in (("records", RECORDS_HEADER), ("summary", SUMMARY_HEADER)):
+            with open(tmp_path / "csv" / f"gumbel_{kind}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            payload = json.loads((tmp_path / "json" / f"gumbel_{kind}.json").read_text())
+            assert rows[0] == header and len(rows) > 1
+            assert all(isinstance(item, dict) and sorted(item) == sorted(header)
+                       for item in payload)
+            assert [[item[key] for key in header] for item in payload] == rows[1:]
+
     def test_seed_override_changes_records(self, tmp_path):
         cfg = self.config_path(tmp_path, MINIMAL_GUMBEL)
         main(["run", "--config", cfg, "--out", str(tmp_path / "x"), "--workers", "1"])

@@ -30,7 +30,6 @@ from ggp.hull import convex_hull
 from ggp.params import critical_radius, validate_params
 from ggp.rescale import inverse_transform, transform_batch
 from ggp.sampling import (
-    PointCloud,
     RngStream,
     ScaledWindow,
     radial_tail_inverse,
@@ -240,7 +239,7 @@ class TestIntensityRunner:
 def whole_cloud_intensity_counts(seed, rep, params, window, rho_edges, h_edges, r_lambda):
     """Window cell counts from every point of one cloud (the runner samples an annulus)."""
     cloud = sample_polytope_input(RngStream(seed, rep), params)
-    w = transform_batch(cloud.points, params.beta, r_lambda)
+    w = transform_batch(cloud, params.beta, r_lambda)
     rho, h = np.linalg.norm(w[:, :-1], axis=1), w[:, -1]
     keep = (rho <= window.spatial_radius) & (h > window.h_min) & (h <= window.h_max)
     counts, _, _ = np.histogram2d(rho[keep], h[keep], bins=[rho_edges, h_edges])
@@ -631,7 +630,7 @@ class TestShellSampling:
         r0 = float(radial_tail_inverse(p, shell / lam))
         certified = 0
         for sid in range(20):
-            pts = sample_polytope_input(RngStream(13, sid), p).points
+            pts = sample_polytope_input(RngStream(13, sid), p)
             outer = pts[np.linalg.norm(pts, axis=1) > r0]
             if len(outer) < d + 1:
                 continue
@@ -700,7 +699,7 @@ def split_sampler(points):
 
     def sample(rng, params, r_min=0.0, r_max=math.inf):
         calls.append((r_min, r_max))
-        return PointCloud(params.d, points[(norms > r_min) & (norms <= r_max)])
+        return points[(norms > r_min) & (norms <= r_max)]
 
     return sample, calls
 
@@ -746,7 +745,7 @@ class TestFestoonShell:
         p = validate_params(d, alpha, beta, lam)
         certified = 0
         for sid in range(12):
-            points = sample_polytope_input(RngStream(23, sid), p).points
+            points = sample_polytope_input(RngStream(23, sid), p)
             task = lambda: experiments._scaling_task(RngStream(23, sid), p, 1.0, 21)  # noqa: E731
             whole, _ = self.run_split(monkeypatch, task, points, shell_table(math.inf))
             shell, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
@@ -763,7 +762,7 @@ class TestFestoonShell:
         r_lambda = critical_radius(p)
         compared = 0
         for sid in range(8):
-            points = sample_polytope_input(RngStream(29, sid), p).points
+            points = sample_polytope_input(RngStream(29, sid), p)
             task = lambda: experiments._vertex_task(RngStream(29, sid), p, 1.0, r_lambda)  # noqa: E731
             results = []
             for table in (shell_table(math.inf), SHELL_POINTS):
@@ -787,7 +786,7 @@ class TestFestoonShell:
         r_lambda = critical_radius(p)
         widened = {"annulus": 0, "whole": 0}
         for sid in range(30):
-            points = sample_polytope_input(RngStream(31, sid), p).points
+            points = sample_polytope_input(RngStream(31, sid), p)
             args = (RngStream(31, sid), p, 1.0, 21 if task_name == "_scaling_task" else r_lambda)
             task = lambda: getattr(experiments, task_name)(*args)  # noqa: E731
             whole, _ = self.run_split(monkeypatch, task, points, shell_table(math.inf))
@@ -849,7 +848,7 @@ class TestFestoonShell:
         # a certificate that still falls short after round 2 gets the whole cloud
         p = validate_params(2, 0, 2, 1e4)
         r0 = float(radial_tail_inverse(p, experiments._shell_points(p.d) / p.lam))
-        points = sample_polytope_input(RngStream(3, 0), p).points
+        points = sample_polytope_input(RngStream(3, 0), p)
         sample, calls = split_sampler(points)
         monkeypatch.setattr(experiments, "sample_polytope_input", sample)
         seen = []

@@ -446,7 +446,7 @@ class TestRescaledHullBoundary:
         cloud = sample_polytope_input(RngStream(3, 0), params)
         base = convex_hull(cloud)
         (h0,) = rescaled_hull_boundary(base, np.zeros((1, 1)), params, r)
-        spiked = convex_hull(np.vstack([cloud.points, [[0.0, 10.0 * r]]]))
+        spiked = convex_hull(np.vstack([cloud, [[0.0, 10.0 * r]]]))
         (h1,) = rescaled_hull_boundary(spiked, np.zeros((1, 1)), params, r)
         assert h1 < h0 - 5.0
 
@@ -487,7 +487,7 @@ class TestWindowedFestoon:
         for rep in range(5):
             cloud = sample_polytope_input(RngStream(12, rep), params)
             poly = convex_hull(cloud)
-            w = transform_batch(cloud.points, params.beta, r)
+            w = transform_batch(cloud, params.beta, r)
             fest, kept, _ = windowed_festoon(w, 1.0)
             vnorm = np.linalg.norm(w[:, :-1], axis=1)
             hull_set = {int(i) for i in poly.vertex_input_indices if vnorm[i] <= 1.0}

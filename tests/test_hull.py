@@ -6,11 +6,10 @@ import pytest
 from scipy import sparse
 from scipy.spatial import ConvexHull
 
-from ggp.errors import DegenerateInput, OriginOutside, OriginPoint
+from ggp.errors import DegenerateInput, OriginOutside, ValidationError
 from ggp.hull import (
     convex_hull,
     facet_groups,
-    is_vertex_ball,
     is_vertex_lp,
     radial_function_batch,
 )
@@ -253,37 +252,17 @@ class TestVertexOracles:
                 lp_set = {i for i in range(n) if is_vertex_lp(pts, i)}
                 assert hull_set == lp_set
 
-    def test_ball_two_points_on_line(self):
-        pts = np.array([[1.0, 0.0], [2.0, 0.0]])
-        assert is_vertex_ball(pts, 1) is True
 
-    def test_ball_duplicate_resolves_false(self):
-        pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert is_vertex_ball(pts, 0) is False
-        assert is_vertex_ball(pts, 1) is False
-
-    def test_ball_origin_point_rejected(self):
-        with pytest.raises(OriginPoint):
-            is_vertex_ball(np.array([[0.0, 0.0], [1.0, 0.0]]), 0)
-
-    def test_ball_agrees_with_lp_when_origin_inside(self):
-        rng = np.random.default_rng(7)
-        agree = total = 0
-        instances = 0
-        while instances < 100:
-            n = int(rng.integers(5, 31))
-            pts = rng.standard_normal((n, 2))
-            try:
-                p = convex_hull(pts)
-            except DegenerateInput:
-                continue
-            if np.any(p.facet_offsets <= 1e-9):
-                continue  # origin not interior
-            instances += 1
-            for i in range(n):
-                total += 1
-                agree += is_vertex_ball(pts, i) == is_vertex_lp(pts, i)
-        assert agree / total >= 0.99
+class TestInputChecks:
+    def test_non_finite_points_rejected(self):
+        calls = (convex_hull, lambda p: convex_hull(p, assume_unique=True),
+                 lambda p: is_vertex_lp(p, 0))
+        for bad in (np.nan, np.inf):
+            pts = np.vstack([cube_points(2), [[bad, 0.5]]])
+            for call in calls:
+                with pytest.raises(ValidationError) as info:
+                    call(pts)
+                assert info.value.field == "points"
 
 
 class TestMeasures:

@@ -72,7 +72,7 @@ class TestTransform:
 
     def test_image_containment(self):
         cloud = sample_polytope_input(RngStream(3, 0), self.params)
-        w = transform_batch(cloud.points, self.params.beta, self.r)
+        w = transform_batch(cloud, self.params.beta, self.r)
         assert np.all(w[:, -1] <= self.r**2 + 1e-9)
         assert np.all(np.linalg.norm(w[:, :-1], axis=1) <= math.pi * self.r + 1e-9)
 

@@ -10,7 +10,6 @@ from scipy.stats import chi2, ks_2samp, kstest
 from ggp import experiments
 from ggp.errors import ValidationError
 from ggp.sampling import (
-    PointCloud,
     RngStream,
     ScaledWindow,
     radial_tail,
@@ -129,7 +128,7 @@ class TestPolytopeInput:
 
     def test_gaussian_second_moment(self):
         cloud = sample_polytope_input(RngStream(9, 0), validate_params(2, 0, 2, 10**5))
-        m2 = np.mean(np.sum(cloud.points**2, axis=1))
+        m2 = np.mean(np.sum(cloud**2, axis=1))
         assert abs(m2 - 2.0) < 0.1
 
     def test_empty_cloud_valid(self):
@@ -138,12 +137,6 @@ class TestPolytopeInput:
             for k in range(100)
         )
         assert empties >= 95
-
-    def test_point_cloud_shape_validation(self):
-        with pytest.raises(ValidationError):
-            PointCloud(dim=2, points=np.zeros((3, 3)))
-        with pytest.raises(ValidationError):
-            PointCloud(dim=2, points=np.array([[np.inf, 0.0]]))
 
 
 class TestRestrictedPolytopeInput:
@@ -156,7 +149,7 @@ class TestRestrictedPolytopeInput:
             r = (p.beta * g.gamma((p.d + p.alpha) / p.beta, size=n)) ** (1.0 / p.beta)
             u = g.standard_normal((n, p.d))
             u = u / np.linalg.norm(u, axis=1, keepdims=True)
-            got = sample_polytope_input(RngStream(21, k), p).points
+            got = sample_polytope_input(RngStream(21, k), p)
             np.testing.assert_array_equal(got, u * r[:, None])
 
     def test_radial_tail_against_quadrature(self):
@@ -180,7 +173,7 @@ class TestRestrictedPolytopeInput:
         for r_min, r_max, streams in ((r_lo, r_hi, 2), (r_hi, math.inf, 60)):
             clouds = [sample_polytope_input(RngStream(31, k), p, r_min, r_max)
                       for k in range(streams)]
-            r = np.linalg.norm(np.vstack([c.points for c in clouds]), axis=1)
+            r = np.linalg.norm(np.vstack(clouds), axis=1)
             assert np.all((r > r_min) & (r <= r_max))
             lo, hi = float(cdf(r_min)), 1.0 if math.isinf(r_max) else float(cdf(r_max))
             assert kstest(r, lambda x: (cdf(x) - lo) / (hi - lo)).pvalue > 1e-3
