@@ -191,12 +191,12 @@ def _check_models(opts: dict):
                 raise ValidationError(_MODEL_ERRORS[type(exc)], str(exc)) from exc
 
 
-# Plans: plan(options, reps, seed, workers) returns (check, call), both
-# without arguments. check() raises what the runner's own check function
-# raises on these arguments, sampling nothing, so `validate` rejects exactly
-# what `run` would; call() runs the runner, which makes the same check
-# first. A plan names the runners and validate_params, so each is looked up
-# in this module when called.
+# Each experiment's check and runner take one argument list, which
+# args(options, reps) builds from the parsed config as (args, kwargs):
+# check(*args, **kwargs) raises what the runner raises on them, sampling
+# nothing, and runner(*args, seed=..., workers=..., **kwargs) makes the same
+# check first. Each is called through its name in this module, so a rebinding
+# of the name (a test's monkeypatch, a tracer's wrapper) takes effect.
 
 
 def _model(o: dict, lam=None):
@@ -204,91 +204,60 @@ def _model(o: dict, lam=None):
     return validate_params(o["d"], o["alpha"], o["beta"], o["lambda"] if lam is None else lam)
 
 
-def _plan_gumbel(o, reps, seed, workers):
-    n = int(o["n"])
-    return (lambda: check_gumbel(n, reps),
-            lambda: run_gumbel(o["alpha"], o["beta"], n, reps, seed, workers))
-
-
-def _plan_intensity(o, reps, seed, workers):
-    params, w = _model(o), o["window"]
-    window = ScaledWindow(w["spatial_radius"], w["h_min"], w["h_max"])
-    bins = tuple(o.get("bins", (1, 4)))
-    return (lambda: check_intensity(params, window),
-            lambda: run_intensity(params, window, bins, reps, seed, workers))
-
-
-def _plan_scaling_limit(o, reps, seed, workers):
-    params_list = [validate_params(o["d"], a, b, lam)
-                   for a, b in o["alphas_betas"] for lam in o["lambda_grid"]]
-    return (lambda: check_scaling_limit(params_list, o["L"], reps),
-            lambda: run_scaling_limit(params_list, o["L"], reps, seed, workers,
-                                      grid_n=o.get("grid_n", 41)))
-
-
-def _plan_moments(o, reps, seed, workers):
-    grid = [_model(o, lam) for lam in o["lambda_grid"]]
-    return (lambda: check_moments(grid, reps),
-            lambda: run_moments(grid, reps, seed, workers))
-
-
-def _plan_clt(o, reps, seed, workers):
-    params = _model(o)
-    return (lambda: check_clt(params, reps),
-            lambda: run_clt(params, reps, seed, workers))
-
-
-def _plan_tails(o, reps, seed, workers):
-    params = _model(o)
-    return (lambda: check_tails(params, reps),
-            lambda: run_tails(params, o["M"], o["t_grid"], reps, seed, workers))
-
-
-def _plan_slln(o, reps, seed, workers):
-    args = (_model(o, 1.0), o["a"], o["k_max"], o["p"], o["i"])
-    return (lambda: check_slln(*args),
-            lambda: run_slln_trend(*args, reps, seed, workers))
-
-
-def _plan_concentration(o, reps, seed, workers):
-    params = _model(o)
-    return (lambda: check_concentration(params, reps, o.get("i")),
-            lambda: concentration_check(params, reps, o["y_grid"], seed, i=o.get("i"),
-                                        workers=workers))
-
-
-def _plan_vertex_correspondence(o, reps, seed, workers):
-    params = _model(o)
-    return (lambda: check_vertex_correspondence(params, o["L"]),
-            lambda: run_vertex_correspondence(params, o["L"], reps, seed, workers))
+def _optional(o: dict, *keys) -> dict:
+    """The optional keys the config sets, as keyword arguments."""
+    return {k: o[k] for k in keys if k in o}
 
 
 @dataclass(frozen=True)
 class _Experiment:
-    """One experiment's config keys, each with its type rule, and its plan."""
+    """One experiment's config keys, each with its type rule; its check and
+    runner; and the builder of their argument list."""
 
     required: dict
     optional: dict
-    plan: object
+    check: object
+    runner: object
+    args: object
 
 
 _MODEL = {"d": _integer, "alpha": _number, "beta": _number}
 _REGISTRY = {
-    "gumbel": _Experiment({"alpha": _number, "beta": _number, "n": _number}, {}, _plan_gumbel),
-    "intensity": _Experiment(dict(_MODEL, **{"lambda": _number, "window": _window}),
-                             {"bins": _bins}, _plan_intensity),
-    "scaling_limit": _Experiment({"d": _integer, "alphas_betas": _pairs, "lambda_grid": _numbers,
-                                  "L": _positive}, {"grid_n": _grid_n}, _plan_scaling_limit),
-    "moments": _Experiment(dict(_MODEL, lambda_grid=_numbers), {}, _plan_moments),
-    "clt": _Experiment(dict(_MODEL, **{"lambda": _number}), {}, _plan_clt),
-    "tails": _Experiment(dict(_MODEL, **{"lambda": _number, "M": _number, "t_grid": _numbers}),
-                         {}, _plan_tails),
-    "slln": _Experiment(dict(_MODEL, a=_number, k_max=_integer, p=_number, i=_integer), {},
-                        _plan_slln),
-    "concentration": _Experiment(dict(_MODEL, **{"lambda": _number, "y_grid": _numbers}),
-                                 {"i": _integer}, _plan_concentration),
-    "vertex_correspondence": _Experiment(dict(_MODEL, **{"lambda": _number, "L": _positive}), {},
-                                         _plan_vertex_correspondence),
+    "gumbel": _Experiment(
+        {"alpha": _number, "beta": _number, "n": _number}, {}, check_gumbel, run_gumbel,
+        lambda o, reps: ((o["alpha"], o["beta"], int(o["n"]), reps), {})),
+    "intensity": _Experiment(
+        dict(_MODEL, **{"lambda": _number, "window": _window}), {"bins": _bins},
+        check_intensity, run_intensity,
+        lambda o, reps: ((_model(o), ScaledWindow(*(o["window"][k] for k in _WINDOW_KEYS)),
+                          tuple(o.get("bins", (1, 4))), reps), {})),
+    "scaling_limit": _Experiment(
+        {"d": _integer, "alphas_betas": _pairs, "lambda_grid": _numbers, "L": _positive},
+        {"grid_n": _grid_n}, check_scaling_limit, run_scaling_limit,
+        lambda o, reps: (([validate_params(o["d"], a, b, lam) for a, b in o["alphas_betas"]
+                           for lam in o["lambda_grid"]], o["L"], reps), _optional(o, "grid_n"))),
+    "moments": _Experiment(
+        dict(_MODEL, lambda_grid=_numbers), {}, check_moments, run_moments,
+        lambda o, reps: (([_model(o, lam) for lam in o["lambda_grid"]], reps), {})),
+    "clt": _Experiment(
+        dict(_MODEL, **{"lambda": _number}), {}, check_clt, run_clt,
+        lambda o, reps: ((_model(o), reps), {})),
+    "tails": _Experiment(
+        dict(_MODEL, **{"lambda": _number, "M": _positive, "t_grid": _numbers}), {},
+        check_tails, run_tails,
+        lambda o, reps: ((_model(o), o["M"], o["t_grid"], reps), {})),
+    "slln": _Experiment(
+        dict(_MODEL, a=_number, k_max=_integer, p=_number, i=_integer), {},
+        check_slln, run_slln_trend,
+        lambda o, reps: ((_model(o, 1.0), o["a"], o["k_max"], o["p"], o["i"], reps), {})),
+    "concentration": _Experiment(
+        dict(_MODEL, **{"lambda": _number, "y_grid": _numbers}), {"i": _integer},
+        check_concentration, concentration_check,
+        lambda o, reps: ((_model(o), reps, o["y_grid"]), _optional(o, "i"))),
+    "vertex_correspondence": _Experiment(
+        dict(_MODEL, **{"lambda": _number, "L": _positive}), {},
+        check_vertex_correspondence, run_vertex_correspondence,
+        lambda o, reps: ((_model(o), o["L"], reps), {})),
 }
 EXPERIMENTS = tuple(_REGISTRY)
 
@@ -347,9 +316,13 @@ def parse_config(source: str) -> RunConfig:
 
 
 def _plan(config: RunConfig):
-    """(check, call) of the configured experiment; see the plans above."""
-    return _REGISTRY[config.experiment].plan(config.options, config.reps, config.seed,
-                                             config.workers)
+    """(check, call) of the configured experiment, both without arguments:
+    its check and its runner on the one argument list of the config."""
+    entry = _REGISTRY[config.experiment]
+    args, kwargs = entry.args(config.options, config.reps)
+    return (lambda: globals()[entry.check.__name__](*args, **kwargs),
+            lambda: globals()[entry.runner.__name__](*args, seed=config.seed,
+                                                     workers=config.workers, **kwargs))
 
 
 def _dispatch(config: RunConfig):

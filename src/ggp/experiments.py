@@ -3,8 +3,8 @@
 Every runner is deterministic given (seed, configuration): replication r of
 a run draws from the stream (seed, stream_id(r)), so results are identical
 regardless of how replications are scheduled across workers. Asymptotic
-claims are tested as ratio bands, monotone trends, or shape fits; the
-thresholds live in the call signatures so they are pinned and reportable.
+claims are tested as ratio bands, monotone trends, or shape fits, whose
+thresholds are the named module constants below, one value per pass rule.
 """
 
 from __future__ import annotations
@@ -102,6 +102,22 @@ POOL_START_S = 0.03
 # replication took 140-450 us as the first call after other work (same VM).
 # A probe shorter than this may be mostly that cost, so it is re-timed.
 COLD_CALL_S = 0.001
+# Pass rules, one value each.
+GUMBEL_KS_THRESHOLD = 0.05  # KS distance of the standardized maxima to the Gumbel law
+INTENSITY_REL_TOL = 0.05  # relative error of a binned count against its exact mass,
+INTENSITY_MIN_EXPECTED = 200.0  # on the cells whose aggregate expected count is this or more
+INTENSITY_MASS_TOL = 0.01  # relative error of the whole window's quadrature mass
+INTENSITY_LIMIT_LAMS = (1e4, 1e8)  # the exact masses approach their e^h limit between these
+MOMENTS_RATIO_BAND = (0.75, 1.05)  # E[V_d] / leading-order scale at the largest intensity
+MOMENTS_F0_SLOPE_BAND = 0.15  # log E[f0] slope within (d-1)/2 +- this
+MOMENTS_VAR_SLOPE_BAND = 0.2  # log var[f0] slope within (d-1)/2 +- this
+CLT_SKEW_TOL = 0.25  # |skewness| of a standardized metric
+CLT_KURT_TOL = 0.5  # its |excess kurtosis|
+CLT_KS_TOL = 0.04  # its KS distance to N(0, 1)
+TAILS_R2_THRESHOLD = 0.9  # r^2 of the fit of log P(sup >= t) on t
+VERTEX_MATCH_THRESHOLD = 0.95  # match rate of hull vertices and festoon extreme points
+# Gauss-Legendre nodes per axis of a window cell in _cell_masses.
+GAUSS_NODES = 24
 
 
 @dataclass(frozen=True)
@@ -218,8 +234,11 @@ def _too_short(grid):
     return None
 
 
-# Each runner's preconditions live in a check_* function that samples
-# nothing, so `ggp validate` rejects exactly the configs the runner would.
+# Each runner's preconditions live in a check_* function that takes the
+# runner's arguments but seed and workers, judges those it must and samples
+# nothing. The runner calls it first on its own arguments, so `ggp validate`,
+# calling it on the arguments `ggp run` hands the runner, rejects exactly the
+# configs the runner would.
 
 
 def check_reps(reps, n_groups=1):
@@ -314,19 +333,20 @@ def _by_law(groups) -> dict:
 
 def _gumbel_task(rng, group):
     n = int(group.lam)
-    return {"std_max": float(sample_standardized_max(rng, n, group.alpha, group.beta))}
+    return {"std_max": sample_standardized_max(rng, n, group.alpha, group.beta)}
 
 
-def check_gumbel(n, reps):
+def check_gumbel(alpha, beta, n, reps):
     """Preconditions of run_gumbel."""
     if not 100 <= n < 2**63:  # the point count is drawn as a 64-bit binomial
         raise ValidationError("n", "need 100 <= n < 2**63")
     _require_reps(reps, 100)
 
 
-def run_gumbel(alpha, beta, n, reps, seed, workers=1, ks_threshold=0.05) -> RunResult:
-    """Standardized 1-d maxima against the Gumbel law exp(-e^{-x})."""
-    check_gumbel(n, reps)
+def run_gumbel(alpha, beta, n, reps, seed, workers=1) -> RunResult:
+    """Standardized 1-d maxima against the Gumbel law exp(-e^{-x}); passes
+    when their KS distance is below GUMBEL_KS_THRESHOLD."""
+    check_gumbel(alpha, beta, n, reps)
     # one group of 1-d maxima of n points, with n in the lambda column
     group = ModelParams(1, float(alpha), float(beta), float(n))
     records, kept, _ = replicate("gumbel", _gumbel_task, [group], reps, seed, workers)
@@ -337,8 +357,8 @@ def run_gumbel(alpha, beta, n, reps, seed, workers=1, ks_threshold=0.05) -> RunR
     result.checks.append(
         _check(
             f"gumbel_ks[alpha={alpha},beta={beta}]",
-            ks < ks_threshold,
-            f"ks = {ks:.4f} vs threshold {ks_threshold} (n = {n:.0g}, reps = {reps})",
+            ks < GUMBEL_KS_THRESHOLD,
+            f"ks = {ks:.4f} vs threshold {GUMBEL_KS_THRESHOLD} (n = {n:.0g}, reps = {reps})",
         )
     )
     return result
@@ -356,9 +376,9 @@ def _spatial_shell_factor(rho, d):
     return sphere_surface_area(d - 1) * np.asarray(rho, dtype=float) ** (d - 2)
 
 
-def _cell_masses(params, r_lambda, rho_edges, h_edges, mode, n_gauss=24):
+def _cell_masses(params, r_lambda, rho_edges, h_edges, mode):
     """Integral of the exact (or limiting e^h) intensity over (||v||, h) cells."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
     rho_edges, h_edges = np.asarray(rho_edges, dtype=float), np.asarray(h_edges, dtype=float)
     r0, r1 = rho_edges[:-1, None], rho_edges[1:, None]
     rho = 0.5 * (r1 - r0) * nodes + 0.5 * (r1 + r0)  # (rho cells, n_gauss)
@@ -370,17 +390,17 @@ def _cell_masses(params, r_lambda, rho_edges, h_edges, mode, n_gauss=24):
     if mode == "exact":
         consts = normalization(params.d, params.alpha, params.beta)
     else:  # e^h depends on h alone, so one (n_h, n_gauss, n_gauss) table serves every row
-        vals = np.repeat(np.exp(hh)[:, None, :], n_gauss, axis=1)
+        vals = np.repeat(np.exp(hh)[:, None, :], GAUSS_NODES, axis=1)
     out = np.empty((n_rho, n_h))
     for i in range(n_rho):
         if mode == "exact":
             # one call per rho row, so memory grows with n_h alone; node (a, b)
             # of cell (i, j) sits at ||v|| = rho[i, a], h = hh[j, b]
-            pts = np.zeros((n_h, n_gauss, n_gauss, params.d))
+            pts = np.zeros((n_h, GAUSS_NODES, GAUSS_NODES, params.d))
             pts[..., 0] = rho[i, None, :, None]
             pts[..., -1] = hh[:, None, :]
             vals = rescaled_intensity(pts.reshape(-1, params.d), params, r_lambda,
-                                      consts).reshape(n_h, n_gauss, n_gauss)
+                                      consts).reshape(n_h, GAUSS_NODES, GAUSS_NODES)
         for j in range(n_h):
             out[i, j] = float(wr[i] @ vals[j] @ wh[j])
     return out
@@ -389,16 +409,14 @@ def _cell_masses(params, r_lambda, rho_edges, h_edges, mode, n_gauss=24):
 def _intensity_task(rng, params, window, rho_edges, h_edges, r_lambda):
     # h = R^(beta-1) (R - ||x||), so only the annulus below can reach the
     # window's heights; by Poisson restriction sampling just it is exact. The
-    # margins absorb rounding in h, and keep still decides membership.
+    # margins absorb rounding in h, and keep still decides membership. The
+    # annulus is never empty, as check_intensity keeps h_min < h_max <= R^beta.
     per_height = r_lambda ** (1.0 - params.beta)
     r_min = max(r_lambda - window.h_max * per_height, 0.0) * (1.0 - 1e-9)
     r_max = (r_lambda - window.h_min * per_height) * (1.0 + 1e-9)
     counts = np.zeros((len(rho_edges) - 1, len(h_edges) - 1))
     n_window = 0
-    if r_max > r_min:
-        cloud = sample_polytope_input(rng, params, r_min, r_max)
-    else:  # h_min >= R^beta lies above every height
-        cloud = np.empty((0, params.d))
+    cloud = sample_polytope_input(rng, params, r_min, r_max)
     if len(cloud):
         w = transform_batch(cloud, params.beta, r_lambda)
         rho = np.linalg.norm(w[:, :-1], axis=1)
@@ -410,36 +428,38 @@ def _intensity_task(rng, params, window, rho_edges, h_edges, r_lambda):
     return {"window_count": float(n_window)}, counts
 
 
-def check_intensity(params, window):
-    """Preconditions of run_intensity; returns the validated parameters and R."""
+def check_intensity(params, window, bins, reps):
+    """Preconditions of run_intensity; returns the validated parameters, R,
+    and the (parameters, R) of each of INTENSITY_LIMIT_LAMS. The runner
+    evaluates the exact intensity over the window at each of these
+    intensities, so the window must lie in the rescaled space of the smallest
+    R among them: spatial_radius <= pi R^(beta/2) and h_max <= R^beta."""
     # the height slabs divide [e^h_min, e^h_max], so e^h_max must be a finite float
     if not (math.isfinite(window.spatial_radius) and math.isfinite(window.h_min)
             and window.h_max < math.log(sys.float_info.max)):
         raise ValidationError("window", "intensity binning needs a compact window")
-    return _usable(params)
+    params, r_lambda = _usable(params)
+    comparisons = [_usable(ModelParams(params.d, params.alpha, params.beta, float(lam)))
+                   for lam in INTENSITY_LIMIT_LAMS]
+    r_min = min(r_lambda, *(r for _, r in comparisons))
+    v_max, h_top = math.pi * r_min ** (params.beta / 2.0), r_min**params.beta
+    if not (window.spatial_radius <= v_max and window.h_max <= h_top):
+        raise ValidationError("window", f"need spatial_radius <= {v_max:.4g} and h_max <= "
+                                        f"{h_top:.4g}, the rescaled space at R = {r_min:.4g}")
+    return params, r_lambda, comparisons
 
 
-def run_intensity(
-    params,
-    window,
-    bins,
-    reps,
-    seed,
-    workers=1,
-    rel_tol=0.05,
-    mass_tol=0.01,
-    min_expected=200.0,
-    limit_lams=(1e4, 1e8),
-) -> RunResult:
+def run_intensity(params, window, bins, reps, seed, workers=1) -> RunResult:
     """Binned rescaled-process counts against the exact intensity and its limit.
 
     Pass rules: aggregated per-cell counts match the exact-intensity masses to
-    rel_tol on cells with aggregate expectation >= min_expected; the quadrature
-    integral of the exact intensity over the whole rescaled window returns
-    lambda to mass_tol; the quadrature distance to the e^h limit shrinks
-    between the two comparison intensities in limit_lams.
+    INTENSITY_REL_TOL on cells with aggregate expectation >=
+    INTENSITY_MIN_EXPECTED; the quadrature integral of the exact intensity
+    over the whole rescaled window returns lambda to INTENSITY_MASS_TOL; the
+    quadrature distance to the e^h limit shrinks between the two comparison
+    intensities INTENSITY_LIMIT_LAMS.
     """
-    params, r_lambda = check_intensity(params, window)
+    params, r_lambda, comparisons = check_intensity(params, window, bins, reps)
     n_rho, n_h = bins
     rho_edges = np.linspace(0.0, window.spatial_radius, n_rho + 1)
     # equal-mass height slabs under the limit intensity, so no pass-rule cell
@@ -454,15 +474,16 @@ def run_intensity(
     counts = sum(hists, np.zeros((n_rho, n_h)))
 
     expected = reps * _cell_masses(params, r_lambda, rho_edges, h_edges, "exact")
-    qualifying = expected >= min_expected
+    qualifying = expected >= INTENSITY_MIN_EXPECTED
     rel_err = np.abs(counts - expected) / np.where(expected > 0, expected, 1.0)
     max_rel = float(rel_err[qualifying].max()) if qualifying.any() else math.nan
     chi2 = float((((counts - expected) ** 2 / np.where(expected > 0, expected, 1.0))[qualifying]).sum())
     result.checks.append(
         _check(
             "intensity_binned_vs_exact",
-            qualifying.any() and max_rel < rel_tol,
-            f"max rel err = {max_rel:.4f} over {int(qualifying.sum())} cells >= {min_expected:.0f} "
+            qualifying.any() and max_rel < INTENSITY_REL_TOL,
+            f"max rel err = {max_rel:.4f} over {int(qualifying.sum())} cells >= "
+            f"{INTENSITY_MIN_EXPECTED:.0f} "
             f"expected; chi2 = {chi2:.1f}",
         )
     )
@@ -478,16 +499,14 @@ def run_intensity(
     result.checks.append(
         _check(
             "intensity_window_mass",
-            mass_err < mass_tol,
+            mass_err < INTENSITY_MASS_TOL,
             f"quadrature mass / lambda = {mass / params.lam:.5f} (rel err {mass_err:.2e})",
         )
     )
 
     limit_errs = []
     limit_mass = _cell_masses(params, r_lambda, rho_edges, h_edges, "limit")
-    for lam_cmp in limit_lams:
-        p_cmp = validate_params(params.d, params.alpha, params.beta, lam_cmp)
-        r_cmp = critical_radius(p_cmp)
+    for p_cmp, r_cmp in comparisons:
         exact = _cell_masses(p_cmp, r_cmp, rho_edges, h_edges, "exact")
         limit_errs.append(float(np.max(np.abs(exact - limit_mass) / limit_mass)))
     result.checks.append(
@@ -495,7 +514,8 @@ def run_intensity(
             "intensity_limit_trend",
             limit_errs[-1] < limit_errs[0],
             "max rel err vs e^h: "
-            + ", ".join(f"lambda={l:.0g}: {e:.4f}" for l, e in zip(limit_lams, limit_errs)),
+            + ", ".join(f"lambda={l:.0g}: {e:.4f}"
+                        for l, e in zip(INTENSITY_LIMIT_LAMS, limit_errs)),
         )
     )
     result.records.append(_aggregate("intensity", params, seed, {
@@ -531,7 +551,7 @@ def _scaling_task(rng, params, L, grid_n):
     return _festoon_sample(rng, params, L, r_lambda, measure)
 
 
-def check_scaling_limit(params_list, L, reps) -> list:
+def check_scaling_limit(params_list, L, reps, grid_n=41) -> list:
     """Preconditions of run_scaling_limit; returns the validated parameters."""
     _check_L(L)
     check_reps(reps, len(params_list))
@@ -545,7 +565,7 @@ def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=41) -> RunRe
     replications must decrease strictly along its intensity grid, and the
     bootstrap 95% intervals of the endpoint medians must not overlap.
     """
-    params_list = check_scaling_limit(params_list, L, reps)
+    params_list = check_scaling_limit(params_list, L, reps, grid_n)
     records, kept, _ = replicate("scaling_limit", _scaling_task, params_list, reps, seed, workers,
                                  float(L), int(grid_n))
     result = RunResult("scaling_limit", records)
@@ -735,22 +755,14 @@ def check_moments(params_grid, reps) -> list:
     return [validate_params(p.d, p.alpha, p.beta, p.lam) for p in params_grid]
 
 
-def run_moments(
-    params_grid,
-    reps,
-    seed,
-    workers=1,
-    ratio_band=(0.75, 1.05),
-    f0_slope_band=0.15,
-    var_slope_band=0.2,
-) -> RunResult:
+def run_moments(params_grid, reps, seed, workers=1) -> RunResult:
     """Expectation and variance scaling of intrinsic volumes and face counts.
 
     Checks, per (d, alpha, beta) group over its intensity grid: the top
-    intrinsic volume's ratio to its leading-order scale lands in ratio_band
-    at the largest intensity and increases along the grid; log E[f_0] and
-    log var[f_0] regress on log(beta log lambda) with slopes (d-1)/2 within
-    the stated bands.
+    intrinsic volume's ratio to its leading-order scale lands in
+    MOMENTS_RATIO_BAND at the largest intensity and increases along the grid;
+    log E[f_0] and log var[f_0] regress on log(beta log lambda) with slopes
+    (d-1)/2 within MOMENTS_F0_SLOPE_BAND and MOMENTS_VAR_SLOPE_BAND.
     """
     params_grid = check_moments(params_grid, reps)
     records, kept, _ = replicate("moments", _polytope_task, params_grid, reps, seed, workers)
@@ -770,9 +782,9 @@ def run_moments(
             vals = kept[pi].get(f"v{d}", [])
             ratios.append(np.mean(vals) / expected_intrinsic_scale(params_grid[pi], d))
         increasing = all(ratios[k + 1] > ratios[k] for k in range(len(ratios) - 1))
-        in_band = ratio_band[0] <= ratios[-1] <= ratio_band[1]
+        in_band = MOMENTS_RATIO_BAND[0] <= ratios[-1] <= MOMENTS_RATIO_BAND[1]
         ratio_detail = (f"E[V_{d}]/scale = " + ", ".join(f"{r:.4f}" for r in ratios)
-                        + f" (band {ratio_band} at top, increasing)")
+                        + f" (band {MOMENTS_RATIO_BAND} at top, increasing)")
         short = _too_short(lams)
         if short:
             result.checks.append(_info(f"moments_volume_ratio{tag}", f"{short}; {ratio_detail}"))
@@ -791,16 +803,16 @@ def run_moments(
             result.checks.append(
                 _check(
                     f"moments_f0_slope{tag}",
-                    abs(slope_e - target) <= f0_slope_band,
-                    f"log E[f0] slope = {slope_e:.3f} vs {target} +- {f0_slope_band} "
+                    abs(slope_e - target) <= MOMENTS_F0_SLOPE_BAND,
+                    f"log E[f0] slope = {slope_e:.3f} vs {target} +- {MOMENTS_F0_SLOPE_BAND} "
                     f"(r2 = {r2_e:.3f})",
                 )
             )
             result.checks.append(
                 _check(
                     f"moments_var_f0_slope{tag}",
-                    abs(slope_v - target) <= var_slope_band,
-                    f"log var[f0] slope = {slope_v:.3f} vs {target} +- {var_slope_band} "
+                    abs(slope_v - target) <= MOMENTS_VAR_SLOPE_BAND,
+                    f"log var[f0] slope = {slope_v:.3f} vs {target} +- {MOMENTS_VAR_SLOPE_BAND} "
                     f"(r2 = {r2_v:.3f})",
                 )
             )
@@ -824,16 +836,9 @@ def check_clt(params, reps) -> ModelParams:
     return validate_params(params.d, params.alpha, params.beta, params.lam)
 
 
-def run_clt(
-    params,
-    reps,
-    seed,
-    workers=1,
-    skew_tol=0.25,
-    kurt_tol=0.5,
-    ks_tol=0.04,
-) -> RunResult:
-    """Normality of standardized face counts and intrinsic volumes."""
+def run_clt(params, reps, seed, workers=1) -> RunResult:
+    """Normality of standardized face counts and intrinsic volumes, judged
+    against CLT_SKEW_TOL, CLT_KURT_TOL and CLT_KS_TOL."""
     params = check_clt(params, reps)
     records, kept, _ = replicate("clt", _polytope_task, [params], reps, seed, workers)
     result = RunResult("clt", records)
@@ -854,22 +859,22 @@ def run_clt(
             result.checks.append(
                 _check(
                     f"clt_skewness[{name}]",
-                    abs(st.skewness) < skew_tol,
-                    f"|skew| = {abs(st.skewness):.4f} vs {skew_tol} ({reps} reps)",
+                    abs(st.skewness) < CLT_SKEW_TOL,
+                    f"|skew| = {abs(st.skewness):.4f} vs {CLT_SKEW_TOL} ({reps} reps)",
                 )
             )
             result.checks.append(
                 _check(
                     f"clt_kurtosis[{name}]",
-                    abs(st.excess_kurtosis) < kurt_tol,
-                    f"|excess kurtosis| = {abs(st.excess_kurtosis):.4f} vs {kurt_tol}",
+                    abs(st.excess_kurtosis) < CLT_KURT_TOL,
+                    f"|excess kurtosis| = {abs(st.excess_kurtosis):.4f} vs {CLT_KURT_TOL}",
                 )
             )
             result.checks.append(
                 _check(
                     f"clt_ks_normal[{name}]",
-                    st.ks_normal < ks_tol,
-                    f"ks = {st.ks_normal:.4f} vs {ks_tol}",
+                    st.ks_normal < CLT_KS_TOL,
+                    f"ks = {st.ks_normal:.4f} vs {CLT_KS_TOL}",
                 )
             )
     result.records.append(_aggregate("clt", params, seed, agg))
@@ -899,22 +904,22 @@ def _tails_task(rng, params, M, h_cap, grid_n, r_lambda):
     return {"sup_abs": float(np.max(np.abs(env)))}
 
 
-def check_tails(params, reps):
+def check_tails(params, M, t_grid, reps, grid_n=41):
     """Preconditions of run_tails; returns the validated parameters and R."""
     _require_reps(reps, 500)
+    if not M > 0:
+        raise ValidationError("M", "must be > 0")
     return _usable(params)
 
 
-def run_tails(
-    params, M, t_grid, reps, seed, workers=1, grid_n=41, r2_threshold=0.9
-) -> RunResult:
+def run_tails(params, M, t_grid, reps, seed, workers=1, grid_n=41) -> RunResult:
     """Exponential-shape check of the envelope boundary-height tails.
 
     Estimates P(sup over the M-ball of |envelope| >= t) on t_grid, requires
     monotone probabilities, and fits log P against t: the slope must be
-    negative with fit r^2 above r2_threshold.
+    negative with fit r^2 above TAILS_R2_THRESHOLD.
     """
-    params, r_lambda = check_tails(params, reps)
+    params, r_lambda = check_tails(params, M, t_grid, reps, grid_n)
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     h_cap = float(t_grid[-1]) + 2.0
     records, kept, _ = replicate("tails", _tails_task, [params], reps, seed, workers,
@@ -944,14 +949,14 @@ def run_tails(
     result.checks.append(
         _info("tails_exponential_shape", short) if short else _check(
             "tails_exponential_shape",
-            (slope < 0) and (r2 > r2_threshold),
-            f"slope = {slope:.3f} (< 0), r2 = {r2:.3f} (> {r2_threshold})",
+            (slope < 0) and (r2 > TAILS_R2_THRESHOLD),
+            f"slope = {slope:.3f} (< 0), r2 = {r2:.3f} (> {TAILS_R2_THRESHOLD})",
         )
     )
     return result
 
 
-def check_slln(params_base, a, k_max, p, i) -> list:
+def check_slln(params_base, a, k_max, p, i, reps) -> list:
     """Preconditions of run_slln_trend; returns the parameters of the grid a^k."""
     d, alpha, beta = params_base.d, params_base.alpha, params_base.beta
     _check_intrinsic_index(i, d)
@@ -975,7 +980,7 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
     decreasing medians in k. Requires p above the summability threshold
     (4i - beta(d+3)) / (4i) and a > 1.
     """
-    params_grid = check_slln(params_base, a, k_max, p, i)
+    params_grid = check_slln(params_base, a, k_max, p, i, reps)
     records, kept, _ = replicate("slln", _polytope_task, params_grid, reps, seed, workers)
     result = RunResult("slln", records)
     meds = []
@@ -1004,7 +1009,7 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
     return result
 
 
-def check_concentration(params, reps, i=None):
+def check_concentration(params, reps, y_grid, i=None):
     """Preconditions of concentration_check; returns the validated parameters
     and the intrinsic index (d when i is None)."""
     _require_reps(reps, 2000)
@@ -1020,7 +1025,7 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     The empirical exceedance probability P(|V_i - mean| >= y sd) may not
     exceed the bound by more than three binomial standard errors at any y.
     """
-    params, i = check_concentration(params, reps, i)
+    params, i = check_concentration(params, reps, y_grid, i)
     d = params.d
     records, kept, _ = replicate("concentration", _polytope_task, [params], reps, seed, workers)
     result = RunResult("concentration", records)
@@ -1104,13 +1109,13 @@ def _vertex_task(rng, params, L, r_lambda):
     return _festoon_sample(rng, params, L, r_lambda, measure)
 
 
-def check_vertex_correspondence(params, L):
+def check_vertex_correspondence(params, L, reps):
     """Preconditions of run_vertex_correspondence; returns the validated parameters and R."""
     _check_L(L)
     return _usable(params)
 
 
-def run_vertex_correspondence(params, L, reps, seed, workers=1, match_threshold=0.95) -> RunResult:
+def run_vertex_correspondence(params, L, reps, seed, workers=1) -> RunResult:
     """Agreement between rescaled hull vertices and festoon extreme points.
 
     Compares, inside the spatial L-ball, the set of original point indices
@@ -1118,9 +1123,9 @@ def run_vertex_correspondence(params, L, reps, seed, workers=1, match_threshold=
     guard-banded rescaled process. Mismatches within the R^(-beta/2)
     height margin of the opposing boundary are logged as boundary-effect
     exceptions; the match rate over the remaining points must reach
-    match_threshold.
+    VERTEX_MATCH_THRESHOLD.
     """
-    params, r_lambda = check_vertex_correspondence(params, L)
+    params, r_lambda = check_vertex_correspondence(params, L, reps)
     records, kept, _ = replicate("vertex_correspondence", _vertex_task, [params], reps, seed,
                                  workers, float(L), r_lambda)
     result = RunResult("vertex_correspondence", records)
@@ -1133,9 +1138,9 @@ def run_vertex_correspondence(params, L, reps, seed, workers=1, match_threshold=
     result.checks.append(
         _check(
             "vertex_correspondence_rate",
-            rate >= match_threshold,
+            rate >= VERTEX_MATCH_THRESHOLD,
             f"matched {match:.0f} of {effective:.0f} window vertices ({rate:.4f} >= "
-            f"{match_threshold}); {exceptions:.0f} near-boundary exceptions logged "
+            f"{VERTEX_MATCH_THRESHOLD}); {exceptions:.0f} near-boundary exceptions logged "
             f"({exceptions / union if union else 0.0:.4f} of {union:.0f})",
         )
     )

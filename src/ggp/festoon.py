@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, OutsideSupport
-from .hull import Polytope, facet_groups, is_convex_combination, radial_function_batch
+from .hull import Polytope, _finite, facet_groups, is_convex_combination, radial_function_batch
 from .params import ModelParams
 from .rescale import exp_map
 
@@ -40,13 +40,13 @@ __all__ = [
 
 
 def _as_scaled_array(points) -> np.ndarray:
-    """Normalize (n, m+1) rows (v_1..v_m, h) to a float array."""
+    """Normalize (n, m+1) rows (v_1..v_m, h) of finite coordinates to a float array."""
     arr = np.asarray(points, dtype=float)
     if arr.size == 0:
         raise EmptyInput("no scaled points")
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("expected rows (v_1..v_m, h) with m >= 1")
-    return arr
+    return _finite(arr)
 
 
 def _as_grid(grid, m: int) -> np.ndarray:

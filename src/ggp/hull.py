@@ -67,13 +67,18 @@ def _dedup(points: np.ndarray):
     return points[keep], keep
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """arr, after a ValidationError on points unless every coordinate is finite."""
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("points", "coordinates must be finite")
+    return arr
+
+
 def _as_points(cloud) -> np.ndarray:
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2:
         raise DegenerateInput("expected a 2-d array of points")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("points", "coordinates must be finite")
-    return pts
+    return _finite(pts)
 
 
 def facet_groups(qh):

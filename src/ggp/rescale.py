@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import OutsideWindow
+from .hull import _finite
 from .params import ModelParams, normalization
 
 __all__ = [
@@ -66,10 +67,11 @@ def exp_inverse(u: np.ndarray) -> np.ndarray:
 
 
 def transform_batch(x: np.ndarray, beta: float, r_lambda: float) -> np.ndarray:
-    """Scaling map for an (n, d) array; returns (n, d) rows (v_1..v_{d-1}, h)."""
+    """Scaling map for an (n, d) array of finite points; returns (n, d) rows
+    (v_1..v_{d-1}, h)."""
     if r_lambda < 1:
         raise ValueError("r_lambda must be >= 1")
-    x = np.asarray(x, dtype=float)
+    x = _finite(np.asarray(x, dtype=float))
     n, d = x.shape
     out = np.empty((n, d))
     r = np.linalg.norm(x, axis=1)

@@ -138,7 +138,7 @@ def sample_polytope_input(rng, params: ModelParams, r_min: float = 0.0,
     return u * r[:, None]
 
 
-def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
+def sample_standardized_max(rng, n: int, alpha: float, beta: float) -> float:
     """Standardized maximum of n iid draws from the 1-d generalized gamma density.
 
     The sign of each draw is symmetric, so the maximum is the largest of the
@@ -149,8 +149,7 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
     the maximum of k has CDF (1 - Q(t))^k, so Q(t) = 1 - u^(1/k); the minimum
     of n has P(min > t) = Q(t)^n, so Q(t) = (1 - u)^(1/n). u = 0 maps to
     t = 0 in both branches, so every value is finite. Returns
-    (beta log n)^((beta-1)/beta) * (M_n - a_n) as a float, or for size=N an
-    array of N such draws taken in turn.
+    (beta log n)^((beta-1)/beta) * (M_n - a_n) as a float.
     """
     if n < 2:
         raise ValidationError("n", f"n = {n} < 2")
@@ -159,8 +158,6 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
     from scipy.special import gammainccinv
 
     g = _gen(rng)
-    if size is not None:
-        return np.array([sample_standardized_max(g, n, alpha, beta) for _ in range(size)])
     a_n, scale = gumbel_centering(n, alpha, beta)
     shape = (1.0 + alpha) / beta
     # one branch on Python scalars; the power stays a scalar **, which an

@@ -19,6 +19,10 @@ __all__ = [
     "gumbel_cdf",
 ]
 
+# The median bootstrap's resample count and confidence level.
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_LEVEL = 0.95
+
 
 def gumbel_cdf(x):
     return np.exp(-np.exp(-np.asarray(x, dtype=float)))
@@ -68,16 +72,17 @@ def summary_stats(sample) -> SummaryStats:
     return SummaryStats(n, mean, var, skew, kurt, ks)
 
 
-def bootstrap_median_ci(sample, rng, n_boot: int = 2000, level: float = 0.95):
-    """Percentile bootstrap confidence interval for the median."""
+def bootstrap_median_ci(sample, rng):
+    """Percentile bootstrap confidence interval for the median, at
+    BOOTSTRAP_LEVEL from BOOTSTRAP_RESAMPLES resamples."""
     x = np.asarray(sample, dtype=float)
     if len(x) == 0:
         raise EmptyInput("empty sample")
     g = _gen(rng)
-    idx = g.integers(0, len(x), size=(n_boot, len(x)))
+    idx = g.integers(0, len(x), size=(BOOTSTRAP_RESAMPLES, len(x)))
     meds = np.median(x[idx], axis=1)
-    lo = float(np.quantile(meds, (1 - level) / 2))
-    hi = float(np.quantile(meds, 1 - (1 - level) / 2))
+    lo = float(np.quantile(meds, (1 - BOOTSTRAP_LEVEL) / 2))
+    hi = float(np.quantile(meds, 1 - (1 - BOOTSTRAP_LEVEL) / 2))
     return float(np.median(x)), lo, hi
 
 

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -243,6 +244,14 @@ class TestParseConfig:
         (dict(INTENSITY, window=dict(INTENSITY["window"], h_max=1000.0)), "window"),
         (dict(SLLN, a=1e100), "a"),  # a**4 overflows
         (dict(MINIMAL_GUMBEL, n=1e300), "n"),
+        (dict(TAILS, M=-1), "M"),
+        (dict(TAILS, M=0), "M"),
+        # the window must lie in the rescaled space of lambda and of each
+        # comparison intensity; at lambda = 1e4, ||v|| <= 10.8 and h <= 11.8
+        (dict(INTENSITY, **{"lambda": 1e4}, window=dict(INTENSITY["window"], spatial_radius=100)),
+         "window"),
+        (dict(INTENSITY, **{"lambda": 1e4}, window=dict(INTENSITY["window"], h_max=100)),
+         "window"),
     ])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, config, field):
         path = tmp_path / "cfg.json"
@@ -258,6 +267,17 @@ class TestParseConfig:
         path.write_text(json.dumps(dict(TAILS, **{"lambda": 1.5})))
         assert main(["validate", "--config", str(path)]) == 2
         assert "IntensityTooSmall" in capsys.readouterr().err
+
+    def test_comparison_intensity_without_radius_rejected(self, tmp_path, capsys):
+        # lambda = 1e12 has a critical radius for this law; the intensity
+        # runner's comparison intensity 1e4 has none
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(INTENSITY, d=3, beta=10.0, **{"lambda": 1e12})))
+        for command in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+            assert main([*command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "IntensityTooSmall" in err and "lambda = 1e+04" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config", [MINIMAL_GUMBEL, CLT, SCALING, SLLN, TAILS,
                                         CONCENTRATION, INTENSITY, MOMENTS, VERTEX])
@@ -353,6 +373,45 @@ class TestParseConfigProperty:
             check()
         except GgpError:
             pass
+
+
+class TestOneArgumentList:
+    """Each experiment's check and runner take one argument list, which
+    `validate` hands the check and `run` the runner."""
+
+    @pytest.mark.parametrize("experiment", cli_module.EXPERIMENTS)
+    def test_check_takes_its_runners_arguments(self, experiment):
+        entry = cli_module._REGISTRY[experiment]
+        check, runner = inspect.signature(entry.check), inspect.signature(entry.runner)
+        assert list(check.parameters.values()) == [
+            p for name, p in runner.parameters.items() if name not in ("seed", "workers")]
+
+    @pytest.mark.parametrize("config", [MINIMAL_GUMBEL, CLT, SCALING, dict(SCALING, grid_n=11),
+                                        SLLN, TAILS, CONCENTRATION,
+                                        {k: v for k, v in CONCENTRATION.items() if k != "i"},
+                                        INTENSITY, MOMENTS, VERTEX])
+    def test_validate_checks_what_run_hands_the_runner(self, tmp_path, monkeypatch, config):
+        entry = cli_module._REGISTRY[config["experiment"]]
+        calls = {}
+
+        def check(*args, **kwargs):
+            calls["check"] = (args, kwargs)
+
+        def runner(*args, seed, workers, **kwargs):
+            calls["runner"] = (args, kwargs)
+            calls["seed, workers"] = (seed, workers)
+            return RunResult(config["experiment"], [ExperimentRecord(
+                config["experiment"], 1.0, 2, 0.0, 2.0, seed, 0, {"x": 1.0})])
+
+        monkeypatch.setattr(cli_module, entry.check.__name__, check)
+        monkeypatch.setattr(cli_module, entry.runner.__name__, runner)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--seed", "7", "--workers", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert calls["check"] == calls["runner"]
+        assert calls["seed, workers"] == (7, 3)
 
 
 class TestVertexCorrespondenceCli:

@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 from scipy.spatial import ConvexHull
 
+from ggp import festoon, rescale
 from ggp.errors import DegenerateInput, OriginOutside, ValidationError
 from ggp.hull import (
     convex_hull,
@@ -263,6 +264,22 @@ class TestInputChecks:
                 with pytest.raises(ValidationError) as info:
                     call(pts)
                 assert info.value.field == "points"
+
+    # the festoon's and the scaling map's entry points share the hull's check
+    @pytest.mark.parametrize("call", [
+        festoon.extreme_points,
+        lambda p: festoon.windowed_festoon(p, 1.0),
+        lambda p: festoon.psi_envelope(p, np.zeros((1, 1))),
+        lambda p: festoon.psi_lambda_envelope(p, np.zeros((1, 1)), 2.0, 5.0),
+        lambda p: rescale.transform_batch(p, 2.0, 5.0),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scaled_points_rejected(self, call, bad):
+        pts = np.array([[0.0, 1.0], [1.0, 2.0], [-1.0, 2.5], [bad, 0.5]])
+        with pytest.raises(ValidationError) as info:
+            call(pts)
+        assert info.value.field == "points"
+        assert "finite" in str(info.value)
 
 
 class TestMeasures:

@@ -243,6 +243,12 @@ def reference_standardized_max(g, n, alpha, beta, reps):
     return out
 
 
+def standardized_maxima(stream, n, alpha, beta, count):
+    """count draws of sample_standardized_max taken in turn from one stream."""
+    g = stream.generator()
+    return np.array([sample_standardized_max(g, n, alpha, beta) for _ in range(count)])
+
+
 class FixedGenerator(np.random.Generator):
     """A generator whose binomial and uniform draws are pinned."""
 
@@ -265,14 +271,14 @@ class TestStandardizedMax:
     @pytest.mark.parametrize("n", [2, 3, 5, 10**3, 10**5])
     def test_exact_law(self, n, alpha, beta):
         # n = 2 and 3 put 1/4 and 1/8 of the mass in the all-negative branch
-        vals = sample_standardized_max(RngStream(17, n), n, alpha, beta, size=20000)
+        vals = standardized_maxima(RngStream(17, n), n, alpha, beta, 20000)
         assert kstest(vals, standardized_max_cdf(n, alpha, beta)).pvalue > 1e-3
 
     @pytest.mark.parametrize("alpha, beta", MAX_LAWS)
     def test_matches_reference_sampler(self, alpha, beta):
         for n, reps in ((10, 2000), (10**3, 2000), (10**5, 300)):
             ref = reference_standardized_max(np.random.default_rng(18), n, alpha, beta, reps)
-            new = sample_standardized_max(RngStream(19, n), n, alpha, beta, size=reps)
+            new = standardized_maxima(RngStream(19, n), n, alpha, beta, reps)
             assert ks_2samp(ref, new).pvalue > 1e-3, (n, alpha, beta)
 
     def test_uniform_endpoints_give_finite_values(self):
@@ -281,7 +287,6 @@ class TestStandardizedMax:
             for u in (0.0, np.nextafter(1.0, 0.0)):
                 g = FixedGenerator(k, u)
                 assert math.isfinite(sample_standardized_max(g, n, 0.5, 1.5))
-                assert np.all(np.isfinite(sample_standardized_max(g, n, 0.5, 1.5, size=3)))
 
     # Scalar draws pinned bit for bit (float.hex), since every Gumbel record
     # is one: four draws from default_rng(3), whose binomial is 0 on the first
@@ -316,21 +321,10 @@ class TestStandardizedMax:
             for k in (0, 1, 700):
                 assert sample_standardized_max(FixedGenerator(k, 0.0), 1000, alpha, beta).hex() == pinned
 
-    def test_batch_matches_scalar_law(self):
-        # size=N takes N scalar draws in turn, so the law tests above check
-        # the path every Gumbel record comes from
-        n, alpha, beta = 50, 0.5, 1.5
-        batch = sample_standardized_max(RngStream(20, 0), n, alpha, beta, size=3000)
-        g = RngStream(20, 0).generator()
-        scalar = [sample_standardized_max(g, n, alpha, beta) for _ in range(3000)]
-        assert all(type(v) is float for v in scalar)
-        assert batch.shape == (3000,)
-        assert batch.tobytes() == np.array(scalar).tobytes()
-
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError):
             sample_standardized_max(RngStream(15, 0), 1, 0, 1)
 
     def test_laplace_matches_gumbel_at_moderate_scale(self):
-        vals = sample_standardized_max(RngStream(16, 0), 10**4, 0, 1, size=2000)
+        vals = standardized_maxima(RngStream(16, 0), 10**4, 0, 1, 2000)
         assert ks_statistic(vals, gumbel_cdf) < 0.06
