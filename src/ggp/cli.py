@@ -22,17 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import (
-    AlphaOutOfRange,
-    BetaOutOfRange,
-    DimensionTooSmall,
-    EmptyInput,
-    GgpError,
-    IoError,
-    NonpositiveIntensity,
-    ParseError,
-    ValidationError,
-)
+from .errors import EmptyInput, GgpError, IoError, ParseError, ValidationError
 from .experiments import (
     ExperimentRecord,
     check_clt,
@@ -66,7 +56,7 @@ SUMMARY_HEADER = ["experiment", "lambda", "metric", "n", "mean", "var", "ci95"]
 
 _COMMON_KEYS = {"experiment", "seed", "reps", "workers", "output_format", "output_path"}
 # Smallest value of each integer run field, in the config file or on the command line.
-_RUN_INT_MIN = {"seed": 0, "reps": 1, "workers": 1}
+_RUN_INT_MIN = {"seed": 0, "workers": 1}
 _WINDOW_KEYS = ("spatial_radius", "h_min", "h_max")
 
 
@@ -97,7 +87,7 @@ def default_workers() -> int:
 
 
 def _run_int(field: str, value) -> int:
-    """Check seed, reps or workers; bools are rejected, though Python counts them as ints."""
+    """Check seed or workers; bools are rejected, though Python counts them as ints."""
     if isinstance(value, bool) or not isinstance(value, int) or value < _RUN_INT_MIN[field]:
         raise ValidationError(field, f"must be an integer >= {_RUN_INT_MIN[field]}")
     return value
@@ -133,22 +123,8 @@ def _numbers(field: str, value, length: int | None = None, integer: bool = False
         _number(field, x, integer=integer)
 
 
-def _positive(field: str, value):
-    _number(field, value)
-    if not value > 0:
-        raise ValidationError(field, "must be > 0")
-
-
-def _grid_n(field: str, value):
-    _integer(field, value)
-    if value < 2:
-        raise ValidationError(field, "must be >= 2")
-
-
 def _bins(field: str, value):
     _numbers(field, value, length=2, integer=True)
-    if min(value) < 1:
-        raise ValidationError(field, "both bin counts must be >= 1")
 
 
 def _pairs(field: str, value):
@@ -165,30 +141,6 @@ def _window(field: str, value):
         if k not in value:
             raise ValidationError(field, f"missing {k}")
         _number(f"{field}.{k}", value[k], finite=False)
-
-
-_MODEL_ERRORS = {
-    DimensionTooSmall: "d",
-    AlphaOutOfRange: "alpha",
-    BetaOutOfRange: "beta",
-    NonpositiveIntensity: "lambda",
-}
-
-
-def _check_models(opts: dict):
-    """Run validate_params on every model the config names, so a bad field is named early.
-
-    Absent fields take values that pass: d = 2 (gumbel maxima have no d),
-    lambda = 1.
-    """
-    lams = [opts["lambda"]] if "lambda" in opts else opts.get("lambda_grid", [1.0])
-    pairs = opts.get("alphas_betas") or [(opts["alpha"], opts["beta"])]
-    for alpha, beta in pairs:
-        for lam in lams:
-            try:
-                validate_params(opts.get("d", 2), alpha, beta, lam)
-            except tuple(_MODEL_ERRORS) as exc:
-                raise ValidationError(_MODEL_ERRORS[type(exc)], str(exc)) from exc
 
 
 # Each experiment's check and runner take one argument list, which
@@ -232,8 +184,8 @@ _REGISTRY = {
         lambda o, reps: ((_model(o), ScaledWindow(*(o["window"][k] for k in _WINDOW_KEYS)),
                           tuple(o.get("bins", (1, 4))), reps), {})),
     "scaling_limit": _Experiment(
-        {"d": _integer, "alphas_betas": _pairs, "lambda_grid": _numbers, "L": _positive},
-        {"grid_n": _grid_n}, check_scaling_limit, run_scaling_limit,
+        {"d": _integer, "alphas_betas": _pairs, "lambda_grid": _numbers, "L": _number},
+        {"grid_n": _integer}, check_scaling_limit, run_scaling_limit,
         lambda o, reps: (([validate_params(o["d"], a, b, lam) for a, b in o["alphas_betas"]
                            for lam in o["lambda_grid"]], o["L"], reps), _optional(o, "grid_n"))),
     "moments": _Experiment(
@@ -243,7 +195,7 @@ _REGISTRY = {
         dict(_MODEL, **{"lambda": _number}), {}, check_clt, run_clt,
         lambda o, reps: ((_model(o), reps), {})),
     "tails": _Experiment(
-        dict(_MODEL, **{"lambda": _number, "M": _positive, "t_grid": _numbers}), {},
+        dict(_MODEL, **{"lambda": _number, "M": _number, "t_grid": _numbers}), {},
         check_tails, run_tails,
         lambda o, reps: ((_model(o), o["M"], o["t_grid"], reps), {})),
     "slln": _Experiment(
@@ -255,7 +207,7 @@ _REGISTRY = {
         check_concentration, concentration_check,
         lambda o, reps: ((_model(o), reps, o["y_grid"]), _optional(o, "i"))),
     "vertex_correspondence": _Experiment(
-        dict(_MODEL, **{"lambda": _number, "L": _positive}), {},
+        dict(_MODEL, **{"lambda": _number, "L": _number}), {},
         check_vertex_correspondence, run_vertex_correspondence,
         lambda o, reps: ((_model(o), o["L"], reps), {})),
 }
@@ -263,11 +215,14 @@ EXPERIMENTS = tuple(_REGISTRY)
 
 
 def parse_config(source: str) -> RunConfig:
-    """Parse and validate a JSON run configuration.
+    """Parse a JSON run configuration and check its shape and types.
 
-    Unknown keys are rejected; missing required keys and out-of-range model
-    parameters raise ValidationError naming the field. Defaults: workers
-    from GGP_WORKERS or the machine's parallelism, output_format csv.
+    Unknown keys, missing required keys and values of the wrong JSON type
+    raise ValidationError naming the field, as does a seed or workers below
+    its minimum. reps is judged here by check_reps, the replication engine's
+    own check; every other value range is judged when the experiment is
+    planned, by its check and validate_params. Defaults: workers from
+    GGP_WORKERS or the machine's parallelism, output_format csv.
     """
     try:
         raw = json.loads(source)
@@ -291,7 +246,8 @@ def parse_config(source: str) -> RunConfig:
         if key not in raw:
             raise ValidationError(key, "missing required key")
     seed = _run_int("seed", raw["seed"])
-    reps = _run_int("reps", raw["reps"])
+    reps = raw["reps"]
+    _integer("reps", reps)
     check_reps(reps)
     workers = _run_int("workers", raw["workers"] if "workers" in raw else default_workers())
     output_format = raw.get("output_format", "csv")
@@ -303,7 +259,6 @@ def parse_config(source: str) -> RunConfig:
     options = {k: v for k, v in raw.items() if k not in _COMMON_KEYS}
     for key, value in options.items():
         rules[key](key, value)
-    _check_models(options)
     return RunConfig(
         experiment=experiment,
         seed=seed,

@@ -1,27 +1,17 @@
-"""Exception hierarchy. Every constraint violation maps to a named error class."""
+"""Exception hierarchy.
+
+A value outside its range raises ValidationError, which names the field.
+The other classes name failures that no single field causes: constants that
+overflow, an intensity too small for a critical radius, degenerate geometry,
+unparsable text, failed I/O.
+"""
 
 
 class GgpError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# -- model parameter validation ------------------------------------------------
-
-class DimensionTooSmall(GgpError):
-    """Ambient dimension below 2."""
-
-
-class AlphaOutOfRange(GgpError):
-    """Radial exponent alpha must be > -1."""
-
-
-class BetaOutOfRange(GgpError):
-    """Decay exponent beta must be >= 1."""
-
-
-class NonpositiveIntensity(GgpError):
-    """Intensity lambda must be > 0."""
-
+# -- model parameters ----------------------------------------------------------
 
 class ParameterOverflow(GgpError):
     """Normalization constants of (d, alpha, beta) overflow double precision."""

@@ -29,6 +29,7 @@ from .festoon import (
 from .hull import convex_hull
 from .params import (
     ModelParams,
+    check_exponents,
     critical_radius,
     normalization,
     sphere_surface_area,
@@ -96,7 +97,9 @@ BOOTSTRAP_STREAM = 2_000_000_000
 # ProcessPoolExecutor(2) in a warm process with numpy and scipy loaded,
 # mapping 400 trivial tasks and shutting it down took a median of 22-23 ms
 # (19-61 ms over 20 trials; 2-core VM, Python 3.11), before the workers'
-# cold caches slow their first replications.
+# cold caches slow their first replications. _map_tasks now runs one share in
+# this process, so workers = 2 starts a pool of one process; the cost of that
+# smaller pool was not re-measured, and the value is kept.
 POOL_START_S = 0.03
 # A run's first replication pays for cold caches: a 30-100 us Gumbel
 # replication took 140-450 us as the first call after other work (same VM).
@@ -238,14 +241,16 @@ def _too_short(grid):
 # runner's arguments but seed and workers, judges those it must and samples
 # nothing. The runner calls it first on its own arguments, so `ggp validate`,
 # calling it on the arguments `ggp run` hands the runner, rejects exactly the
-# configs the runner would.
+# configs the runner would. These checks and params.validate_params are the
+# only judges of a value's range; the CLI checks only JSON types.
 
 
 def check_reps(reps, n_groups=1):
-    """Bounds shared by every runner: distinct (group, rep) pairs get
-    distinct streams, all below the reserved BOOTSTRAP_STREAM."""
-    if reps >= STREAM_STRIDE:
-        raise ValidationError("reps", f"need reps < {STREAM_STRIDE}")
+    """Bounds shared by every runner: at least one replication, and distinct
+    (group, rep) pairs get distinct streams, all below the reserved
+    BOOTSTRAP_STREAM."""
+    if not 1 <= reps < STREAM_STRIDE:
+        raise ValidationError("reps", f"need 1 <= reps < {STREAM_STRIDE}")
     if n_groups * STREAM_STRIDE > BOOTSTRAP_STREAM:
         raise ValidationError("lambda_grid", f"need at most {BOOTSTRAP_STREAM // STREAM_STRIDE} "
                                              f"parameter groups, got {n_groups}")
@@ -263,8 +268,13 @@ def _usable(params):
 
 
 def _check_L(L):
-    if L > 2:
-        raise ValidationError("L", "need L <= 2")
+    if not 0 < L <= 2:
+        raise ValidationError("L", "need 0 < L <= 2")
+
+
+def _check_grid_n(grid_n):
+    if not grid_n >= 2:
+        raise ValidationError("grid_n", "need grid_n >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +348,7 @@ def _gumbel_task(rng, group):
 
 def check_gumbel(alpha, beta, n, reps):
     """Preconditions of run_gumbel."""
+    check_exponents(alpha, beta)
     if not 100 <= n < 2**63:  # the point count is drawn as a 64-bit binomial
         raise ValidationError("n", "need 100 <= n < 2**63")
     _require_reps(reps, 100)
@@ -434,6 +445,8 @@ def check_intensity(params, window, bins, reps):
     evaluates the exact intensity over the window at each of these
     intensities, so the window must lie in the rescaled space of the smallest
     R among them: spatial_radius <= pi R^(beta/2) and h_max <= R^beta."""
+    if min(bins) < 1:
+        raise ValidationError("bins", "need both bin counts >= 1")
     # the height slabs divide [e^h_min, e^h_max], so e^h_max must be a finite float
     if not (math.isfinite(window.spatial_radius) and math.isfinite(window.h_min)
             and window.h_max < math.log(sys.float_info.max)):
@@ -554,6 +567,7 @@ def _scaling_task(rng, params, L, grid_n):
 def check_scaling_limit(params_list, L, reps, grid_n=41) -> list:
     """Preconditions of run_scaling_limit; returns the validated parameters."""
     _check_L(L)
+    _check_grid_n(grid_n)
     check_reps(reps, len(params_list))
     return [_usable(p)[0] for p in params_list]
 
@@ -909,6 +923,7 @@ def check_tails(params, M, t_grid, reps, grid_n=41):
     _require_reps(reps, 500)
     if not M > 0:
         raise ValidationError("M", "must be > 0")
+    _check_grid_n(grid_n)
     return _usable(params)
 
 

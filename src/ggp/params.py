@@ -19,19 +19,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    AlphaOutOfRange,
-    BetaOutOfRange,
-    DimensionTooSmall,
-    IntensityTooSmall,
-    NonpositiveIntensity,
-    ParameterOverflow,
-)
+from .errors import IntensityTooSmall, ParameterOverflow, ValidationError
 
 __all__ = [
     "ModelParams",
     "NormalizationConstants",
     "validate_params",
+    "check_exponents",
     "normalization",
     "critical_radius",
     "critical_exponent",
@@ -54,23 +48,30 @@ class ModelParams:
 def validate_params(d, alpha, beta, lam) -> ModelParams:
     """Validate the raw tuple (d, alpha, beta, lambda) and freeze it.
 
-    Raises DimensionTooSmall, AlphaOutOfRange, BetaOutOfRange or
-    NonpositiveIntensity naming the violated constraint. Boundaries are
-    rejected exactly as stated: alpha = -1 and beta < 1 are invalid.
+    Raises ValidationError naming the first field out of range: "d" below 2,
+    "alpha" or "beta" as check_exponents judges them, "lambda" not above 0.
     """
     d = int(d)
     if d < 2:
-        raise DimensionTooSmall(f"d = {d} < 2")
-    alpha = float(alpha)
-    if not alpha > -1:
-        raise AlphaOutOfRange(f"alpha = {alpha} <= -1")
-    beta = float(beta)
-    if not beta >= 1:
-        raise BetaOutOfRange(f"beta = {beta} < 1")
+        raise ValidationError("d", f"d = {d} < 2")
+    alpha, beta = float(alpha), float(beta)
+    check_exponents(alpha, beta)
     lam = float(lam)
     if not lam > 0:
-        raise NonpositiveIntensity(f"lambda = {lam} <= 0")
+        raise ValidationError("lambda", f"lambda = {lam} <= 0")
     return ModelParams(d=d, alpha=alpha, beta=beta, lam=lam)
+
+
+def check_exponents(alpha, beta):
+    """Refuse alpha <= -1, then beta < 1, with ValidationError naming the field.
+
+    Boundaries are rejected exactly as stated: alpha = -1 is invalid, beta = 1
+    is valid.
+    """
+    if not alpha > -1:
+        raise ValidationError("alpha", f"alpha = {float(alpha)} <= -1")
+    if not beta >= 1:
+        raise ValidationError("beta", f"beta = {float(beta)} < 1")
 
 
 def unit_ball_volume(j: int) -> float:
@@ -115,11 +116,8 @@ def normalization(d: int, alpha: float, beta: float) -> NormalizationConstants:
     by the sphere surface area.
     """
     if d < 1:
-        raise DimensionTooSmall(f"d = {d} < 1")
-    if not alpha > -1:
-        raise AlphaOutOfRange(f"alpha = {alpha} <= -1")
-    if not beta >= 1:
-        raise BetaOutOfRange(f"beta = {beta} < 1")
+        raise ValidationError("d", f"d = {d} < 1")
+    check_exponents(alpha, beta)
     from scipy.special import gammaln
 
     s = (d + alpha) / beta
@@ -181,10 +179,12 @@ def gumbel_centering(n: int, alpha: float, beta: float) -> tuple[float, float]:
 
     written in expanded form so the alpha = beta - 1 case stays finite.
     Uses the one-dimensional normalizer, which is exact in 1-d. Cached, since
-    every Gumbel replication asks for the same (n, alpha, beta).
+    every Gumbel replication asks for the same (n, alpha, beta). Raises
+    ValidationError naming n below 2, or alpha or beta as check_exponents
+    judges them.
     """
     if n < 2:
-        raise ValueError(f"n = {n} < 2")
+        raise ValidationError("n", f"n = {n} < 2")
     c = normalization(1, alpha, beta).c_paper
     bl = beta * math.log(n)
     scale = bl ** ((beta - 1.0) / beta)

@@ -149,16 +149,13 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float) -> float:
     the maximum of k has CDF (1 - Q(t))^k, so Q(t) = 1 - u^(1/k); the minimum
     of n has P(min > t) = Q(t)^n, so Q(t) = (1 - u)^(1/n). u = 0 maps to
     t = 0 in both branches, so every value is finite. Returns
-    (beta log n)^((beta-1)/beta) * (M_n - a_n) as a float.
+    (beta log n)^((beta-1)/beta) * (M_n - a_n) as a float. gumbel_centering
+    judges n, alpha and beta before any draw.
     """
-    if n < 2:
-        raise ValidationError("n", f"n = {n} < 2")
-    if not alpha > -1 or not beta >= 1:
-        raise ValidationError("alpha/beta", "need alpha > -1 and beta >= 1")
     from scipy.special import gammainccinv
 
-    g = _gen(rng)
     a_n, scale = gumbel_centering(n, alpha, beta)
+    g = _gen(rng)
     shape = (1.0 + alpha) / beta
     # one branch on Python scalars; the power stays a scalar **, which an
     # array ** (SIMD pow) does not match to the last bit

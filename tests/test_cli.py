@@ -82,12 +82,6 @@ class TestParseConfig:
             parse_config(json.dumps(MINIMAL_GUMBEL))
         assert exc.value.field == "GGP_WORKERS"
 
-    def test_alpha_out_of_range_names_field(self):
-        bad = dict(MINIMAL_GUMBEL, alpha=-2.0)
-        with pytest.raises(ValidationError) as exc:
-            parse_config(json.dumps(bad))
-        assert exc.value.field == "alpha"
-
     def test_unknown_key_rejected(self):
         bad = dict(MINIMAL_GUMBEL, gamma=1.0)
         with pytest.raises(ValidationError) as exc:
@@ -105,15 +99,6 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(json.dumps(bad))
         assert exc.value.field == "n"
-
-    def test_model_params_validated_for_clt(self):
-        cfg = {
-            "experiment": "clt", "d": 1, "alpha": 0.0, "beta": 2.0, "lambda": 100.0,
-            "reps": 1000, "seed": 1,
-        }
-        with pytest.raises(ValidationError) as exc:
-            parse_config(json.dumps(cfg))
-        assert exc.value.field == "d"
 
     def test_reps_bound_is_the_stream_stride(self):
         # replication streams are keyed group * 1_000_000 + rep
@@ -187,13 +172,15 @@ class TestParseConfig:
         (dict(INTENSITY, window=dict(INTENSITY["window"], h_max="1")), "window.h_max"),
         (dict(INTENSITY, window=dict(INTENSITY["window"], spatial_radius=True)),
          "window.spatial_radius"),
-        # out of range
-        (dict(INTENSITY, bins=[0, 4]), "bins"),
-        (dict(INTENSITY, bins=[1, -2]), "bins"),
-        (dict(SCALING, L=-1), "L"),
-        (dict(SCALING, L=0), "L"),
-        (dict(SCALING, grid_n=0), "grid_n"),
-        (dict(SCALING, grid_n=1), "grid_n"),
+        # the JSON types of bins, L and grid_n; the runners' checks judge
+        # their ranges (test_validate_rejects_what_run_rejects)
+        (dict(INTENSITY, bins=[1, 2, 3]), "bins"),
+        (dict(INTENSITY, bins=[1, 2**1100]), "bins"),
+        (dict(SCALING, L=math.nan), "L"),
+        (dict(SCALING, L=[1.0]), "L"),
+        (dict(SCALING, grid_n="41"), "grid_n"),
+        (dict(SCALING, grid_n=2**1100), "grid_n"),
+        # empty lists, and reps past the stream bound
         (dict(SCALING, alphas_betas=[]), "alphas_betas"),
         (dict(SCALING, lambda_grid=[]), "lambda_grid"),
         (dict(SCALING, reps=1_000_000), "reps"),
@@ -201,6 +188,8 @@ class TestParseConfig:
         (dict(TAILS, **{"lambda": 2**1100}), "lambda"),
         (dict(MINIMAL_GUMBEL, n=math.inf), "n"),
         (dict(CLT, alpha=math.nan), "alpha"),
+        # fewer than one replication, judged by the engine's check_reps
+        (dict(SCALING, reps=0), "reps"),
     ])
     def test_bad_experiment_field_exits_2_naming_it(self, tmp_path, capsys, config, field):
         with pytest.raises(ValidationError) as exc:
@@ -252,6 +241,16 @@ class TestParseConfig:
          "window"),
         (dict(INTENSITY, **{"lambda": 1e4}, window=dict(INTENSITY["window"], h_max=100)),
          "window"),
+        # model ranges, judged by validate_params as the run's arguments are built
+        (dict(MINIMAL_GUMBEL, alpha=-2.0), "alpha"),
+        (dict(CLT, d=1), "d"),
+        # ranges the runners' checks judge for the Python API too
+        (dict(INTENSITY, bins=[0, 4]), "bins"),
+        (dict(INTENSITY, bins=[1, -2]), "bins"),
+        (dict(SCALING, L=-1), "L"),
+        (dict(SCALING, L=0), "L"),
+        (dict(SCALING, grid_n=0), "grid_n"),
+        (dict(SCALING, grid_n=1), "grid_n"),
     ])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, config, field):
         path = tmp_path / "cfg.json"

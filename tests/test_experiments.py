@@ -448,6 +448,36 @@ class TestPreconditionChecks:
             call()
         assert exc.value.field == field
 
+    # the ranges a config's keys share with the Python API are judged by the
+    # runner's own check, before any point is drawn
+    @pytest.mark.parametrize("call, field", [
+        pytest.param(lambda: run_tails(P2, 1.0, [1, 2, 3], 500, seed=1, grid_n=0), "grid_n",
+                     id="tails-grid_n"),
+        pytest.param(lambda: run_scaling_limit([P2], 1.0, 2, seed=1, grid_n=0), "grid_n",
+                     id="scaling_limit-grid_n"),
+        pytest.param(lambda: run_scaling_limit([P2], -1.0, 2, seed=1), "L",
+                     id="scaling_limit-L"),
+        pytest.param(lambda: run_intensity(P2, ScaledWindow(2.0, -5.0, 1.0), (0, 4), 10, seed=1),
+                     "bins", id="intensity-bins"),
+        pytest.param(lambda: run_vertex_correspondence(P2, 0.0, 5, seed=1), "L",
+                     id="vertex_correspondence-L"),
+        pytest.param(lambda: run_gumbel(-2, 2, 1000, 200, seed=1), "alpha", id="gumbel-alpha"),
+        pytest.param(lambda: run_gumbel(0, 0.5, 1000, 200, seed=1), "beta", id="gumbel-beta"),
+        pytest.param(lambda: run_vertex_correspondence(P2, 1.0, 0, seed=1), "reps",
+                     id="vertex_correspondence-reps"),
+        pytest.param(lambda: run_slln_trend(P2, a=4.0, k_max=4, p=0.6, i=2, reps=0, seed=1),
+                     "reps", id="slln-reps"),
+    ])
+    def test_range_rejected_before_any_draw(self, monkeypatch, call, field):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before validating the input")
+
+        monkeypatch.setattr(experiments, "sample_polytope_input", refuse)
+        monkeypatch.setattr(experiments, "sample_standardized_max", refuse)
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.field == field
+
     def test_streams_stay_below_the_reserved_ones(self, monkeypatch):
         # the last replication stream of 2000 groups is 2 * 10**9 - 1; group
         # 2000 would start at the first bootstrap stream

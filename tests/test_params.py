@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ggp.errors import (
-    AlphaOutOfRange,
-    BetaOutOfRange,
-    DimensionTooSmall,
-    IntensityTooSmall,
-    NonpositiveIntensity,
-)
+from ggp.errors import IntensityTooSmall, ValidationError
 from ggp.params import (
     critical_exponent,
     critical_radius,
@@ -34,18 +28,30 @@ class TestValidation:
         assert (p.d, p.alpha, p.beta, p.lam) == (2, 0.0, 2.0, 1e5)
 
     def test_alpha_boundary_rejected(self):
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(ValidationError) as exc:
             validate_params(2, -1, 2, 1e5)
+        assert exc.value.field == "alpha"
 
     def test_beta_below_one_rejected(self):
-        with pytest.raises(BetaOutOfRange):
+        with pytest.raises(ValidationError) as exc:
             validate_params(3, 1, 0.5, 1e5)
+        assert exc.value.field == "beta"
 
     def test_dimension_and_intensity(self):
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(ValidationError) as exc:
             validate_params(1, 0, 2, 1e5)
-        with pytest.raises(NonpositiveIntensity):
+        assert exc.value.field == "d"
+        with pytest.raises(ValidationError) as exc:
             validate_params(2, 0, 2, 0.0)
+        assert exc.value.field == "lambda"
+
+    @pytest.mark.parametrize("args, field", [
+        ((0, 0, 2), "d"), ((2, -1, 2), "alpha"), ((2, 0, 0.5), "beta"),
+    ])
+    def test_normalization_names_the_field(self, args, field):
+        with pytest.raises(ValidationError) as exc:
+            normalization(*args)
+        assert exc.value.field == field
 
 
 class TestNormalization:
@@ -158,5 +164,6 @@ class TestGumbelCentering:
         assert a_n == pytest.approx(classic, rel=1e-12)
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError) as exc:
             gumbel_centering(1, 0, 2)
+        assert exc.value.field == "n"

@@ -325,6 +325,12 @@ class TestStandardizedMax:
         with pytest.raises(ValidationError):
             sample_standardized_max(RngStream(15, 0), 1, 0, 1)
 
+    @pytest.mark.parametrize("alpha, beta, field", [(-1, 2, "alpha"), (0, 0.5, "beta")])
+    def test_exponent_out_of_range_names_its_field(self, alpha, beta, field):
+        with pytest.raises(ValidationError) as exc:
+            sample_standardized_max(RngStream(15, 0), 1000, alpha, beta)
+        assert exc.value.field == field
+
     def test_laplace_matches_gumbel_at_moderate_scale(self):
         vals = standardized_maxima(RngStream(16, 0), 10**4, 0, 1, 2000)
         assert ks_statistic(vals, gumbel_cdf) < 0.06
