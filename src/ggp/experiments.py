@@ -43,6 +43,7 @@ from .sampling import (
     radial_tail_inverse,
     sample_polytope_input,
     sample_standardized_max,
+    stream_states,
 )
 from .stats import bootstrap_median_ci, fit_line, gumbel_cdf, ks_statistic, summary_stats
 
@@ -284,9 +285,9 @@ def _check_grid_n(grid_n):
 
 def _replication(job):
     """One replication: the task's output on its own stream, and its wall time."""
-    task, seed, stream_id, params, args = job
+    task, seed, stream_id, state, params, args = job
     t0 = time.perf_counter()
-    out = task(RngStream(seed, stream_id), params, *args)
+    out = task(RngStream(seed, stream_id, state), params, *args)
     return out, time.perf_counter() - t0
 
 
@@ -294,6 +295,7 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     """reps replications of task(stream, params, *args) for each parameter group.
 
     Replication rep of group pi draws from stream pi * STREAM_STRIDE + rep,
+    whose seed words stream_states computes for all replications at once,
     so results do not depend on where or in which order replications run:
     in this process, or on a pool that _map_tasks starts only when the
     timed probe replication says the pool would pay for itself.
@@ -303,14 +305,15 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     values over the replications not skipped; and the side values.
     """
     check_reps(reps, len(groups))
-    jobs = [(task, seed, pi * STREAM_STRIDE + rep, params, args)
-            for pi, params in enumerate(groups) for rep in range(reps)]
+    ids = [pi * STREAM_STRIDE + rep for pi in range(len(groups)) for rep in range(reps)]
+    jobs = [(task, seed, sid, state, groups[sid // STREAM_STRIDE], args)
+            for sid, state in zip(ids, stream_states(seed, ids))]
     # probe the likely costliest replications: the last two of the largest lambda
     last = max(range(len(groups)), key=lambda pi: (groups[pi].lam, pi), default=0)
     probes = [last * reps + reps - 1, last * reps + reps - 2][:reps]
     rows = _map_tasks(_replication, jobs, workers, probes)
     records, kept, sides = [], [{} for _ in groups], []
-    for (_, _, stream_id, params, _), (out, wall) in zip(jobs, rows):
+    for (_, _, stream_id, _, params, _), (out, wall) in zip(jobs, rows):
         metrics, side = out if isinstance(out, tuple) else (out, None)
         pi, rep = divmod(stream_id, STREAM_STRIDE)
         records.append(ExperimentRecord(experiment, params.lam, params.d, params.alpha,
@@ -491,15 +494,14 @@ def run_intensity(params, window, bins, reps, seed, workers=1) -> RunResult:
     rel_err = np.abs(counts - expected) / np.where(expected > 0, expected, 1.0)
     max_rel = float(rel_err[qualifying].max()) if qualifying.any() else math.nan
     chi2 = float((((counts - expected) ** 2 / np.where(expected > 0, expected, 1.0))[qualifying]).sum())
-    result.checks.append(
-        _check(
-            "intensity_binned_vs_exact",
-            qualifying.any() and max_rel < INTENSITY_REL_TOL,
-            f"max rel err = {max_rel:.4f} over {int(qualifying.sum())} cells >= "
-            f"{INTENSITY_MIN_EXPECTED:.0f} "
-            f"expected; chi2 = {chi2:.1f}",
-        )
-    )
+    if qualifying.any():
+        detail = (f"max rel err = {max_rel:.4f} over {int(qualifying.sum())} cells >= "
+                  f"{INTENSITY_MIN_EXPECTED:.0f} expected; chi2 = {chi2:.1f}")
+    else:
+        detail = (f"not judged: 0 of {qualifying.size} cells reach "
+                  f"{INTENSITY_MIN_EXPECTED:.0f} expected points, need 1")
+    result.checks.append(_check("intensity_binned_vs_exact",
+                                qualifying.any() and max_rel < INTENSITY_REL_TOL, detail))
 
     # the whole window: every direction, and heights from the radius that a
     # point exceeds with probability 1e-17 up to the origin's R^beta

@@ -251,6 +251,11 @@ class TestParseConfig:
         (dict(SCALING, L=0), "L"),
         (dict(SCALING, grid_n=0), "grid_n"),
         (dict(SCALING, grid_n=1), "grid_n"),
+        # the window's own ranges, named by their config keys
+        (dict(INTENSITY, window=dict(INTENSITY["window"], spatial_radius=-1.0)),
+         "window.spatial_radius"),
+        (dict(INTENSITY, window=dict(INTENSITY["window"], h_min=1.0)), "window.h_min"),
+        (dict(INTENSITY, window=dict(INTENSITY["window"], h_min=2.0)), "window.h_min"),
     ])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, config, field):
         path = tmp_path / "cfg.json"

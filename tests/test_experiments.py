@@ -90,6 +90,12 @@ def _pid_task(rng, params, bad_stream=-1):
     return {"u": float(rng.generator().uniform())}, os.getpid()
 
 
+def _three_draws_task(rng, params):
+    """The stream's first three uniforms as the side value, with its id and
+    whether the engine handed it precomputed seed words."""
+    return {}, (rng.stream_id, rng.state is not None, tuple(rng.generator().random(3)))
+
+
 class TestGumbelRunner:
     def test_preconditions(self):
         with pytest.raises(ValidationError):
@@ -206,6 +212,16 @@ class TestIntensityRunner:
         assert by_name["intensity_window_mass"].status == "PASS"
         assert by_name["intensity_limit_trend"].status == "PASS"
         assert by_name["intensity_binned_vs_exact"].status == "PASS"
+
+    def test_binned_check_without_a_qualifying_cell_is_not_judged(self):
+        # at lambda 1e3 and 10 replications no cell of the window reaches
+        # INTENSITY_MIN_EXPECTED expected points
+        p = validate_params(2, 0, 2, 1e3)
+        result = run_intensity(p, ScaledWindow(2.0, -5.0, 1.0), (2, 3), reps=10, seed=5)
+        (binned,) = [c for c in result.checks if c.name == "intensity_binned_vs_exact"]
+        assert binned.status == "FAIL"
+        assert binned.detail.startswith("not judged: 0 of 6 cells reach")
+        assert math.isnan(result.records[-1].metrics["max_rel_err"])
 
     def test_window_mass_by_quadrature(self):
         # the exact intensity integrates back to lambda over the whole window,
@@ -386,6 +402,21 @@ class TestDispatch:
         parallel = experiments.replicate("stub", _stub_task, self.GROUPS[:1], 2, 5, 2, 1.0, 0.01)
         assert pools == []
         assert record_key(parallel[0]) == record_key(serial[0])
+
+    @pytest.mark.parametrize("workers, mapped", [(1, []), (2, [[7]])])
+    def test_every_task_draws_its_own_stream(self, monkeypatch, pools, workers, mapped):
+        # the engine's precomputed seed words give each task, here or on the
+        # pool, the generator that RngStream(seed, stream_id) builds alone
+        monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
+        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
+        _, _, sides = experiments.replicate("stub", _three_draws_task, self.GROUPS, 8, 11, workers)
+        assert pools == mapped
+        stride = experiments.STREAM_STRIDE
+        assert [sid for sid, _, _ in sides] == [pi * stride + rep for pi in range(2)
+                                                for rep in range(8)]
+        for sid, precomputed, draws in sides:
+            assert precomputed
+            assert draws == tuple(RngStream(11, sid).generator().random(3))
 
     @pytest.mark.parametrize("bad_stream", [1, 2], ids=["pool_share", "own_share"])
     def test_share_exception_propagates(self, monkeypatch, pools, bad_stream):
