@@ -381,28 +381,39 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
 
 
 def _read_records_csv(path):
+    """The data rows of a records CSV, each with its line number."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != RECORDS_HEADER:
                 raise ValidationError("header", f"unexpected records header {header}")
-            return list(reader)
-    except OSError as exc:
+            return [(reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_record(line, row) -> ExperimentRecord:
+    """One records-CSV row as a record; ValidationError names the line and
+    the column of a field that is missing or unreadable, or an extra one."""
+    kinds = (str, float, int, float, float, int, int, str, float)  # of each RECORDS_HEADER column
+    if len(row) > len(kinds):
+        raise ValidationError(f"line {line}", f"{len(row)} columns, expected {len(kinds)}")
+    fields = []
+    for k, (column, kind) in enumerate(zip(RECORDS_HEADER, kinds)):
+        try:
+            fields.append(kind(row[k]))
+        except (IndexError, ValueError):
+            problem = f"cannot read {row[k]!r} as {kind.__name__}" if k < len(row) else "missing"
+            raise ValidationError(f"line {line}, column {column}", problem) from None
+    experiment, lam, d, alpha, beta, seed, rep, metric, value = fields
+    return ExperimentRecord(experiment, lam, d, alpha, beta, seed, rep, {metric: value})
 
 
 def summarize_file(path, out=None):
     """Summarize an existing records CSV to CSV text on `out` (default stdout)."""
     out = out if out is not None else sys.stdout
-    rows = _read_records_csv(path)
-    records = [
-        ExperimentRecord(
-            experiment=r[0], lam=float(r[1]), d=int(r[2]), alpha=float(r[3]), beta=float(r[4]),
-            seed=int(r[5]), replication=int(r[6]), metrics={r[7]: float(r[8])},
-        )
-        for r in rows
-    ]
+    records = [_parse_record(line, row) for line, row in _read_records_csv(path)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SUMMARY_HEADER)
@@ -431,7 +442,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 source = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoError(f"cannot read {args.config}: {exc}") from exc
         config = parse_config(source)
         if args.command == "validate":

@@ -97,15 +97,10 @@ BOOTSTRAP_STREAM = 2_000_000_000
 # What a process pool costs beyond the work it spreads, in seconds: forking a
 # ProcessPoolExecutor(2) in a warm process with numpy and scipy loaded,
 # mapping 400 trivial tasks and shutting it down took a median of 22-23 ms
-# (19-61 ms over 20 trials; 2-core VM, Python 3.11), before the workers'
-# cold caches slow their first replications. _map_tasks now runs one share in
-# this process, so workers = 2 starts a pool of one process; the cost of that
-# smaller pool was not re-measured, and the value is kept.
+# (19-61 ms over 20 trials; 2-core VM, Python 3.11), before the workers' cold
+# caches slow their first tasks. With workers = 2, _map_tasks starts a pool of
+# one process, whose cost was not re-measured.
 POOL_START_S = 0.03
-# A run's first replication pays for cold caches: a 30-100 us Gumbel
-# replication took 140-450 us as the first call after other work (same VM).
-# A probe shorter than this may be mostly that cost, so it is re-timed.
-COLD_CALL_S = 0.001
 # Pass rules, one value each.
 GUMBEL_KS_THRESHOLD = 0.05  # KS distance of the standardized maxima to the Gumbel law
 INTENSITY_REL_TOL = 0.05  # relative error of a binned count against its exact mass,
@@ -163,46 +158,28 @@ def _run_share(fn, share):
     return [fn(t) for t in share]
 
 
-def _map_tasks(fn, tasks, workers: int, probes):
+def _map_tasks(fn, tasks, workers: int, probe: int):
     """[fn(task) for task in tasks], on this process and at most workers - 1 others.
 
-    With more than one worker and task, fn(tasks[probes[0]]) runs first in
-    this process and is timed; it also loads, before any fork, the modules
-    the tasks import lazily. A pool pays off only when the serial time S of
-    the rest exceeds POOL_START_S + S / workers, so if probe time x remaining
-    tasks is below that break-even the rest runs here, in order. A probe
-    shorter than COLD_CALL_S that says otherwise is re-timed on the next of
-    probes, and the shorter time counts. If the loop here passes the
-    break-even anyway, the tasks still left are shared out: they split into
-    w = min(workers, tasks left) strided shares, a pool of w - 1 processes
+    With more than one worker and task, fn(tasks[probe]) runs first in this
+    process and is timed; it also loads, before any fork, the modules the
+    tasks import lazily. The rest could be shared by w = min(workers, tasks
+    left) processes, and a pool pays off only when the serial time S of the
+    rest exceeds POOL_START_S + S / w. So if probe time x tasks left is
+    below that break-even, or w < 2, the rest runs here, in order.
+    Otherwise it splits into w strided shares: a pool of w - 1 processes
     runs one share each while this process runs the first, and every row
     lands at its task's index.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     results = [None] * len(tasks)
-    break_even = POOL_START_S * workers / (workers - 1)
-    rest = set(range(len(tasks)))
-    probe_s = math.inf
-    for k in probes:
-        t0 = time.perf_counter()
-        results[k] = fn(tasks[k])
-        probe_s = min(probe_s, time.perf_counter() - t0)
-        rest.discard(k)
-        if probe_s >= COLD_CALL_S or probe_s * len(rest) < break_even:
-            break
-    rest = sorted(rest)
-    if probe_s * len(rest) < break_even:
-        t0 = time.perf_counter()
-        for done, k in enumerate(rest):
-            if time.perf_counter() - t0 > break_even:
-                rest = rest[done:]
-                break
-            results[k] = fn(tasks[k])
-        else:
-            return results
+    t0 = time.perf_counter()
+    results[probe] = fn(tasks[probe])
+    probe_s = time.perf_counter() - t0
+    rest = [k for k in range(len(tasks)) if k != probe]
     w = min(workers, len(rest))
-    if w < 2:  # at most one task left, nothing to share
+    if w < 2 or probe_s * len(rest) < POOL_START_S * w / (w - 1):
         for k in rest:
             results[k] = fn(tasks[k])
         return results
@@ -308,10 +285,9 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     ids = [pi * STREAM_STRIDE + rep for pi in range(len(groups)) for rep in range(reps)]
     jobs = [(task, seed, sid, state, groups[sid // STREAM_STRIDE], args)
             for sid, state in zip(ids, stream_states(seed, ids))]
-    # probe the likely costliest replications: the last two of the largest lambda
+    # probe the likely costliest replication: the last of the largest lambda
     last = max(range(len(groups)), key=lambda pi: (groups[pi].lam, pi), default=0)
-    probes = [last * reps + reps - 1, last * reps + reps - 2][:reps]
-    rows = _map_tasks(_replication, jobs, workers, probes)
+    rows = _map_tasks(_replication, jobs, workers, last * reps + reps - 1)
     records, kept, sides = [], [{} for _ in groups], []
     for (_, _, stream_id, _, params, _), (out, wall) in zip(jobs, rows):
         metrics, side = out if isinstance(out, tuple) else (out, None)
@@ -612,16 +588,6 @@ def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=41) -> RunRe
 # ---------------------------------------------------------------------------
 
 
-def _hull_or_none(points, d: int):
-    """Hull of the points, or None when they cannot span R^d."""
-    if len(points) < d + 1:
-        return None
-    try:
-        return convex_hull(points, assume_unique=True)
-    except GgpError:
-        return None  # affinely dependent input
-
-
 def _certified(needed: float, inner: float) -> bool:
     """Whether a certificate's radius covers the unsampled ball B(inner).
 
@@ -646,10 +612,11 @@ def _sample_shell(rng: RngStream, params: ModelParams, evaluate):
     norm <= needed cannot change that result. inner = 0 means the whole
     cloud, whose result stands as it is.
 
-    Up to _shell_points(d) expected points (192 in d = 2, 512 in d = 3,
-    1024 from d = 4 on) the whole cloud is sampled. Above, round 1 samples
-    the shell ||x|| > r0 holding that many points in expectation; its
-    result stands when needed >= r0. Otherwise round 2 adds the annulus
+    Round 1 samples the shell ||x|| > r0 holding min(lambda,
+    _shell_points(d)) points in expectation (192 in d = 2, 512 in d = 3,
+    1024 from d = 4 on), so at lambda up to that size r0 = 0: the whole
+    cloud, drawn as sample_polytope_input draws it. Round 1's result
+    stands when needed >= r0. Otherwise round 2 adds the annulus
     max(needed, 0) < ||x|| <= r0 and evaluates again; if that still falls
     short, round 3 adds the rest of the cloud. The points left inside the
     last inner radius are counted by an independent Poisson draw. Poisson
@@ -657,12 +624,8 @@ def _sample_shell(rng: RngStream, params: ModelParams, evaluate):
     and count have the law of the full cloud's, whatever the shell size: a
     shell too small for its cloud costs rounds, never correctness.
     """
-    size = _shell_points(params.d)
-    if params.lam <= size:
-        points = sample_polytope_input(rng, params)
-        return evaluate(points, 0.0)[0], len(points)
     g = rng.generator()
-    inner = float(radial_tail_inverse(params, size / params.lam))
+    inner = float(radial_tail_inverse(params, min(1.0, _shell_points(params.d) / params.lam)))
     points = sample_polytope_input(g, params, r_min=inner)
     result, needed = evaluate(points, inner)
     for whole in (False, True):
@@ -730,7 +693,10 @@ def _festoon_sample(rng, params, L, r_lambda, measure):
 
 def _polytope_task(rng, params):
     def evaluate(points, inner):
-        poly = _hull_or_none(points, params.d)
+        try:
+            poly = convex_hull(points, assume_unique=True)
+        except GgpError:  # too few or affinely dependent points: no hull
+            poly = None
         return poly, _inball(poly)
 
     poly, n_points = _sample_shell(rng, params, evaluate)

@@ -78,9 +78,7 @@ class Festoon:
     of the lower facets, None when the lift is affinely degenerate;
     "cells", the incidence pairs (piece, point index) of those facets, None
     with the planes; and "spatial_hull", the inequalities of the extreme
-    points' spatial hull, None in spatial dimension 1 or when that hull is
-    degenerate. Spatial dimension 1 evaluates by interpolating the extreme
-    lifts instead.
+    points' spatial hull, None when that hull is degenerate.
     """
 
     points: np.ndarray
@@ -154,12 +152,14 @@ def _lower_hull(lifted: np.ndarray):
 
 
 def _spatial_hull(spatial: np.ndarray):
-    """Inequalities <a, v> + b <= 0 describing the hull of the extreme
-    spatial coordinates; None in spatial dimension 1 (the support is the
-    interval between the extreme v's) and when degenerate (membership is
-    then checked by LP)."""
+    """Unit-normal inequalities <a, v> + b <= 0 describing the hull of the
+    extreme spatial coordinates: in spatial dimension 1 the interval
+    between the extreme v's, -v + lo <= 0 and v - hi <= 0; None when the
+    hull is degenerate (membership is then checked by LP)."""
     m = spatial.shape[1]
-    if m == 1 or len(spatial) <= m:
+    if m == 1:
+        return np.array([[-1.0, spatial.min()], [1.0, -spatial.max()]])
+    if len(spatial) <= m:
         return None
     from scipy.spatial import ConvexHull, QhullError
 
@@ -181,14 +181,6 @@ def phi_boundary_batch(f: Festoon, grid: np.ndarray) -> np.ndarray:
     grid = _as_grid(grid, f.spatial_dim)
     spatial = f.extreme_points[:, :-1]
     tol = 1e-9 * max(1.0, float(np.max(np.abs(spatial))))
-    if f.spatial_dim == 1:
-        lifted = lift(f.extreme_points)
-        order = np.argsort(lifted[:, 0])
-        vx, vs = lifted[order, 0], lifted[order, 1]
-        x = grid[:, 0]
-        if np.any(x < vx[0] - tol) or np.any(x > vx[-1] + tol):
-            raise OutsideSupport("grid leaves the extreme points' spatial hull")
-        return np.interp(x, vx, vs) - 0.5 * x * x
     eqs = f.lifted_lower_hull["spatial_hull"]
     if eqs is not None:
         outside = np.any(grid @ eqs[:, :-1].T + eqs[None, :, -1] > tol, axis=1)
@@ -196,6 +188,11 @@ def phi_boundary_batch(f: Festoon, grid: np.ndarray) -> np.ndarray:
         outside = [not is_convex_combination(spatial, v) for v in grid]
     if np.any(outside):
         raise OutsideSupport("grid leaves the extreme points' spatial hull")
+    if f.spatial_dim == 1:  # interpolating the extreme lifts
+        lifted = lift(f.extreme_points)
+        order = np.argsort(lifted[:, 0])
+        x = grid[:, 0]
+        return np.interp(x, lifted[order, 0], lifted[order, 1]) - 0.5 * x * x
     planes = f.lifted_lower_hull["planes"]
     if planes is None or len(planes[0]) == 0:
         # degenerate lower hull: all extreme lifts lie on one affine piece
@@ -225,13 +222,9 @@ def stable_height(f: Festoon, L: float) -> float:
     planes, cells = f.lifted_lower_hull["planes"], f.lifted_lower_hull["cells"]
     if planes is None or len(planes[0]) == 0:
         return np.inf
-    spatial = f.extreme_points[:, :-1]
-    if f.spatial_dim == 1:
-        covered = spatial.min() <= -L and spatial.max() >= L
-    else:  # unit outward normals: the ball lies inside iff every offset <= -L
-        eqs = f.lifted_lower_hull["spatial_hull"]
-        covered = eqs is not None and bool(np.all(eqs[:, -1] <= -L))
-    if not covered:
+    # unit outward normals: the ball lies inside iff every offset <= -L
+    eqs = f.lifted_lower_hull["spatial_hull"]
+    if eqs is None or not np.all(eqs[:, -1] <= -L):
         return np.inf
     grads, icpts = planes
     piece, vertex = cells

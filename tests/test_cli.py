@@ -578,6 +578,31 @@ class TestSummaries:
         direct = (tmp_path / "gumbel_summary.csv").read_text()
         assert out.replace("\r\n", "\n") == direct.replace("\r\n", "\n")
 
+    @pytest.mark.parametrize("row, message", [
+        ("slln,10.0,2", "line 3, column alpha: missing"),
+        ("slln,abc,2,0.0,2.0,5,0,f0,4.0", "line 3, column lambda: cannot read 'abc' as float"),
+        ("slln,10.0,2,0.0,2.0,5,0.5,f0,4.0",
+         "line 3, column replication: cannot read '0.5' as int"),
+        ("slln,10.0,2,0.0,2.0,5,0,f0,4.0,1", "line 3: 10 columns, expected 9"),
+    ], ids=["short_row", "not_a_number", "not_an_integer", "long_row"])
+    def test_summarize_malformed_row_names_line_and_column(self, tmp_path, capsys, row, message):
+        # a bad row once raised a bare IndexError or ValueError: a traceback
+        # and exit 1, the status of a failed check
+        path = tmp_path / "records.csv"
+        path.write_text(",".join(RECORDS_HEADER) + "\nslln,10.0,2,0.0,2.0,5,0,f0,4.0\n" + row + "\n")
+        assert main(["summarize", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+
+    @pytest.mark.parametrize("command", [["summarize"], ["validate", "--config"],
+                                         ["run", "--config"]])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, command):
+        # bytes that are not UTF-8 once ended in a UnicodeDecodeError traceback
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(",".join(RECORDS_HEADER).encode() + b"\nslln,10.0\xff\n")
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IoError: cannot read {path}: ") and "can't decode" in err
+
 
 class TestGoldenHeader:
     def test_records_header_pinned(self):

@@ -71,10 +71,11 @@ def _stub_task(rng, params, slow_lam, delay):
     return {"u": float(rng.generator().uniform())}
 
 
-def _cold_probe_task(rng, params):
-    """Slow only on stream 19, the probe of one group of 20 replications."""
-    if rng.stream_id == 19:
-        time.sleep(0.01)
+def _slow_probe_task(rng, params, delay):
+    """One uniform draw, after sleeping delay seconds on stream 2, the probe
+    of one group of 3 replications."""
+    if rng.stream_id == 2:
+        time.sleep(delay)
     return {"u": float(rng.generator().uniform())}
 
 
@@ -115,7 +116,6 @@ class TestGumbelRunner:
 
     def test_worker_count_invariance_through_the_pool(self, monkeypatch, pools):
         monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
-        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
         a = run_gumbel(0, 1, 1000, 120, seed=9, workers=1)
         b = run_gumbel(0, 1, 1000, 120, seed=9, workers=2)
         assert pools == [[59]]
@@ -167,7 +167,6 @@ class TestMomentsRunner:
 
     def test_worker_invariant_through_the_pool(self, monkeypatch, pools):
         monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
-        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
         grid = [validate_params(2, 0, 2, 50.0)]
         a = run_moments(grid, 200, seed=3, workers=1)
         b = run_moments(grid, 200, seed=3, workers=2)
@@ -323,7 +322,6 @@ class TestDispatch:
         grid = [validate_params(2, 0, 2, 50.0), validate_params(2, 0, 2, 80.0)]
         serial = run_moments(grid, 200, seed=3, workers=1)
         monkeypatch.setattr(experiments, "POOL_START_S", pool_start_s)
-        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
         parallel = run_moments(grid, 200, seed=3, workers=2)
         assert pools == mapped
         assert record_key(parallel.records) == record_key(serial.records)
@@ -349,16 +347,6 @@ class TestDispatch:
         assert calls[0] == 2 * stride + 2  # ties go to the later group
         assert sorted(calls) == [pi * stride + rep for pi in range(4) for rep in range(3)]
 
-    @pytest.mark.parametrize("cold_call_s, mapped", [(0.05, []), (0.0, [[9]])])
-    def test_short_probe_is_timed_again(self, monkeypatch, pools, cold_call_s, mapped):
-        # the probe says pool; below COLD_CALL_S the next replication is timed
-        # too, and its shorter time keeps the run in-process
-        monkeypatch.setattr(experiments, "COLD_CALL_S", cold_call_s)
-        serial = experiments.replicate("stub", _cold_probe_task, self.GROUPS[:1], 20, 5, 1)
-        parallel = experiments.replicate("stub", _cold_probe_task, self.GROUPS[:1], 20, 5, 2)
-        assert pools == mapped
-        assert record_key(parallel[0]) == record_key(serial[0])
-
     def test_slow_probe_sends_the_rest_to_the_pool(self, pools):
         serial = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 1, 2.0, 0.01)
         parallel = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 2, 2.0, 0.01)
@@ -366,14 +354,26 @@ class TestDispatch:
         assert record_key(parallel[0]) == record_key(serial[0])
         assert parallel[1:] == serial[1:]
 
-    def test_slow_rest_reaches_the_pool_through_the_fallback(self, pools):
-        # the probe (lambda 2) is fast, so the rest starts in-process; the slow
-        # lambda-1 group passes the break-even and hands what is left to a pool
+    def test_fast_probe_keeps_every_replication_here(self, pools):
+        # the probe (lambda 2) is fast, so the rest runs in this process to
+        # the end, however slow the lambda-1 group turns out to be
         serial = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 1, 1.0, 0.03)
         parallel = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 2, 1.0, 0.03)
-        assert len(pools) == 1 and len(pools[0]) == 1 and 0 < pools[0][0] < 8
+        assert pools == []
         assert record_key(parallel[0]) == record_key(serial[0])
         assert parallel[1:] == serial[1:]
+
+    @pytest.mark.parametrize("delay, mapped", [(0.175, []), (0.25, [[1]])])
+    def test_break_even_counts_the_pool_that_would_start(self, monkeypatch, pools, delay, mapped):
+        # two replications follow the probe, so three workers would start
+        # w = 2 shares: a pool pays off above POOL_START_S * 2 / 1 = 0.4 s of
+        # serial rest, not the 0.3 s that w = 3 would give; 2 x 0.175 s lies
+        # between the two, 2 x 0.25 s above both
+        monkeypatch.setattr(experiments, "POOL_START_S", 0.2)
+        serial = experiments.replicate("stub", _slow_probe_task, self.GROUPS[1:], 3, 5, 1, 0.0)
+        parallel = experiments.replicate("stub", _slow_probe_task, self.GROUPS[1:], 3, 5, 3, delay)
+        assert pools == mapped
+        assert record_key(parallel[0]) == record_key(serial[0])
 
     def test_probe_exception_propagates(self, pools):
         with pytest.raises(ValueError, match=r"replication 1000001 failed"):
@@ -384,7 +384,6 @@ class TestDispatch:
         # 15 replications after the probe split into strided shares of 5:
         # the first runs in this process, the other two on a pool of two
         monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
-        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
         serial = experiments.replicate("stub", _pid_task, self.GROUPS, 8, 5, 1)
         parallel = experiments.replicate("stub", _pid_task, self.GROUPS, 8, 5, 3)
         assert pools == [[5, 5]]
@@ -408,7 +407,6 @@ class TestDispatch:
         # the engine's precomputed seed words give each task, here or on the
         # pool, the generator that RngStream(seed, stream_id) builds alone
         monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
-        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
         _, _, sides = experiments.replicate("stub", _three_draws_task, self.GROUPS, 8, 11, workers)
         assert pools == mapped
         stride = experiments.STREAM_STRIDE
@@ -423,7 +421,6 @@ class TestDispatch:
         # with two workers, odd replications of group 0 go to the pool and
         # even ones run here
         monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
-        monkeypatch.setattr(experiments, "COLD_CALL_S", 0.0)
         with pytest.raises(ValueError, match=rf"replication {bad_stream} failed"):
             experiments.replicate("stub", _pid_task, self.GROUPS, 8, 5, 2, bad_stream)
         assert pools == [[7]]
@@ -685,7 +682,8 @@ def polytope_metrics(cloud, d):
 class TestShellSampling:
     def test_small_intensity_records_match_full_path(self):
         # at lambda <= the shell size a replication hulls its whole cloud, draw for draw
-        for d, lam in ((2, float(experiments._shell_points(2))), (3, 300.0), (4, 200.0)):
+        for d, lam in ((2, 100.0), (2, 192.0), (3, 300.0), (3, 512.0), (4, 200.0), (4, 1024.0)):
+            assert lam <= experiments._shell_points(d)
             p = validate_params(d, 0, 2, lam)
             for sid in range(5):
                 cloud = sample_polytope_input(RngStream(5, sid), p)

@@ -244,6 +244,14 @@ class TestStableHeight:
             assert phi_boundary_batch(f2, v[None, :])[0] < height - 5e-4
             assert height - 1e-3 < h_star
 
+    @pytest.mark.parametrize("L, height", [(1.0, 0.53125), (1.5, 0.53125),
+                                           (np.nextafter(1.5, 2.0), math.inf), (2.0, math.inf)])
+    def test_ball_in_the_interval_support_of_spatial_dimension_one(self, L, height):
+        # lower pieces s = -17/12 v - 1 and s = 7/4 v - 1 have apex heights
+        # c + g^2/2 of 1/288 and 17/32; B(o, L) must lie in [-1.5, 2]
+        f = extreme_points(np.array([[-1.5, 0.0], [0.0, -1.0], [2.0, 0.5]]))
+        assert stable_height(f, L) == pytest.approx(height, rel=1e-12)
+
     def test_uncovered_ball_has_no_stable_height(self):
         f = extreme_points(np.array([[-0.5, 0.0], [0.3, -1.0], [2.0, 0.5]]))
         assert stable_height(f, 1.0) == math.inf
@@ -271,6 +279,18 @@ class TestPhiBoundary:
         assert phi_boundary_batch(f, np.array([[0.0]]))[0] == pytest.approx(-1.0, abs=1e-12)
         with pytest.raises(OutsideSupport):
             phi_boundary_batch(f, np.array([[0.5]]))
+
+    def test_interval_support_in_spatial_dimension_one(self):
+        # the extreme v's -1.5 and 2 bound the support as two inequalities;
+        # the check tolerates 1e-9 * max(1, max |v|) = 2e-9
+        f = extreme_points(np.array([[-1.5, 0.0], [0.0, -1.0], [2.0, 0.5]]))
+        np.testing.assert_array_equal(f.lifted_lower_hull["spatial_hull"],
+                                      [[-1.0, -1.5], [1.0, -2.0]])
+        edges = phi_boundary_batch(f, np.array([[-1.5], [2.0], [2.0 + 1e-9]]))
+        assert edges[:2].tolist() == [0.0, 0.5]
+        for beyond in (-1.5 - 1e-8, 2.0 + 1e-8):
+            with pytest.raises(OutsideSupport):
+                phi_boundary_batch(f, np.array([[0.0], [beyond]]))
 
     def test_three_point_interpolation(self):
         pts = np.array([[-1.0, 0.0], [0.0, -0.4], [1.0, 0.0]])
