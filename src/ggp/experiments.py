@@ -88,6 +88,10 @@ AGGREGATE_REPLICATION = -1  # replication index reserved for run-level metrics
 SHELL_POINTS = {2: 192, 3: 512, 4: 1024}
 # Distinct grid points a slope or trend check needs; below this it reports INFO.
 MIN_TREND_POINTS = 3
+GRID_N = 41  # points per axis of the tails ball_grid; the scaling-limit default
+# Most points of a ball_grid, grid_n^(d-1): about 20 times the largest grid a
+# test or documented config builds (512, grid_n = 2 in d = 10). GRID_N serves d <= 3.
+MAX_GRID_POINTS = 10_000
 # Replication rep of parameter group pi draws from stream pi * STREAM_STRIDE + rep,
 # so reps must stay below it and every replication stream below the streams
 # reserved for the bootstrap of the k-th intensity of a law at
@@ -161,18 +165,16 @@ def _run_share(fn, share):
 def _map_tasks(fn, tasks, workers: int, probe: int):
     """[fn(task) for task in tasks], on this process and at most workers - 1 others.
 
-    With more than one worker and task, fn(tasks[probe]) runs first in this
-    process and is timed; it also loads, before any fork, the modules the
-    tasks import lazily. The rest could be shared by w = min(workers, tasks
-    left) processes, and a pool pays off only when the serial time S of the
-    rest exceeds POOL_START_S + S / w. So if probe time x tasks left is
-    below that break-even, or w < 2, the rest runs here, in order.
-    Otherwise it splits into w strided shares: a pool of w - 1 processes
-    runs one share each while this process runs the first, and every row
-    lands at its task's index.
+    fn(tasks[probe]) runs first in this process and is timed; it also loads,
+    before any fork, the modules the tasks import lazily. The rest could be
+    shared by w = min(workers, tasks left) processes, and a pool pays off
+    only when the serial time S of the rest exceeds POOL_START_S + S / w.
+    So if w < 2, as at one worker, or probe time x tasks left is below that
+    break-even, the rest runs here, in order. Otherwise it splits into w
+    strided shares: a pool of w - 1 processes runs one share each while
+    this process runs the first. Either way every row lands at its task's
+    index.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
     results = [None] * len(tasks)
     t0 = time.perf_counter()
     results[probe] = fn(tasks[probe])
@@ -202,9 +204,13 @@ def _info(name, detail) -> CheckOutcome:
     return CheckOutcome(name=name, status="INFO", detail=detail)
 
 
-def _unjudged(name, n_kept, reps):
-    """FAIL check for a statistic that fewer than 2 kept replications cannot judge."""
-    return _check(name, False, f"not judged: {n_kept} of {reps} replications kept, need 2")
+def _judged(result, name, n_kept, reps) -> bool:
+    """Whether n_kept of reps kept replications can judge a statistic: 2 or
+    more can. Fewer get the FAIL check name, appended to result's checks."""
+    if n_kept < 2:
+        result.checks.append(
+            _check(name, False, f"not judged: {n_kept} of {reps} replications kept, need 2"))
+    return n_kept >= 2
 
 
 def _too_short(grid):
@@ -224,13 +230,13 @@ def _too_short(grid):
 
 
 def check_reps(reps, n_groups=1):
-    """Bounds shared by every runner: at least one replication, and distinct
-    (group, rep) pairs get distinct streams, all below the reserved
-    BOOTSTRAP_STREAM."""
+    """Bounds shared by every runner: at least one replication and one
+    parameter group, and distinct (group, rep) pairs get distinct streams,
+    all below the reserved BOOTSTRAP_STREAM."""
     if not 1 <= reps < STREAM_STRIDE:
         raise ValidationError("reps", f"need 1 <= reps < {STREAM_STRIDE}")
-    if n_groups * STREAM_STRIDE > BOOTSTRAP_STREAM:
-        raise ValidationError("lambda_grid", f"need at most {BOOTSTRAP_STREAM // STREAM_STRIDE} "
+    if not 1 <= n_groups <= BOOTSTRAP_STREAM // STREAM_STRIDE:
+        raise ValidationError("lambda_grid", f"need 1 to {BOOTSTRAP_STREAM // STREAM_STRIDE} "
                                              f"parameter groups, got {n_groups}")
 
 
@@ -250,9 +256,11 @@ def _check_L(L):
         raise ValidationError("L", "need 0 < L <= 2")
 
 
-def _check_grid_n(grid_n):
-    if not grid_n >= 2:
-        raise ValidationError("grid_n", "need grid_n >= 2")
+def _check_grid(grid_n, d, field):
+    """Refuse, naming field, a ball_grid of grid_n^(d-1) points above MAX_GRID_POINTS."""
+    if grid_n ** min(d - 1, 64) > MAX_GRID_POINTS:  # grid_n >= 2, so 2^64 is above it too
+        raise ValidationError(field, f"need a ball grid of at most {MAX_GRID_POINTS} points, "
+                                     f"got grid_n^(d-1) = {grid_n}^{d - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +287,8 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     A task returns its replication's metrics, or (metrics, side) to hand
     back a side value that is not recorded. Returns the per-replication
     records, group-major and replication-minor; per group, each metric's
-    values over the replications not skipped; and the side values.
+    values over the kept replications, those not skipped by _sample_shell,
+    without the skipped flag; per group, the kept count; and the side values.
     """
     check_reps(reps, len(groups))
     ids = [pi * STREAM_STRIDE + rep for pi in range(len(groups)) for rep in range(reps)]
@@ -288,17 +297,20 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     # probe the likely costliest replication: the last of the largest lambda
     last = max(range(len(groups)), key=lambda pi: (groups[pi].lam, pi), default=0)
     rows = _map_tasks(_replication, jobs, workers, last * reps + reps - 1)
-    records, kept, sides = [], [{} for _ in groups], []
+    records, kept, n_kept, sides = [], [{} for _ in groups], [0] * len(groups), []
     for (_, _, stream_id, _, params, _), (out, wall) in zip(jobs, rows):
         metrics, side = out if isinstance(out, tuple) else (out, None)
         pi, rep = divmod(stream_id, STREAM_STRIDE)
         records.append(ExperimentRecord(experiment, params.lam, params.d, params.alpha,
                                         params.beta, seed, rep, metrics, wall))
         sides.append(side)
-        if not metrics.get("skipped"):
-            for name, value in metrics.items():
+        if metrics.get("skipped"):
+            continue
+        n_kept[pi] += 1
+        for name, value in metrics.items():
+            if name != "skipped":
                 kept[pi].setdefault(name, []).append(value)
-    return records, kept, sides
+    return records, kept, n_kept, sides
 
 
 def _aggregate(experiment, params, seed, metrics) -> ExperimentRecord:
@@ -339,7 +351,7 @@ def run_gumbel(alpha, beta, n, reps, seed, workers=1) -> RunResult:
     check_gumbel(alpha, beta, n, reps)
     # one group of 1-d maxima of n points, with n in the lambda column
     group = ModelParams(1, float(alpha), float(beta), float(n))
-    records, kept, _ = replicate("gumbel", _gumbel_task, [group], reps, seed, workers)
+    records, kept, _, _ = replicate("gumbel", _gumbel_task, [group], reps, seed, workers)
     result = RunResult("gumbel", records)
     ks = ks_statistic(np.asarray(kept[0]["std_max"]), gumbel_cdf)
     result.records.append(_aggregate("gumbel", group, seed,
@@ -460,8 +472,8 @@ def run_intensity(params, window, bins, reps, seed, workers=1) -> RunResult:
     h_edges = np.log(lo + (hi - lo) * np.linspace(0.0, 1.0, n_h + 1))
     h_edges[0], h_edges[-1] = window.h_min, window.h_max
 
-    records, _, hists = replicate("intensity", _intensity_task, [params], reps, seed, workers,
-                                  window, rho_edges, h_edges, r_lambda)
+    records, _, _, hists = replicate("intensity", _intensity_task, [params], reps, seed, workers,
+                                     window, rho_edges, h_edges, r_lambda)
     result = RunResult("intensity", records)
     counts = sum(hists, np.zeros((n_rho, n_h)))
 
@@ -536,50 +548,53 @@ def _scaling_task(rng, params, L, grid_n):
             "sup_dist": float(np.max(np.abs(hull_heights - phi_heights))),
             "n_vertices": float(len(poly.vertices)),
             "n_extreme": float(np.count_nonzero(in_ball)),
-            "skipped": 0.0,
         }
 
     return _festoon_sample(rng, params, L, r_lambda, measure)
 
 
-def check_scaling_limit(params_list, L, reps, grid_n=41) -> list:
+def check_scaling_limit(params_list, L, reps, grid_n=GRID_N) -> list:
     """Preconditions of run_scaling_limit; returns the validated parameters."""
     _check_L(L)
-    _check_grid_n(grid_n)
+    if not grid_n >= 2:
+        raise ValidationError("grid_n", "need grid_n >= 2")
     check_reps(reps, len(params_list))
-    return [_usable(p)[0] for p in params_list]
+    params_list = [_usable(p)[0] for p in params_list]
+    _check_grid(grid_n, max(p.d for p in params_list), "grid_n")
+    return params_list
 
 
-def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=41) -> RunResult:
+def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=GRID_N) -> RunResult:
     """Sup-distance between the rescaled hull boundary and the festoon.
 
-    For each parameter group (d, alpha, beta), the median sup-distance over
-    replications must decrease strictly along its intensity grid, and the
-    bootstrap 95% intervals of the endpoint medians must not overlap.
+    For each parameter group (d, alpha, beta) whose every intensity keeps 2
+    or more replications, the median sup-distance over replications must
+    decrease strictly along its intensity grid, and the bootstrap 95%
+    intervals of the endpoint medians must not overlap.
     """
     params_list = check_scaling_limit(params_list, L, reps, grid_n)
-    records, kept, _ = replicate("scaling_limit", _scaling_task, params_list, reps, seed, workers,
-                                 float(L), int(grid_n))
+    records, kept, n_kept, _ = replicate("scaling_limit", _scaling_task, params_list, reps, seed,
+                                         workers, float(L), int(grid_n))
     result = RunResult("scaling_limit", records)
     for (d, alpha, beta), pis in _by_law(params_list).items():
+        if not all([_judged(result, f"scaling_judged[d={d},alpha={alpha},beta={beta},"
+                                    f"lambda={params_list[pi].lam:g}]", n_kept[pi], reps)
+                    for pi in pis]):
+            continue
         lams = [params_list[pi].lam for pi in pis]
         meds, cis = [], []
         for k, pi in enumerate(pis):
-            med, lo, hi = bootstrap_median_ci(kept[pi].get("sup_dist", []),
+            med, lo, hi = bootstrap_median_ci(kept[pi]["sup_dist"],
                                               RngStream(seed, BOOTSTRAP_STREAM + k))
             meds.append(med)
             cis.append((lo, hi))
         decreasing = all(meds[k + 1] < meds[k] for k in range(len(meds) - 1))
         separated = meds[-1] < meds[0] and cis[-1][1] < cis[0][0]
         detail = ", ".join(f"lambda={l:.0g}: {m:.4f}" for l, m in zip(lams, meds))
-        result.checks.append(
-            _check(
-                f"scaling_sup_distance_decreasing[d={d},alpha={alpha},beta={beta}]",
-                decreasing and separated,
-                f"medians {detail}; endpoint CIs ({cis[0][0]:.4f}, {cis[0][1]:.4f}) vs "
-                f"({cis[-1][0]:.4f}, {cis[-1][1]:.4f})",
-            )
-        )
+        result.checks.append(_check(
+            f"scaling_sup_distance_decreasing[d={d},alpha={alpha},beta={beta}]",
+            decreasing and separated, f"medians {detail}; endpoint CIs ({cis[0][0]:.4f}, "
+            f"{cis[0][1]:.4f}) vs ({cis[-1][0]:.4f}, {cis[-1][1]:.4f})"))
     return result
 
 
@@ -603,14 +618,16 @@ def _shell_points(d: int) -> float:
     return SHELL_POINTS[min(d, max(SHELL_POINTS))]
 
 
-def _sample_shell(rng: RngStream, params: ModelParams, evaluate):
-    """evaluate's result on the fewest points of one Poisson cloud that
-    provably give the whole cloud's result, and the cloud's point count.
+def _sample_shell(rng: RngStream, params: ModelParams, evaluate, measure) -> dict:
+    """One replication's metrics, from the fewest points of one Poisson
+    cloud that provably give the whole cloud's result.
 
     evaluate(points, inner) returns (result, needed): its result on the
-    sampled points, all of norm > inner, and a radius such that points of
-    norm <= needed cannot change that result. inner = 0 means the whole
-    cloud, whose result stands as it is.
+    sampled points, all of norm > inner, None if they have none, and a
+    radius such that points of norm <= needed cannot change that result.
+    inner = 0 means the whole cloud, whose result stands as it is; if that
+    is None, the replication is skipped: {"skipped": 1.0}, the one place a
+    skip is written. Otherwise: {"skipped": 0.0, **measure(result, n_points)}.
 
     Round 1 samples the shell ||x|| > r0 holding min(lambda,
     _shell_points(d)) points in expectation (192 in d = 2, 512 in d = 3,
@@ -619,10 +636,11 @@ def _sample_shell(rng: RngStream, params: ModelParams, evaluate):
     stands when needed >= r0. Otherwise round 2 adds the annulus
     max(needed, 0) < ||x|| <= r0 and evaluates again; if that still falls
     short, round 3 adds the rest of the cloud. The points left inside the
-    last inner radius are counted by an independent Poisson draw. Poisson
-    restriction makes the counts on disjoint regions independent, so result
-    and count have the law of the full cloud's, whatever the shell size: a
-    shell too small for its cloud costs rounds, never correctness.
+    last inner radius are counted by an independent Poisson draw, the last
+    draw, left out on a skip. Poisson restriction makes the counts on
+    disjoint regions independent, so result and count have the law of the
+    full cloud's, whatever the shell size: a shell too small for its cloud
+    costs rounds, never correctness.
     """
     g = rng.generator()
     inner = float(radial_tail_inverse(params, min(1.0, _shell_points(params.d) / params.lam)))
@@ -635,8 +653,10 @@ def _sample_shell(rng: RngStream, params: ModelParams, evaluate):
         annulus = sample_polytope_input(g, params, r_min=inner, r_max=outer)
         points = np.vstack([points, annulus])
         result, needed = evaluate(points, inner)
+    if result is None:
+        return {"skipped": 1.0}
     n_inner = int(g.poisson(params.lam * (1.0 - radial_tail(params, inner))))
-    return result, len(points) + n_inner
+    return {"skipped": 0.0, **measure(result, len(points) + n_inner)}
 
 
 def _inball(poly) -> float:
@@ -663,7 +683,7 @@ def _festoon_radius(w, fest, L, beta, r_lambda) -> float:
 
 def _festoon_sample(rng, params, L, r_lambda, measure):
     """measure(poly, w, fest, kept) on one cloud's hull, rescaled points and
-    windowed festoon, or {"skipped": 1.0} when the whole cloud has none.
+    windowed festoon, or _sample_shell's skip when the whole cloud has none.
 
     A shell's measure stands when neither the hull (_inball) nor the
     festoon over B(o, L) (_festoon_radius) can change with the unsampled
@@ -687,8 +707,7 @@ def _festoon_sample(rng, params, L, r_lambda, measure):
         except GgpError:  # degenerate hull, origin outside, or festoon support miss
             return None, 0.0
 
-    out, _ = _sample_shell(rng, params, evaluate)
-    return {"skipped": 1.0} if out is None else out
+    return _sample_shell(rng, params, evaluate, lambda metrics, n_points: metrics)
 
 
 def _polytope_task(rng, params):
@@ -699,16 +718,12 @@ def _polytope_task(rng, params):
             poly = None
         return poly, _inball(poly)
 
-    poly, n_points = _sample_shell(rng, params, evaluate)
-    out = {"skipped": 1.0}
-    if poly is not None:
-        out = {"skipped": 0.0, "n_points": float(n_points)}
-        for j, fj in enumerate(poly.f_vector):
-            if fj is not None:
-                out[f"f{j}"] = float(fj)
-        out[f"v{params.d}"] = poly.volume
-        out[f"v{params.d - 1}"] = poly.area / 2.0
-    return out
+    def measure(poly, n_points):
+        faces = {f"f{j}": float(fj) for j, fj in enumerate(poly.f_vector) if fj is not None}
+        return {"n_points": float(n_points), **faces, f"v{params.d}": poly.volume,
+                f"v{params.d - 1}": poly.area / 2.0}
+
+    return _sample_shell(rng, params, evaluate, measure)
 
 
 def expected_intrinsic_scale(params, i: int) -> float:
@@ -747,22 +762,19 @@ def run_moments(params_grid, reps, seed, workers=1) -> RunResult:
     (d-1)/2 within MOMENTS_F0_SLOPE_BAND and MOMENTS_VAR_SLOPE_BAND.
     """
     params_grid = check_moments(params_grid, reps)
-    records, kept, _ = replicate("moments", _polytope_task, params_grid, reps, seed, workers)
+    records, kept, n_kept, _ = replicate("moments", _polytope_task, params_grid, reps, seed,
+                                         workers)
     result = RunResult("moments", records)
     laws = _by_law(params_grid)
     for (d, alpha, beta), pis in laws.items():
-        thin = [pi for pi in pis if len(kept[pi].get("f0", [])) < 2]
-        for pi in thin:
-            name = f"moments_judged[d={d},alpha={alpha},beta={beta},lambda={params_grid[pi].lam:g}]"
-            result.checks.append(_unjudged(name, len(kept[pi].get("f0", [])), reps))
-        if thin:
+        if not all([_judged(result, f"moments_judged[d={d},alpha={alpha},beta={beta},"
+                                    f"lambda={params_grid[pi].lam:g}]", n_kept[pi], reps)
+                    for pi in pis]):
             continue
         lams = np.array([params_grid[pi].lam for pi in pis])
         tag = f"[d={d},alpha={alpha},beta={beta}]"
-        ratios = []
-        for pi in pis:
-            vals = kept[pi].get(f"v{d}", [])
-            ratios.append(np.mean(vals) / expected_intrinsic_scale(params_grid[pi], d))
+        ratios = [np.mean(kept[pi][f"v{d}"]) / expected_intrinsic_scale(params_grid[pi], d)
+                  for pi in pis]
         increasing = all(ratios[k + 1] > ratios[k] for k in range(len(ratios) - 1))
         in_band = MOMENTS_RATIO_BAND[0] <= ratios[-1] <= MOMENTS_RATIO_BAND[1]
         ratio_detail = (f"E[V_{d}]/scale = " + ", ".join(f"{r:.4f}" for r in ratios)
@@ -802,8 +814,6 @@ def run_moments(params_grid, reps, seed, workers=1) -> RunResult:
         for pi in pis:
             agg = {}
             for k, vals in kept[pi].items():
-                if k == "skipped":
-                    continue
                 arr = np.asarray(vals)
                 agg[f"mean_{k}"] = float(arr.mean())
                 if len(arr) > 1:
@@ -822,43 +832,29 @@ def run_clt(params, reps, seed, workers=1) -> RunResult:
     """Normality of standardized face counts and intrinsic volumes, judged
     against CLT_SKEW_TOL, CLT_KURT_TOL and CLT_KS_TOL."""
     params = check_clt(params, reps)
-    records, kept, _ = replicate("clt", _polytope_task, [params], reps, seed, workers)
+    records, kept, n_kept, _ = replicate("clt", _polytope_task, [params], reps, seed, workers)
     result = RunResult("clt", records)
     d = params.d
     metrics = ["f0", f"v{d}"]
     agg = {}
     for name in ["f0", f"f{d - 1}", "v1", f"v{d}"]:
+        judged = name in metrics and _judged(result, f"clt_judged[{name}]", n_kept[0], reps)
         vals = kept[0].get(name, [])
-        if name in metrics and len(vals) < 2:
-            result.checks.append(_unjudged(f"clt_judged[{name}]", len(vals), reps))
         if not vals:
             continue
         st = summary_stats(vals)
         agg[f"skew_{name}"] = st.skewness
         agg[f"kurt_{name}"] = st.excess_kurtosis
         agg[f"ks_{name}"] = st.ks_normal
-        if name in metrics and len(vals) > 1:
-            result.checks.append(
-                _check(
-                    f"clt_skewness[{name}]",
-                    abs(st.skewness) < CLT_SKEW_TOL,
-                    f"|skew| = {abs(st.skewness):.4f} vs {CLT_SKEW_TOL} ({reps} reps)",
-                )
-            )
-            result.checks.append(
-                _check(
-                    f"clt_kurtosis[{name}]",
-                    abs(st.excess_kurtosis) < CLT_KURT_TOL,
-                    f"|excess kurtosis| = {abs(st.excess_kurtosis):.4f} vs {CLT_KURT_TOL}",
-                )
-            )
-            result.checks.append(
-                _check(
-                    f"clt_ks_normal[{name}]",
-                    st.ks_normal < CLT_KS_TOL,
-                    f"ks = {st.ks_normal:.4f} vs {CLT_KS_TOL}",
-                )
-            )
+        if judged:
+            result.checks += [
+                _check(f"clt_skewness[{name}]", abs(st.skewness) < CLT_SKEW_TOL,
+                       f"|skew| = {abs(st.skewness):.4f} vs {CLT_SKEW_TOL} ({reps} reps)"),
+                _check(f"clt_kurtosis[{name}]", abs(st.excess_kurtosis) < CLT_KURT_TOL,
+                       f"|excess kurtosis| = {abs(st.excess_kurtosis):.4f} vs {CLT_KURT_TOL}"),
+                _check(f"clt_ks_normal[{name}]", st.ks_normal < CLT_KS_TOL,
+                       f"ks = {st.ks_normal:.4f} vs {CLT_KS_TOL}"),
+            ]
     result.records.append(_aggregate("clt", params, seed, agg))
     return result
 
@@ -868,7 +864,7 @@ def run_clt(params, reps, seed, workers=1) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _tails_task(rng, params, M, h_cap, grid_n, r_lambda):
+def _tails_task(rng, params, M, h_cap, r_lambda):
     cloud = sample_polytope_input(rng, params)
     # with no grain below the cap the envelope exceeds h_cap everywhere,
     # which already decides every threshold below it
@@ -876,7 +872,7 @@ def _tails_task(rng, params, M, h_cap, grid_n, r_lambda):
         return {"sup_abs": h_cap}
     w = transform_batch(cloud, params.beta, r_lambda)
     kept = w[w[:, -1] <= h_cap]
-    grid = ball_grid(M, grid_n, params.d - 1)
+    grid = ball_grid(M, GRID_N, params.d - 1)
     if len(kept) == 0:
         return {"sup_abs": h_cap}
     env = psi_lambda_envelope(kept, grid, params.beta, r_lambda)
@@ -886,27 +882,28 @@ def _tails_task(rng, params, M, h_cap, grid_n, r_lambda):
     return {"sup_abs": float(np.max(np.abs(env)))}
 
 
-def check_tails(params, M, t_grid, reps, grid_n=41):
+def check_tails(params, M, t_grid, reps):
     """Preconditions of run_tails; returns the validated parameters and R."""
     _require_reps(reps, 500)
     if not M > 0:
         raise ValidationError("M", "must be > 0")
-    _check_grid_n(grid_n)
-    return _usable(params)
+    params, r_lambda = _usable(params)
+    _check_grid(GRID_N, params.d, "d")
+    return params, r_lambda
 
 
-def run_tails(params, M, t_grid, reps, seed, workers=1, grid_n=41) -> RunResult:
+def run_tails(params, M, t_grid, reps, seed, workers=1) -> RunResult:
     """Exponential-shape check of the envelope boundary-height tails.
 
     Estimates P(sup over the M-ball of |envelope| >= t) on t_grid, requires
     monotone probabilities, and fits log P against t: the slope must be
     negative with fit r^2 above TAILS_R2_THRESHOLD.
     """
-    params, r_lambda = check_tails(params, M, t_grid, reps, grid_n)
+    params, r_lambda = check_tails(params, M, t_grid, reps)
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     h_cap = float(t_grid[-1]) + 2.0
-    records, kept, _ = replicate("tails", _tails_task, [params], reps, seed, workers,
-                                 float(M), h_cap, int(grid_n), r_lambda)
+    records, kept, _, _ = replicate("tails", _tails_task, [params], reps, seed, workers,
+                                    float(M), h_cap, r_lambda)
     result = RunResult("tails", records)
     sups = np.asarray(kept[0]["sup_abs"])
     probs = np.array([(sups >= t).mean() for t in t_grid])
@@ -960,35 +957,29 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
     """Strong-law trend: normalized deviations along the geometric grid a^k.
 
     The deviation |V_i - mean| / (log lambda_k)^(p i / beta) must have
-    decreasing medians in k. Requires p above the summability threshold
+    decreasing medians in k, judged when every k keeps 2 or more
+    replications. Requires p above the summability threshold
     (4i - beta(d+3)) / (4i) and a > 1.
     """
     params_grid = check_slln(params_base, a, k_max, p, i, reps)
-    records, kept, _ = replicate("slln", _polytope_task, params_grid, reps, seed, workers)
+    records, kept, n_kept, _ = replicate("slln", _polytope_task, params_grid, reps, seed, workers)
     result = RunResult("slln", records)
+    judged = all([_judged(result, f"slln_judged[k={k}]", n, reps)
+                  for k, n in enumerate(n_kept, start=1)])
     meds = []
     for k, params in enumerate(params_grid, start=1):
         vals = np.asarray(kept[k - 1].get(f"v{i}", []))
-        if len(vals) < 2:
-            result.checks.append(_unjudged(f"slln_judged[k={k}]", len(vals), reps))
         if len(vals) == 0:
-            meds.append(math.nan)
             continue
         dev = np.abs(vals - vals.mean()) / (math.log(params.lam)) ** (p * i / params.beta)
-        med = float(np.median(dev))
-        meds.append(med)
+        meds.append(float(np.median(dev)))
         result.records.append(_aggregate("slln", params, seed,
-                                         {"median_norm_dev": med, "k": float(k)}))
-    decreasing = all(
-        meds[k + 1] < meds[k] for k in range(len(meds) - 1) if not math.isnan(meds[k + 1])
-    )
-    result.checks.append(
-        _check(
+                                         {"median_norm_dev": meds[-1], "k": float(k)}))
+    if judged:
+        result.checks.append(_check(
             "slln_normalized_deviations_decreasing",
-            decreasing,
-            "medians: " + ", ".join(f"k={k + 1}: {m:.4g}" for k, m in enumerate(meds)),
-        )
-    )
+            all(meds[k + 1] < meds[k] for k in range(len(meds) - 1)),
+            "medians: " + ", ".join(f"k={k + 1}: {m:.4g}" for k, m in enumerate(meds))))
     return result
 
 
@@ -1010,11 +1001,11 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     """
     params, i = check_concentration(params, reps, y_grid, i)
     d = params.d
-    records, kept, _ = replicate("concentration", _polytope_task, [params], reps, seed, workers)
+    records, kept, n_kept, _ = replicate("concentration", _polytope_task, [params], reps, seed,
+                                         workers)
     result = RunResult("concentration", records)
+    judged = _judged(result, "concentration_judged", n_kept[0], reps)
     vals = np.asarray(kept[0].get(f"v{i}", []))
-    if len(vals) < 2:
-        result.checks.append(_unjudged("concentration_judged", len(vals), reps))
     if len(vals) == 0:
         return result
     # One value has no sd: nothing exceeds y * nan, so every p_exceed reads 0.
@@ -1026,7 +1017,7 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     violated = emp > bound + 3 * se
     agg = {f"p_exceed_{y:g}": float(p) for y, p in zip(y_grid, emp)}
     result.records.append(_aggregate("concentration", params, seed, agg))
-    if len(vals) < 2:
+    if not judged:
         return result
     result.checks.append(
         _check(
@@ -1081,7 +1072,6 @@ def _vertex_task(rng, params, L, r_lambda):
             if abs(gap) <= margin:
                 exceptions += 1
         return {
-            "skipped": 0.0,
             "n_hull_window": float(len(hull_set)),
             "n_extreme_window": float(len(ext_set)),
             "n_match": float(len(inter)),
@@ -1109,24 +1099,23 @@ def run_vertex_correspondence(params, L, reps, seed, workers=1) -> RunResult:
     VERTEX_MATCH_THRESHOLD.
     """
     params, r_lambda = check_vertex_correspondence(params, L, reps)
-    records, kept, _ = replicate("vertex_correspondence", _vertex_task, [params], reps, seed,
-                                 workers, float(L), r_lambda)
+    records, kept, n_kept, _ = replicate("vertex_correspondence", _vertex_task, [params], reps,
+                                         seed, workers, float(L), r_lambda)
     result = RunResult("vertex_correspondence", records)
+    if not _judged(result, "vertex_correspondence_judged", n_kept[0], reps):
+        return result
     counts = {k: sum(v) for k, v in kept[0].items()}
-    match = counts.get("n_match", 0.0)
-    union = counts.get("n_hull_window", 0.0) + counts.get("n_extreme_window", 0.0) - match
-    exceptions = counts.get("n_boundary_exceptions", 0.0)
+    match = counts["n_match"]
+    union = counts["n_hull_window"] + counts["n_extreme_window"] - match
+    exceptions = counts["n_boundary_exceptions"]
     effective = union - exceptions
     rate = match / effective if effective else 1.0
-    result.checks.append(
-        _check(
-            "vertex_correspondence_rate",
-            rate >= VERTEX_MATCH_THRESHOLD,
-            f"matched {match:.0f} of {effective:.0f} window vertices ({rate:.4f} >= "
-            f"{VERTEX_MATCH_THRESHOLD}); {exceptions:.0f} near-boundary exceptions logged "
-            f"({exceptions / union if union else 0.0:.4f} of {union:.0f})",
-        )
-    )
+    exception_rate = exceptions / union if union else 0.0
+    result.checks.append(_check(
+        "vertex_correspondence_rate", rate >= VERTEX_MATCH_THRESHOLD,
+        f"matched {match:.0f} of {effective:.0f} window vertices ({rate:.4f} >= "
+        f"{VERTEX_MATCH_THRESHOLD}); {exceptions:.0f} near-boundary exceptions logged "
+        f"({exception_rate:.4f} of {union:.0f})"))
     result.records.append(_aggregate("vertex_correspondence", params, seed, {
-        "match_rate": rate, "exception_rate": exceptions / union if union else 0.0}))
+        "match_rate": rate, "exception_rate": exception_rate}))
     return result

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, OutsideSupport
-from .hull import Polytope, _finite, facet_groups, is_convex_combination, radial_function_batch
+from .hull import (Polytope, _dedup, _finite, facet_groups, is_convex_combination,
+                   radial_function_batch)
 from .params import ModelParams
 from .rescale import exp_map
 
@@ -105,9 +106,8 @@ def extreme_points(points, assume_unique=False) -> Festoon:
     arr = _as_scaled_array(points)
     lifted = lift(arr)
     if not assume_unique:
-        _, first = np.unique(lifted, axis=0, return_index=True)
-        first = np.sort(first)
-        arr, lifted = arr[first], lifted[first]
+        lifted, first = _dedup(lifted)
+        arr = arr[first]
     ext_idx, planes, cells = _lower_hull(lifted)
     hull_data = {"planes": planes, "cells": cells,
                  "spatial_hull": _spatial_hull(arr[ext_idx, :-1])}

@@ -256,6 +256,10 @@ class TestParseConfig:
          "window.spatial_radius"),
         (dict(INTENSITY, window=dict(INTENSITY["window"], h_min=1.0)), "window.h_min"),
         (dict(INTENSITY, window=dict(INTENSITY["window"], h_min=2.0)), "window.h_min"),
+        # a ball grid of grid_n^(d-1) points above MAX_GRID_POINTS
+        (dict(SCALING, d=100, alphas_betas=[[0, 4]], lambda_grid=[1.1, 1.15, 1.2], grid_n=2,
+              reps=20), "grid_n"),
+        (dict(TAILS, d=4), "d"),
     ])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, config, field):
         path = tmp_path / "cfg.json"

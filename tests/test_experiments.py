@@ -291,7 +291,7 @@ class TestIntensityAnnulus:
 class TestTailsRunner:
     def test_monotone_and_negative_slope(self):
         p = validate_params(2, 0, 2, 1e4)
-        result = run_tails(p, 1.0, [1, 2, 3], reps=600, seed=6, grid_n=21)
+        result = run_tails(p, 1.0, [1, 2, 3], reps=600, seed=6)
         by_name = {c.name: c for c in result.checks}
         assert by_name["tails_monotone"].status == "PASS"
         agg = result.records[-1].metrics
@@ -305,15 +305,15 @@ class TestTailsRunner:
         p = validate_params(2, 0, 2, 1e3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = run_tails(p, 1.0, [1, 2], reps=500, seed=6, grid_n=11)
+            result = run_tails(p, 1.0, [1, 2], reps=500, seed=6)
         shape = next(c for c in result.checks if c.name == "tails_exponential_shape")
         assert shape.status == "INFO" and "not judged" in shape.detail
         assert math.isnan(result.records[-1].metrics["tail_slope"])
 
 
 class TestDispatch:
-    """With workers > 1, replicate times a probe replication in-process and
-    starts a process pool only when the rest would cost more than the pool."""
+    """At every worker count, replicate times a probe replication in-process
+    and starts a process pool only when the rest would cost more than the pool."""
 
     GROUPS = [validate_params(2, 0, 2, 1.0), validate_params(2, 0, 2, 2.0)]
 
@@ -389,7 +389,7 @@ class TestDispatch:
         assert pools == [[5, 5]]
         assert record_key(parallel[0]) == record_key(serial[0])
         assert parallel[1] == serial[1]
-        pids = parallel[2]
+        pids = parallel[3]
         here = [k for k, pid in enumerate(pids) if pid == os.getpid()]
         assert here == [0, 3, 6, 9, 12, 15]  # the first share and the probe
         assert multiprocessing.active_children() == []
@@ -402,12 +402,31 @@ class TestDispatch:
         assert pools == []
         assert record_key(parallel[0]) == record_key(serial[0])
 
+    def test_one_worker_takes_the_probe_path_and_starts_no_pool(self, monkeypatch, pools):
+        # at one worker the break-even has no pool to weigh: the probe runs
+        # first, the rest in order, and each row lands at its task's index
+        monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
+        calls = []
+        rows = experiments._map_tasks(lambda t: calls.append(t) or 2 * t, list(range(6)), 1, 4)
+        assert rows == [0, 2, 4, 6, 8, 10] and calls == [4, 0, 1, 2, 3, 5]
+        records, kept, n_kept, _ = experiments.replicate("stub", _stub_task, self.GROUPS, 4, 5,
+                                                         1, 2.0, 0.0)
+        assert pools == []
+        streams = [(params, pi * experiments.STREAM_STRIDE + rep)
+                   for pi, params in enumerate(self.GROUPS) for rep in range(4)]
+        assert [r.metrics for r in records] == [_stub_task(RngStream(5, sid), params, 2.0, 0.0)
+                                                for params, sid in streams]
+        assert n_kept == [4, 4]
+        assert [group["u"] for group in kept] == [[r.metrics["u"] for r in records[:4]],
+                                                  [r.metrics["u"] for r in records[4:]]]
+
     @pytest.mark.parametrize("workers, mapped", [(1, []), (2, [[7]])])
     def test_every_task_draws_its_own_stream(self, monkeypatch, pools, workers, mapped):
         # the engine's precomputed seed words give each task, here or on the
         # pool, the generator that RngStream(seed, stream_id) builds alone
         monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
-        _, _, sides = experiments.replicate("stub", _three_draws_task, self.GROUPS, 8, 11, workers)
+        _, _, _, sides = experiments.replicate("stub", _three_draws_task, self.GROUPS, 8, 11,
+                                               workers)
         assert pools == mapped
         stride = experiments.STREAM_STRIDE
         assert [sid for sid, _, _ in sides] == [pi * stride + rep for pi in range(2)
@@ -466,6 +485,15 @@ class TestPreconditionChecks:
                                            seed=1), "window", id="intensity-spatial_radius"),
         pytest.param(lambda: run_intensity(P2, ScaledWindow(2.0, -5.0, 100.0), (1, 4), 10,
                                            seed=1), "window", id="intensity-h_max"),
+        # a run with no parameter group judges nothing
+        pytest.param(lambda: run_moments([], 200, seed=1), "lambda_grid", id="moments-empty"),
+        # a ball grid of grid_n^(d-1) points above MAX_GRID_POINTS: 2^99 points
+        # in d = 100, and the tails runner's 41^3 in d = 4
+        pytest.param(lambda: run_scaling_limit(
+            [validate_params(100, 0, 4, lam) for lam in (1.1, 1.15, 1.2)], 1.0, 20, seed=1,
+            grid_n=2), "grid_n", id="scaling_limit-grid"),
+        pytest.param(lambda: run_tails(validate_params(4, 0, 2, 1e3), 1.0, [1, 2], 500, seed=1),
+                     "d", id="tails-grid"),
     ])
     def test_runner_rejects_before_sampling(self, monkeypatch, call, field):
         def refuse(*args, **kwargs):
@@ -479,8 +507,6 @@ class TestPreconditionChecks:
     # the ranges a config's keys share with the Python API are judged by the
     # runner's own check, before any point is drawn
     @pytest.mark.parametrize("call, field", [
-        pytest.param(lambda: run_tails(P2, 1.0, [1, 2, 3], 500, seed=1, grid_n=0), "grid_n",
-                     id="tails-grid_n"),
         pytest.param(lambda: run_scaling_limit([P2], 1.0, 2, seed=1, grid_n=0), "grid_n",
                      id="scaling_limit-grid_n"),
         pytest.param(lambda: run_scaling_limit([P2], -1.0, 2, seed=1), "L",
@@ -639,12 +665,46 @@ class TestUnjudgedRuns:
         assert len(result.records) == 3 * 200 + 3
 
     def test_slln(self):
+        # and no trend check: its medians would all be nan
         result = run_slln_trend(self.P30, a=2.0, k_max=4, p=0.6, i=30, reps=5, seed=1)
-        statuses = self.statuses(result)
-        for k in range(1, 5):
-            assert statuses[f"slln_judged[k={k}]"] == (
-                "FAIL", "not judged: 0 of 5 replications kept, need 2")
-        assert result.failed()
+        assert self.statuses(result) == {
+            f"slln_judged[k={k}]": ("FAIL", "not judged: 0 of 5 replications kept, need 2")
+            for k in range(1, 5)}
+
+    def test_scaling_limit(self):
+        # in d = 10 at lambda near 1 no cloud has a festoon over the unit ball
+        grid = [validate_params(10, 0, 8, lam) for lam in (1.02, 1.03, 1.05)]
+        result = run_scaling_limit(grid, 1.0, 20, seed=1, grid_n=2)
+        assert self.statuses(result) == {
+            f"scaling_judged[d=10,alpha=0.0,beta=8.0,lambda={lam}]":
+                ("FAIL", "not judged: 0 of 20 replications kept, need 2")
+            for lam in (1.02, 1.03, 1.05)}
+        assert len(result.records) == 3 * 20
+
+    def test_scaling_limit_judges_the_other_law(self, monkeypatch):
+        # law (0, 2) keeps one replication at lambda 1e4; law (1, 1) keeps all
+        def stub(rng, params, L, grid_n):
+            rep = rng.stream_id % experiments.STREAM_STRIDE
+            if params.alpha == 0 and params.lam == 1e4 and rep > 0:
+                return {"skipped": 1.0}
+            return {"skipped": 0.0, "sup_dist": 1.0 / params.lam + rep * 1e-6}
+
+        monkeypatch.setattr(experiments, "_scaling_task", stub)
+        grid = [validate_params(2, alpha, beta, lam) for alpha, beta in ((0, 2), (1, 1))
+                for lam in (1e3, 1e4)]
+        assert self.statuses(run_scaling_limit(grid, 1.0, 3, seed=1)) == {
+            "scaling_judged[d=2,alpha=0.0,beta=2.0,lambda=10000]":
+                ("FAIL", "not judged: 1 of 3 replications kept, need 2"),
+            "scaling_sup_distance_decreasing[d=2,alpha=1.0,beta=1.0]":
+                ("PASS", "medians lambda=1e+03: 0.0010, lambda=1e+04: 0.0001; endpoint CIs "
+                         "(0.0010, 0.0010) vs (0.0001, 0.0001)")}
+
+    def test_vertex_correspondence(self):
+        result = run_vertex_correspondence(validate_params(100, 0, 4, 1.2), 1.0, 20, seed=1)
+        assert self.statuses(result) == {
+            "vertex_correspondence_judged": ("FAIL", "not judged: 0 of 20 replications kept, "
+                                                     "need 2")}
+        assert len(result.records) == 20
 
 
 class TestVertexCorrespondence:
@@ -927,10 +987,21 @@ class TestFestoonShell:
             seen.append((len(pts), inner))
             return len(pts), {r0: r0 / 2, r0 / 2: r0 / 4}.get(inner, 0.0)
 
-        result, n_points = experiments._sample_shell(RngStream(3, 0), p, evaluate)
+        metrics = experiments._sample_shell(RngStream(3, 0), p, evaluate,
+                                            lambda result, n: {"result": result, "n_points": n})
         assert calls == [(r0, math.inf), (r0 / 2, r0), (0.0, r0 / 2)]
         assert [inner for _, inner in seen] == [r0, r0 / 2, 0.0]
-        assert result == n_points == len(points)
+        assert metrics == {"skipped": 0.0, "result": len(points), "n_points": len(points)}
+
+    def test_a_cloud_without_a_result_is_skipped_before_the_inner_count(self, monkeypatch):
+        # the whole cloud gives no result: the replication is skipped, and
+        # neither measure nor the inner-count draw runs
+        p = validate_params(2, 0, 2, 1e4)
+        monkeypatch.setattr(experiments, "radial_tail", lambda *a: pytest.fail("counted"))
+        measured = []
+        metrics = experiments._sample_shell(RngStream(3, 0), p, lambda pts, inner: (None, 0.0),
+                                            lambda result, n: measured.append(n))
+        assert metrics == {"skipped": 1.0} and measured == []
 
     def test_point_below_active_paraboloid_is_rejected(self, monkeypatch):
         # hand-built d = 2 cloud: a shell whose festoon piece over v = 0 rises
