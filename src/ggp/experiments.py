@@ -1,10 +1,12 @@
 """Experiment runners: estimators plus the named desk-scale experiments.
 
 Every runner is deterministic given (seed, configuration): replication r of
-a run draws from the stream (seed, stream_id(r)), so results are identical
-regardless of how replications are scheduled across workers. Asymptotic
-claims are tested as ratio bands, monotone trends, or shape fits, whose
-thresholds are the named module constants below, one value per pass rule.
+a run draws from the stream (seed, stream_id(r)), and the Gumbel runner's
+block b of GUMBEL_BLOCK replications from the stream (seed, b), so results
+are identical regardless of how replications are scheduled across workers.
+Asymptotic claims are tested as ratio bands, monotone trends, or shape
+fits, whose thresholds are the named module constants below, one value per
+pass rule.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,13 @@ MAX_GRID_POINTS = 10_000
 # BOOTSTRAP_STREAM + k (check_reps).
 STREAM_STRIDE = 1_000_000
 BOOTSTRAP_STREAM = 2_000_000_000
+# Gumbel replications per task: block b of a run draws its maxima from stream
+# b, so one generator and one vectorized kernel call serve the whole block.
+# Warm in-process runs at n = 1e5 (2-core VM) took medians of 2.60 ms with
+# blocks of 100 against 2.44 ms with blocks of 1000 at 400 reps, 6.6 against
+# 6.1 ms at 2000 reps and 31 against 42 ms at 1e4 reps (alternating runs).
+# 100 costs little more and leaves a 400-rep run 4 tasks to share, not one.
+GUMBEL_BLOCK = 100
 # What a process pool costs beyond the work it spreads, in seconds: forking a
 # ProcessPoolExecutor(2) in a warm process with numpy and scipy loaded,
 # mapping 400 trivial tasks and shutting it down took a median of 22-23 ms
@@ -162,6 +170,14 @@ def _run_share(fn, share):
     return [fn(t) for t in share]
 
 
+def _process_pool(processes: int):
+    """A pool of processes; concurrent.futures.process, with multiprocessing
+    and pickle, loads here, at the first pool a run starts."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=processes)
+
+
 def _map_tasks(fn, tasks, workers: int, probe: int):
     """[fn(task) for task in tasks], on this process and at most workers - 1 others.
 
@@ -186,7 +202,7 @@ def _map_tasks(fn, tasks, workers: int, probe: int):
             results[k] = fn(tasks[k])
         return results
     shares = [rest[i::w] for i in range(w)]
-    with ProcessPoolExecutor(max_workers=w - 1) as pool:
+    with _process_pool(w - 1) as pool:
         futures = [pool.submit(_run_share, fn, [tasks[k] for k in share]) for share in shares[1:]]
         rows = [_run_share(fn, [tasks[k] for k in shares[0]])]
         rows += [future.result() for future in futures]
@@ -332,9 +348,11 @@ def _by_law(groups) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _gumbel_task(rng, group):
-    n = int(group.lam)
-    return {"std_max": sample_standardized_max(rng, n, group.alpha, group.beta)}
+def _gumbel_block_task(rng, group, reps):
+    """Block rng.stream_id of run_gumbel: the next GUMBEL_BLOCK of its reps
+    maxima, fewer in the last block, as the side value."""
+    size = min(GUMBEL_BLOCK, reps - rng.stream_id * GUMBEL_BLOCK)
+    return {}, sample_standardized_max(rng, int(group.lam), group.alpha, group.beta, size)
 
 
 def check_gumbel(alpha, beta, n, reps):
@@ -343,17 +361,29 @@ def check_gumbel(alpha, beta, n, reps):
     if not 100 <= n < 2**63:  # the point count is drawn as a 64-bit binomial
         raise ValidationError("n", "need 100 <= n < 2**63")
     _require_reps(reps, 100)
+    check_reps(reps)
 
 
 def run_gumbel(alpha, beta, n, reps, seed, workers=1) -> RunResult:
     """Standardized 1-d maxima against the Gumbel law exp(-e^{-x}); passes
-    when their KS distance is below GUMBEL_KS_THRESHOLD."""
+    when their KS distance is below GUMBEL_KS_THRESHOLD.
+
+    Replication b * GUMBEL_BLOCK + j is draw j of block b, which draws from
+    stream b; each replication keeps its own record, with its block's wall
+    time shared evenly.
+    """
     check_gumbel(alpha, beta, n, reps)
     # one group of 1-d maxima of n points, with n in the lambda column
     group = ModelParams(1, float(alpha), float(beta), float(n))
-    records, kept, _, _ = replicate("gumbel", _gumbel_task, [group], reps, seed, workers)
-    result = RunResult("gumbel", records)
-    ks = ks_statistic(np.asarray(kept[0]["std_max"]), gumbel_cdf)
+    blocks, _, _, maxima = replicate("gumbel", _gumbel_block_task, [group],
+                                     math.ceil(reps / GUMBEL_BLOCK), seed, workers, reps)
+    result = RunResult("gumbel")
+    for block, values in zip(blocks, maxima):
+        first, wall = block.replication * GUMBEL_BLOCK, block.wall_time / len(values)
+        result.records += [ExperimentRecord("gumbel", group.lam, 1, group.alpha, group.beta, seed,
+                                            first + j, {"std_max": x}, wall)
+                           for j, x in enumerate(values.tolist())]
+    ks = ks_statistic(np.concatenate(maxima), gumbel_cdf)
     result.records.append(_aggregate("gumbel", group, seed,
                                      {"ks": ks, "n": float(n), "reps": float(reps)}))
     result.checks.append(
@@ -558,6 +588,7 @@ def check_scaling_limit(params_list, L, reps, grid_n=GRID_N) -> list:
     _check_L(L)
     if not grid_n >= 2:
         raise ValidationError("grid_n", "need grid_n >= 2")
+    _require_reps(reps, 2)
     check_reps(reps, len(params_list))
     params_list = [_usable(p)[0] for p in params_list]
     _check_grid(grid_n, max(p.d for p in params_list), "grid_n")
@@ -947,6 +978,7 @@ def check_slln(params_base, a, k_max, p, i, reps) -> list:
         raise ValidationError("a", "need a > 1")
     if not 4 <= k_max <= BOOTSTRAP_STREAM // STREAM_STRIDE:
         raise ValidationError("k_max", f"need 4 <= k_max <= {BOOTSTRAP_STREAM // STREAM_STRIDE}")
+    _require_reps(reps, 2)
     try:
         return [validate_params(d, alpha, beta, a**k) for k in range(1, k_max + 1)]
     except OverflowError as exc:
@@ -1085,6 +1117,7 @@ def _vertex_task(rng, params, L, r_lambda):
 def check_vertex_correspondence(params, L, reps):
     """Preconditions of run_vertex_correspondence; returns the validated parameters and R."""
     _check_L(L)
+    _require_reps(reps, 2)
     return _usable(params)
 
 

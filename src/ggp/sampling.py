@@ -244,30 +244,33 @@ def sample_polytope_input(rng, params: ModelParams, r_min: float = 0.0,
     return u * r[:, None]
 
 
-def sample_standardized_max(rng, n: int, alpha: float, beta: float) -> float:
-    """Standardized maximum of n iid draws from the 1-d generalized gamma density.
+def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
+    """Standardized maxima of n iid draws from the 1-d generalized gamma density.
 
-    The sign of each draw is symmetric, so the maximum is the largest of the
+    The sign of each draw is symmetric, so a maximum is the largest of the
     k ~ Binomial(n, 1/2) positive-side radii, or minus the smallest of all n
     radii in the all-negative corner k = 0. Each is drawn exactly from one
     uniform u by inverting its order-statistic law in t = r^beta / beta,
     t ~ Gamma((1+alpha)/beta) with upper tail Q (Devroye 1986, ch. V):
     the maximum of k has CDF (1 - Q(t))^k, so Q(t) = 1 - u^(1/k); the minimum
     of n has P(min > t) = Q(t)^n, so Q(t) = (1 - u)^(1/n). u = 0 maps to
-    t = 0 in both branches, so every value is finite. Returns
-    (beta log n)^((beta-1)/beta) * (M_n - a_n) as a float. gumbel_centering
-    judges n, alpha and beta before any draw.
+    Q(t) = 1, t = 0, in both branches, so every value is finite. The size
+    maxima take size binomials, then size uniforms, from the generator.
+    Returns (beta log n)^((beta-1)/beta) * (M_n - a_n) as an array of size
+    values, or as a float when size is None. gumbel_centering judges n,
+    alpha and beta before any draw.
     """
     from scipy.special import gammainccinv
 
     a_n, scale = gumbel_centering(n, alpha, beta)
     g = _gen(rng)
-    shape = (1.0 + alpha) / beta
-    # one branch on Python scalars; the power stays a scalar **, which an
-    # array ** (SIMD pow) does not match to the last bit
-    k, u = g.binomial(n, 0.5), g.random()
-    if k == 0:
-        q, sign = np.exp(np.log1p(-u) / n), -1.0
-    else:
-        q, sign = 1.0 if u == 0.0 else -np.expm1(np.log(u) / k), 1.0
-    return float(scale * (sign * (beta * gammainccinv(shape, q)) ** (1.0 / beta) - a_n))
+    # size None is the one-element block: the same array arithmetic, since a
+    # scalar ** (pow) and an array ** (SIMD pow) differ in the last bit
+    count = 1 if size is None else size
+    k, u = g.binomial(n, 0.5, size=count), g.random(count)
+    negative = k == 0
+    with np.errstate(divide="ignore"):  # log(0) = -inf gives Q = 1 exactly
+        q = np.where(negative, np.exp(np.log1p(-u) / n), -np.expm1(np.log(u) / np.maximum(k, 1)))
+    r = (beta * gammainccinv((1.0 + alpha) / beta, q)) ** (1.0 / beta)
+    x = scale * (np.where(negative, -r, r) - a_n)
+    return float(x[0]) if size is None else x

@@ -260,6 +260,10 @@ class TestParseConfig:
         (dict(SCALING, d=100, alphas_betas=[[0, 4]], lambda_grid=[1.1, 1.15, 1.2], grid_n=2,
               reps=20), "grid_n"),
         (dict(TAILS, d=4), "d"),
+        # one replication can never be judged
+        (dict(SCALING, reps=1), "reps"),
+        (dict(VERTEX, reps=1), "reps"),
+        (dict(SLLN, reps=1), "reps"),
     ])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, config, field):
         path = tmp_path / "cfg.json"

@@ -34,7 +34,9 @@ from ggp.sampling import (
     ScaledWindow,
     radial_tail_inverse,
     sample_polytope_input,
+    sample_standardized_max,
 )
+from ggp.stats import gumbel_cdf, ks_statistic
 
 
 def record_key(records):
@@ -59,7 +61,8 @@ def pools(monkeypatch):
             started[-1].append(len(args[-1]))
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiments, "_process_pool",
+                        lambda processes: CountingPool(max_workers=processes))
     return started
 
 
@@ -115,11 +118,30 @@ class TestGumbelRunner:
         assert record_key(a.records) == record_key(b.records)
 
     def test_worker_count_invariance_through_the_pool(self, monkeypatch, pools):
+        # 350 replications are blocks of 100, 100, 100 and 50; the probe is
+        # the last, and the pool runs one of the three blocks left
         monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
-        a = run_gumbel(0, 1, 1000, 120, seed=9, workers=1)
-        b = run_gumbel(0, 1, 1000, 120, seed=9, workers=2)
-        assert pools == [[59]]
+        a = run_gumbel(0, 1, 1000, 350, seed=9, workers=1)
+        b = run_gumbel(0, 1, 1000, 350, seed=9, workers=2)
+        assert pools == [[1]]
         assert record_key(a.records) == record_key(b.records)
+
+    @pytest.mark.parametrize("workers, mapped", [(1, []), (2, [[1]])])
+    def test_replication_is_its_draw_in_its_block(self, monkeypatch, pools, workers, mapped):
+        # replication b * GUMBEL_BLOCK + j is draw j of block b, drawn from
+        # stream b; the last block holds what is left
+        monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
+        reps, block = 250, experiments.GUMBEL_BLOCK
+        result = run_gumbel(0.5, 1.5, 1000, reps, seed=4, workers=workers)
+        assert pools == mapped
+        sizes = [min(block, reps - b * block) for b in range(-(-reps // block))]
+        assert sizes == [100, 100, 50]
+        expected = np.concatenate([sample_standardized_max(RngStream(4, b), 1000, 0.5, 1.5, size)
+                                   for b, size in enumerate(sizes)])
+        records = result.records[:-1]
+        assert [r.replication for r in records] == list(range(reps))
+        assert [r.metrics for r in records] == [{"std_max": x} for x in expected.tolist()]
+        assert result.records[-1].metrics["ks"] == ks_statistic(expected, gumbel_cdf)
 
     def test_ks_decreases_with_n(self):
         # Gumbel distance shrinks as the block size grows
@@ -328,13 +350,14 @@ class TestDispatch:
         assert [c.status for c in parallel.checks] == [c.status for c in serial.checks]
 
     def test_small_run_starts_no_process(self, monkeypatch):
-        serial = run_gumbel(0, 1, 1000, 120, seed=9, workers=1)
+        # ten blocks, whose probe times the rest far below a pool's start-up
+        serial = run_gumbel(0, 1, 1000, 1000, seed=9, workers=1)
 
         def refuse(*args, **kwargs):
             raise AssertionError("started a process pool")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
-        parallel = run_gumbel(0, 1, 1000, 120, seed=9, workers=2)
+        monkeypatch.setattr(experiments, "_process_pool", refuse)
+        parallel = run_gumbel(0, 1, 1000, 1000, seed=9, workers=2)
         assert record_key(parallel.records) == record_key(serial.records)
 
     def test_probe_is_the_last_replication_of_the_largest_lambda(self, monkeypatch):
@@ -494,6 +517,17 @@ class TestPreconditionChecks:
             grid_n=2), "grid_n", id="scaling_limit-grid"),
         pytest.param(lambda: run_tails(validate_params(4, 0, 2, 1e3), 1.0, [1, 2], 500, seed=1),
                      "d", id="tails-grid"),
+        # gumbel runs reps // GUMBEL_BLOCK tasks, so reps meets the stream
+        # bound in check_gumbel, not in the engine
+        pytest.param(lambda: run_gumbel(0, 2, 1000, experiments.STREAM_STRIDE, seed=1), "reps",
+                     id="gumbel-stream_stride"),
+        # one replication can never be judged
+        pytest.param(lambda: run_scaling_limit([P2], 1.0, 1, seed=1), "reps",
+                     id="scaling_limit-reps1"),
+        pytest.param(lambda: run_slln_trend(P2, a=4.0, k_max=4, p=0.6, i=2, reps=1, seed=1),
+                     "reps", id="slln-reps1"),
+        pytest.param(lambda: run_vertex_correspondence(P2, 1.0, 1, seed=1), "reps",
+                     id="vertex_correspondence-reps1"),
     ])
     def test_runner_rejects_before_sampling(self, monkeypatch, call, field):
         def refuse(*args, **kwargs):

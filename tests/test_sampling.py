@@ -301,9 +301,8 @@ def reference_standardized_max(g, n, alpha, beta, reps):
 
 
 def standardized_maxima(stream, n, alpha, beta, count):
-    """count draws of sample_standardized_max taken in turn from one stream."""
-    g = stream.generator()
-    return np.array([sample_standardized_max(g, n, alpha, beta) for _ in range(count)])
+    """count draws of sample_standardized_max, one block from one stream."""
+    return sample_standardized_max(stream, n, alpha, beta, count)
 
 
 class FixedGenerator(np.random.Generator):
@@ -345,29 +344,35 @@ class TestStandardizedMax:
                 g = FixedGenerator(k, u)
                 assert math.isfinite(sample_standardized_max(g, n, 0.5, 1.5))
 
-    # Scalar draws pinned bit for bit (float.hex), since every Gumbel record
-    # is one: four draws from default_rng(3), whose binomial is 0 on the first
-    # and third at n = 2, so the all-negative branch runs for beta = 1 and != 1.
+    # Block draws pinned bit for bit (float.hex), since every Gumbel record
+    # is one: a block of four from default_rng(3), whose binomials are
+    # 0, 0, 2, 1 at n = 2, so the all-negative branch runs for beta = 1 and != 1.
     PINNED = {
-        (2, 0.0, 1.0): ["-0x1.14bc22624c697p-3", "0x1.708e9940a0a31p+0",
-                        "-0x1.229f12b1402ecp-2", "0x1.647074f7ecd69p-3"],
-        (2, 0.5, 1.5): ["-0x1.646bb14804eb9p-1", "0x1.589243f7133c3p+0",
-                        "-0x1.d6fa2b1327b56p-1", "0x1.1368fd21b461ap-4"],
-        (2, -0.5, 3.0): ["-0x1.de0b2bee36ab2p-8", "0x1.3fe0d652d1f94p+0",
-                         "-0x1.934ad97e98efcp-4", "0x1.39ce852c6b16fp-4"],
-        (10**5, 0.0, 1.0): ["0x1.819a5235f7488p+0", "0x1.769db6c586dc0p-3",
-                            "0x1.2defc7ab50e68p+0", "0x1.a775ae4195340p-2"],
-        (10**5, 0.0, 2.0): ["0x1.7c71e63b72409p+0", "0x1.f28c09402ced2p-4",
-                            "0x1.280fb7a61d0c8p+0", "0x1.761fd6426f984p-2"],
+        (2, 0.0, 1.0): ["-0x1.94ec18dc17804p-5", "-0x1.229f12b1402ecp-2",
+                        "0x1.2d97a135e28d6p+0", "0x1.647074f7ecd69p-3"],
+        (2, 0.5, 1.5): ["-0x1.0cfd0cadc8adap-1", "-0x1.d6fa2b1327b56p-1",
+                        "0x1.225a78db71572p+0", "0x1.1368fd21b461ap-4"],
+        (2, -0.5, 3.0): ["0x1.4cba6b8f89c7ep-6", "-0x1.934ad97e98efcp-4",
+                         "0x1.03acdf6d065cap+0", "0x1.39ce852c6b16fp-4"],
+        (10**5, 0.0, 1.0): ["0x1.00bc3e115cc00p-4", "0x1.a6fcdded879a0p-2",
+                            "0x1.65aff7b2f4c00p-3", "0x1.451f2da8b4000p-1"],
+        (10**5, 0.0, 2.0): ["-0x1.a0cc598e0b4efp-8", "0x1.75a0e130b1689p-2",
+                            "0x1.ce93f51755d79p-4", "0x1.319e359fdb14ep-1"],
     }
 
     @pytest.mark.parametrize("n, alpha, beta", list(PINNED))
     def test_scalar_draws_are_pinned(self, n, alpha, beta):
-        g = np.random.default_rng(3)
+        # a scalar draw is the one-element block: the same draws and the same
+        # array arithmetic, to the last bit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [sample_standardized_max(g, n, alpha, beta).hex() for _ in range(4)]
-        assert got == self.PINNED[n, alpha, beta]
+            block = sample_standardized_max(np.random.default_rng(3), n, alpha, beta, size=4)
+            g, h = np.random.default_rng(4), np.random.default_rng(4)
+            scalars = [sample_standardized_max(g, n, alpha, beta) for _ in range(3)]
+            ones = [sample_standardized_max(h, n, alpha, beta, size=1) for _ in range(3)]
+        assert [x.hex() for x in block.tolist()] == self.PINNED[n, alpha, beta]
+        assert all(type(x) is float for x in scalars)
+        assert [x.hex() for x in scalars] == [float(x[0]).hex() for x in ones]
 
     @pytest.mark.parametrize("alpha, beta, pinned", [(0.0, 1.0, "-0x1.8dbc239b0b862p+2"),
                                                      (0.5, 1.5, "-0x1.35643c33c5c19p+3")])
@@ -376,7 +381,25 @@ class TestStandardizedMax:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in (0, 1, 700):
-                assert sample_standardized_max(FixedGenerator(k, 0.0), 1000, alpha, beta).hex() == pinned
+                g = FixedGenerator(k, 0.0)
+                assert sample_standardized_max(g, 1000, alpha, beta).hex() == pinned
+                block = sample_standardized_max(g, 1000, alpha, beta, size=3)
+                assert [x.hex() for x in block.tolist()] == [pinned] * 3
+
+    @pytest.mark.parametrize("alpha, beta", MAX_LAWS)
+    @pytest.mark.parametrize("n", [3, 10**5])
+    def test_blocks_match_one_draw_per_stream(self, n, alpha, beta):
+        # run_gumbel's law: blocks of experiments.GUMBEL_BLOCK from streams
+        # 0, 1, ..., against the one draw per stream that each replication
+        # took before; n = 3 puts 1/8 of the mass in the all-negative branch
+        count, block = 20000, experiments.GUMBEL_BLOCK
+        blocks = np.concatenate([sample_standardized_max(RngStream(23, b), n, alpha, beta, block)
+                                 for b in range(count // block)])
+        ids = range(count)
+        singles = [sample_standardized_max(RngStream(24, sid, state), n, alpha, beta)
+                   for sid, state in zip(ids, stream_states(24, ids))]
+        assert len(blocks) == len(singles) == count
+        assert ks_2samp(blocks, singles).pvalue > 1e-3
 
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError):
