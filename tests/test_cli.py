@@ -631,12 +631,13 @@ RADIUS_CONFIGS = [INTENSITY, SCALING, TAILS, VERTEX]
 NO_RADIUS_CONFIGS = [MINIMAL_GUMBEL, CLT, SLLN, CONCENTRATION, MOMENTS]
 
 
-def scipy_modules_after(statements: str, cwd) -> set:
-    """scipy-rooted module names loaded by a fresh interpreter that imports
-    this suite's ggp and runs statements."""
+def modules_after(statements: str, cwd, roots=("scipy",)) -> set:
+    """Names of the modules in roots, or under them, that a fresh interpreter
+    loads when it imports this suite's ggp and runs statements."""
     script = (f"import json, sys\nsys.path.insert(0, {str(Path(ggp.__file__).parent.parent)!r})\n"
               f"{statements}\n"
-              "print(json.dumps([m for m in sys.modules if m.partition('.')[0] == 'scipy']))")
+              f"print(json.dumps([m for m in sys.modules if any(m == r or m.startswith(r + '.') "
+              f"for r in {roots!r})]))")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, cwd=cwd)
     assert done.returncode == 0, done.stderr
@@ -644,8 +645,8 @@ def scipy_modules_after(statements: str, cwd) -> set:
 
 
 class TestImportPolicy:
-    """Parsing a config loads no scipy, and `ggp validate` at most
-    scipy.special (gammaln, for a critical radius)."""
+    """Parsing a config loads no scipy, `ggp validate` at most scipy.special
+    (gammaln, for a critical radius), and neither loads the process pool."""
 
     @staticmethod
     def write(directory, configs):
@@ -672,15 +673,25 @@ class TestImportPolicy:
                       "    ggp.cli.parse_config(open(path).read())\n"
                       f"for path in {validated!r}:\n"
                       "    assert ggp.cli.main(['validate', '--config', path]) == 0")
-        assert scipy_modules_after(statements, tmp_path) == set()
+        assert modules_after(statements, tmp_path) == set()
 
     def test_validate_with_a_critical_radius_loads_only_scipy_special(self, tmp_path):
-        special = scipy_modules_after("import scipy.special", tmp_path)
+        special = modules_after("import scipy.special", tmp_path)
         radius = self.write(tmp_path / "validate",
                             self.readme("intensity", "scaling_limit") + RADIUS_CONFIGS)
         statements = ("import ggp.cli\n"
                       f"for path in {radius!r}:\n"
                       "    assert ggp.cli.main(['validate', '--config', path]) == 0")
-        loaded = scipy_modules_after(statements, tmp_path)
+        loaded = modules_after(statements, tmp_path)
         assert "scipy.special" in loaded
         assert loaded <= special, sorted(loaded - special)
+
+    def test_validate_loads_no_process_pool(self, tmp_path):
+        # concurrent.futures.process and multiprocessing load at the first
+        # pool a run starts
+        validated = self.write(tmp_path / "validate", README_EXAMPLES)
+        statements = ("import ggp.cli\n"
+                      f"for path in {validated!r}:\n"
+                      "    assert ggp.cli.main(['validate', '--config', path]) == 0")
+        roots = ("concurrent.futures.process", "multiprocessing")
+        assert modules_after(statements, tmp_path, roots) == set()

@@ -517,8 +517,8 @@ class TestPreconditionChecks:
             grid_n=2), "grid_n", id="scaling_limit-grid"),
         pytest.param(lambda: run_tails(validate_params(4, 0, 2, 1e3), 1.0, [1, 2], 500, seed=1),
                      "d", id="tails-grid"),
-        # gumbel runs reps // GUMBEL_BLOCK tasks, so reps meets the stream
-        # bound in check_gumbel, not in the engine
+        # gumbel runs ceil(reps / GUMBEL_BLOCK) tasks, so reps meets the
+        # stream bound in check_gumbel, not in the engine
         pytest.param(lambda: run_gumbel(0, 2, 1000, experiments.STREAM_STRIDE, seed=1), "reps",
                      id="gumbel-stream_stride"),
         # one replication can never be judged

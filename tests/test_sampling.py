@@ -300,11 +300,6 @@ def reference_standardized_max(g, n, alpha, beta, reps):
     return out
 
 
-def standardized_maxima(stream, n, alpha, beta, count):
-    """count draws of sample_standardized_max, one block from one stream."""
-    return sample_standardized_max(stream, n, alpha, beta, count)
-
-
 class FixedGenerator(np.random.Generator):
     """A generator whose binomial and uniform draws are pinned."""
 
@@ -327,14 +322,14 @@ class TestStandardizedMax:
     @pytest.mark.parametrize("n", [2, 3, 5, 10**3, 10**5])
     def test_exact_law(self, n, alpha, beta):
         # n = 2 and 3 put 1/4 and 1/8 of the mass in the all-negative branch
-        vals = standardized_maxima(RngStream(17, n), n, alpha, beta, 20000)
+        vals = sample_standardized_max(RngStream(17, n), n, alpha, beta, 20000)
         assert kstest(vals, standardized_max_cdf(n, alpha, beta)).pvalue > 1e-3
 
     @pytest.mark.parametrize("alpha, beta", MAX_LAWS)
     def test_matches_reference_sampler(self, alpha, beta):
         for n, reps in ((10, 2000), (10**3, 2000), (10**5, 300)):
             ref = reference_standardized_max(np.random.default_rng(18), n, alpha, beta, reps)
-            new = standardized_maxima(RngStream(19, n), n, alpha, beta, reps)
+            new = sample_standardized_max(RngStream(19, n), n, alpha, beta, reps)
             assert ks_2samp(ref, new).pvalue > 1e-3, (n, alpha, beta)
 
     def test_uniform_endpoints_give_finite_values(self):
@@ -389,9 +384,9 @@ class TestStandardizedMax:
     @pytest.mark.parametrize("alpha, beta", MAX_LAWS)
     @pytest.mark.parametrize("n", [3, 10**5])
     def test_blocks_match_one_draw_per_stream(self, n, alpha, beta):
-        # run_gumbel's law: blocks of experiments.GUMBEL_BLOCK from streams
-        # 0, 1, ..., against the one draw per stream that each replication
-        # took before; n = 3 puts 1/8 of the mass in the all-negative branch
+        # blocks of experiments.GUMBEL_BLOCK from streams 0, 1, ..., as
+        # run_gumbel draws them, against one draw from each of as many
+        # streams; n = 3 puts 1/8 of the mass in the all-negative branch
         count, block = 20000, experiments.GUMBEL_BLOCK
         blocks = np.concatenate([sample_standardized_max(RngStream(23, b), n, alpha, beta, block)
                                  for b in range(count // block)])
@@ -412,5 +407,5 @@ class TestStandardizedMax:
         assert exc.value.field == field
 
     def test_laplace_matches_gumbel_at_moderate_scale(self):
-        vals = standardized_maxima(RngStream(16, 0), 10**4, 0, 1, 2000)
+        vals = sample_standardized_max(RngStream(16, 0), 10**4, 0, 1, 2000)
         assert ks_statistic(vals, gumbel_cdf) < 0.06
