@@ -30,7 +30,6 @@ from .experiments import (
     check_gumbel,
     check_intensity,
     check_moments,
-    check_reps,
     check_scaling_limit,
     check_slln,
     check_tails,
@@ -45,7 +44,7 @@ from .experiments import (
     run_tails,
     run_vertex_correspondence,
 )
-from .params import validate_params
+from .params import ModelParams
 from .sampling import ScaledWindow
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_summary", "main"]
@@ -152,8 +151,8 @@ def _window(field: str, value):
 
 
 def _model(o: dict, lam=None):
-    """The config's validated model, at intensity lam or else its own lambda."""
-    return validate_params(o["d"], o["alpha"], o["beta"], o["lambda"] if lam is None else lam)
+    """The config's model, at intensity lam or else its own lambda."""
+    return ModelParams(o["d"], o["alpha"], o["beta"], o["lambda"] if lam is None else lam)
 
 
 def _optional(o: dict, *keys) -> dict:
@@ -186,7 +185,7 @@ _REGISTRY = {
     "scaling_limit": _Experiment(
         {"d": _integer, "alphas_betas": _pairs, "lambda_grid": _numbers, "L": _number},
         {"grid_n": _integer}, check_scaling_limit, run_scaling_limit,
-        lambda o, reps: (([validate_params(o["d"], a, b, lam) for a, b in o["alphas_betas"]
+        lambda o, reps: (([ModelParams(o["d"], a, b, lam) for a, b in o["alphas_betas"]
                            for lam in o["lambda_grid"]], o["L"], reps), _optional(o, "grid_n"))),
     "moments": _Experiment(
         dict(_MODEL, lambda_grid=_numbers), {}, check_moments, run_moments,
@@ -219,10 +218,10 @@ def parse_config(source: str) -> RunConfig:
 
     Unknown keys, missing required keys and values of the wrong JSON type
     raise ValidationError naming the field, as does a seed or workers below
-    its minimum. reps is judged here by check_reps, the replication engine's
-    own check; every other value range is judged when the experiment is
-    planned, by its check and validate_params. Defaults: workers from
-    GGP_WORKERS or the machine's parallelism, output_format csv.
+    its minimum. Every other value range, reps included, is judged by the
+    experiment's check, which `ggp validate` and the runner call on the
+    config's argument list. Defaults: workers from GGP_WORKERS or the
+    machine's parallelism, output_format csv.
     """
     try:
         raw = json.loads(source)
@@ -248,7 +247,6 @@ def parse_config(source: str) -> RunConfig:
     seed = _run_int("seed", raw["seed"])
     reps = raw["reps"]
     _integer("reps", reps)
-    check_reps(reps)
     workers = _run_int("workers", raw["workers"] if "workers" in raw else default_workers())
     output_format = raw.get("output_format", "csv")
     if output_format not in ("csv", "json"):
@@ -286,10 +284,7 @@ def _dispatch(config: RunConfig):
 
 
 def _format_value(x) -> str:
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
+    return repr(float(x))
 
 
 def _record_rows(records):

@@ -241,24 +241,20 @@ def _too_short(grid):
 # runner's arguments but seed and workers, judges those it must and samples
 # nothing. The runner calls it first on its own arguments, so `ggp validate`,
 # calling it on the arguments `ggp run` hands the runner, rejects exactly the
-# configs the runner would. These checks and params.validate_params are the
-# only judges of a value's range; the CLI checks only JSON types.
+# configs the runner would. These checks, with the params.validate_params
+# they call, are the only judges of a value's range, reps included; the CLI
+# judges only JSON shape and types and its own seed and workers.
 
 
-def check_reps(reps, n_groups=1):
-    """Bounds shared by every runner: at least one replication and one
+def check_reps(reps, n_groups=1, minimum=1):
+    """Bounds shared by every runner: at least minimum replications and one
     parameter group, and distinct (group, rep) pairs get distinct streams,
     all below the reserved BOOTSTRAP_STREAM."""
-    if not 1 <= reps < STREAM_STRIDE:
-        raise ValidationError("reps", f"need 1 <= reps < {STREAM_STRIDE}")
+    if not minimum <= reps < STREAM_STRIDE:
+        raise ValidationError("reps", f"need {minimum} <= reps < {STREAM_STRIDE}")
     if not 1 <= n_groups <= BOOTSTRAP_STREAM // STREAM_STRIDE:
         raise ValidationError("lambda_grid", f"need 1 to {BOOTSTRAP_STREAM // STREAM_STRIDE} "
                                              f"parameter groups, got {n_groups}")
-
-
-def _require_reps(reps, minimum: int):
-    if reps < minimum:
-        raise ValidationError("reps", f"need reps >= {minimum}")
 
 
 def _usable(params):
@@ -360,8 +356,7 @@ def check_gumbel(alpha, beta, n, reps):
     check_exponents(alpha, beta)
     if not 100 <= n < 2**63:  # the point count is drawn as a 64-bit binomial
         raise ValidationError("n", "need 100 <= n < 2**63")
-    _require_reps(reps, 100)
-    check_reps(reps)
+    check_reps(reps, minimum=100)
 
 
 def run_gumbel(alpha, beta, n, reps, seed, workers=1) -> RunResult:
@@ -468,6 +463,7 @@ def check_intensity(params, window, bins, reps):
     R among them: spatial_radius <= pi R^(beta/2) and h_max <= R^beta."""
     if min(bins) < 1:
         raise ValidationError("bins", "need both bin counts >= 1")
+    check_reps(reps)
     # the height slabs divide [e^h_min, e^h_max], so e^h_max must be a finite float
     if not (math.isfinite(window.spatial_radius) and math.isfinite(window.h_min)
             and window.h_max < math.log(sys.float_info.max)):
@@ -588,8 +584,7 @@ def check_scaling_limit(params_list, L, reps, grid_n=GRID_N) -> list:
     _check_L(L)
     if not grid_n >= 2:
         raise ValidationError("grid_n", "need grid_n >= 2")
-    _require_reps(reps, 2)
-    check_reps(reps, len(params_list))
+    check_reps(reps, len(params_list), minimum=2)
     params_list = [_usable(p)[0] for p in params_list]
     _check_grid(grid_n, max(p.d for p in params_list), "grid_n")
     return params_list
@@ -778,8 +773,7 @@ def _check_intrinsic_index(i: int, d: int):
 
 def check_moments(params_grid, reps) -> list:
     """Preconditions of run_moments; returns the validated parameters."""
-    _require_reps(reps, 200)
-    check_reps(reps, len(params_grid))
+    check_reps(reps, len(params_grid), minimum=200)
     return [validate_params(p.d, p.alpha, p.beta, p.lam) for p in params_grid]
 
 
@@ -855,7 +849,7 @@ def run_moments(params_grid, reps, seed, workers=1) -> RunResult:
 
 def check_clt(params, reps) -> ModelParams:
     """Preconditions of run_clt; returns the validated parameters."""
-    _require_reps(reps, 1000)
+    check_reps(reps, minimum=1000)
     return validate_params(params.d, params.alpha, params.beta, params.lam)
 
 
@@ -915,9 +909,11 @@ def _tails_task(rng, params, M, h_cap, r_lambda):
 
 def check_tails(params, M, t_grid, reps):
     """Preconditions of run_tails; returns the validated parameters and R."""
-    _require_reps(reps, 500)
+    check_reps(reps, minimum=500)
     if not M > 0:
         raise ValidationError("M", "must be > 0")
+    if len(t_grid) == 0:
+        raise ValidationError("t_grid", "need at least one threshold")
     params, r_lambda = _usable(params)
     _check_grid(GRID_N, params.d, "d")
     return params, r_lambda
@@ -969,6 +965,8 @@ def run_tails(params, M, t_grid, reps, seed, workers=1) -> RunResult:
 
 def check_slln(params_base, a, k_max, p, i, reps) -> list:
     """Preconditions of run_slln_trend; returns the parameters of the grid a^k."""
+    params_base = validate_params(params_base.d, params_base.alpha, params_base.beta,
+                                  params_base.lam)
     d, alpha, beta = params_base.d, params_base.alpha, params_base.beta
     _check_intrinsic_index(i, d)
     threshold = (4 * i - beta * (d + 3)) / (4 * i)
@@ -978,7 +976,7 @@ def check_slln(params_base, a, k_max, p, i, reps) -> list:
         raise ValidationError("a", "need a > 1")
     if not 4 <= k_max <= BOOTSTRAP_STREAM // STREAM_STRIDE:
         raise ValidationError("k_max", f"need 4 <= k_max <= {BOOTSTRAP_STREAM // STREAM_STRIDE}")
-    _require_reps(reps, 2)
+    check_reps(reps, minimum=2)
     try:
         return [validate_params(d, alpha, beta, a**k) for k in range(1, k_max + 1)]
     except OverflowError as exc:
@@ -1018,7 +1016,9 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
 def check_concentration(params, reps, y_grid, i=None):
     """Preconditions of concentration_check; returns the validated parameters
     and the intrinsic index (d when i is None)."""
-    _require_reps(reps, 2000)
+    check_reps(reps, minimum=2000)
+    if len(y_grid) == 0:
+        raise ValidationError("y_grid", "need at least one deviation level")
     params = validate_params(params.d, params.alpha, params.beta, params.lam)
     i = params.d if i is None else int(i)
     _check_intrinsic_index(i, params.d)
@@ -1117,7 +1117,7 @@ def _vertex_task(rng, params, L, r_lambda):
 def check_vertex_correspondence(params, L, reps):
     """Preconditions of run_vertex_correspondence; returns the validated parameters and R."""
     _check_L(L)
-    _require_reps(reps, 2)
+    check_reps(reps, minimum=2)
     return _usable(params)
 
 

@@ -100,12 +100,16 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         assert exc.value.field == "n"
 
-    def test_reps_bound_is_the_stream_stride(self):
-        # replication streams are keyed group * 1_000_000 + rep
-        assert parse_config(json.dumps(dict(SCALING, reps=999_999))).reps == 999_999
-        with pytest.raises(ValidationError) as exc:
-            parse_config(json.dumps(dict(SCALING, reps=1_000_000)))
-        assert exc.value.field == "reps"
+    def test_reps_bound_is_the_stream_stride(self, tmp_path, capsys):
+        # replication streams are keyed group * 1_000_000 + rep; the
+        # experiment's check judges the bound, parse_config only the type
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(SCALING, reps=999_999)))
+        assert main(["validate", "--config", str(path)]) == 0
+        path.write_text(json.dumps(dict(SCALING, reps=1_000_000)))
+        assert parse_config(path.read_text()).reps == 1_000_000
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "reps:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["seed", "reps", "workers"])
     def test_bool_rejected_where_integer_wanted(self, field):
@@ -180,16 +184,17 @@ class TestParseConfig:
         (dict(SCALING, L=[1.0]), "L"),
         (dict(SCALING, grid_n="41"), "grid_n"),
         (dict(SCALING, grid_n=2**1100), "grid_n"),
-        # empty lists, and reps past the stream bound
+        # empty lists, and reps that is no integer (the checks judge its
+        # range: test_validate_rejects_what_run_rejects)
         (dict(SCALING, alphas_betas=[]), "alphas_betas"),
         (dict(SCALING, lambda_grid=[]), "lambda_grid"),
-        (dict(SCALING, reps=1_000_000), "reps"),
+        (dict(SCALING, reps=2.5), "reps"),
         # numbers no float holds, and NaN or Infinity where a finite number is due
         (dict(TAILS, **{"lambda": 2**1100}), "lambda"),
         (dict(MINIMAL_GUMBEL, n=math.inf), "n"),
         (dict(CLT, alpha=math.nan), "alpha"),
-        # fewer than one replication, judged by the engine's check_reps
-        (dict(SCALING, reps=0), "reps"),
+        # a string where the reps integer is due
+        (dict(SCALING, reps="2"), "reps"),
     ])
     def test_bad_experiment_field_exits_2_naming_it(self, tmp_path, capsys, config, field):
         with pytest.raises(ValidationError) as exc:
@@ -241,7 +246,7 @@ class TestParseConfig:
          "window"),
         (dict(INTENSITY, **{"lambda": 1e4}, window=dict(INTENSITY["window"], h_max=100)),
          "window"),
-        # model ranges, judged by validate_params as the run's arguments are built
+        # model ranges, judged by each check through validate_params
         (dict(MINIMAL_GUMBEL, alpha=-2.0), "alpha"),
         (dict(CLT, d=1), "d"),
         # ranges the runners' checks judge for the Python API too
@@ -264,6 +269,19 @@ class TestParseConfig:
         (dict(SCALING, reps=1), "reps"),
         (dict(VERTEX, reps=1), "reps"),
         (dict(SLLN, reps=1), "reps"),
+        # reps past the stream bound, and fewer than one replication
+        (dict(SCALING, reps=1_000_000), "reps"),
+        (dict(SCALING, reps=0), "reps"),
+        # a model out of range, for every experiment that builds one
+        (dict(SLLN, d=1, i=0), "d"),
+        (dict(SLLN, alpha=-1.0), "alpha"),
+        (dict(SCALING, d=1), "d"),
+        (dict(SCALING, alphas_betas=[[-2, 2]]), "alpha"),
+        (dict(MOMENTS, lambda_grid=[100.0, -1.0]), "lambda"),
+        (dict(INTENSITY, beta=0.5), "beta"),
+        (dict(TAILS, **{"lambda": 0}), "lambda"),
+        (dict(CONCENTRATION, alpha=-1.5), "alpha"),
+        (dict(VERTEX, d=1), "d"),
     ])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, config, field):
         path = tmp_path / "cfg.json"

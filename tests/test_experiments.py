@@ -27,7 +27,7 @@ from ggp.experiments import (
 )
 from ggp.festoon import extreme_points, phi_boundary_batch, stable_height, windowed_festoon
 from ggp.hull import convex_hull
-from ggp.params import critical_radius, validate_params
+from ggp.params import ModelParams, critical_radius, validate_params
 from ggp.rescale import inverse_transform, transform_batch
 from ggp.sampling import (
     RngStream,
@@ -528,6 +528,15 @@ class TestPreconditionChecks:
                      "reps", id="slln-reps1"),
         pytest.param(lambda: run_vertex_correspondence(P2, 1.0, 1, seed=1), "reps",
                      id="vertex_correspondence-reps1"),
+        # an empty grid leaves nothing to judge
+        pytest.param(lambda: concentration_check(P2, 2000, [], seed=1), "y_grid",
+                     id="concentration-empty_y_grid"),
+        pytest.param(lambda: run_tails(P2, 1.0, [], 500, seed=1), "t_grid",
+                     id="tails-empty_t_grid"),
+        # check_slln judges the model first: d = 1 allows i = 0, which its p
+        # threshold would divide by
+        pytest.param(lambda: run_slln_trend(ModelParams(1, 0.0, 2.0, 1.0), a=10.0, k_max=4,
+                                            p=0.6, i=0, reps=2, seed=1), "d", id="slln-d1"),
     ])
     def test_runner_rejects_before_sampling(self, monkeypatch, call, field):
         def refuse(*args, **kwargs):
@@ -537,6 +546,33 @@ class TestPreconditionChecks:
         with pytest.raises(ValidationError) as exc:
             call()
         assert exc.value.field == field
+
+    # each check, called directly, judges reps as its runner does: its
+    # runner's minimum, and the stream bound STREAM_STRIDE
+    @pytest.mark.parametrize("check, minimum", [
+        pytest.param(lambda reps: experiments.check_gumbel(0, 2, 1000, reps), 100, id="gumbel"),
+        pytest.param(lambda reps: experiments.check_intensity(
+            P2, ScaledWindow(2.0, -5.0, 1.0), (1, 4), reps), 1, id="intensity"),
+        pytest.param(lambda reps: experiments.check_scaling_limit([P2], 1.0, reps), 2,
+                     id="scaling_limit"),
+        pytest.param(lambda reps: experiments.check_moments([P2], reps), 200, id="moments"),
+        pytest.param(lambda reps: experiments.check_clt(P2, reps), 1000, id="clt"),
+        pytest.param(lambda reps: experiments.check_tails(P2, 1.0, [1, 2], reps), 500,
+                     id="tails"),
+        pytest.param(lambda reps: experiments.check_slln(P2, 4.0, 4, 0.6, 2, reps), 2,
+                     id="slln"),
+        pytest.param(lambda reps: experiments.check_concentration(P2, reps, [1.0]), 2000,
+                     id="concentration"),
+        pytest.param(lambda reps: experiments.check_vertex_correspondence(P2, 1.0, reps), 2,
+                     id="vertex_correspondence"),
+    ])
+    def test_check_judges_reps(self, check, minimum):
+        check(minimum)
+        check(experiments.STREAM_STRIDE - 1)
+        for reps in (minimum - 1, experiments.STREAM_STRIDE):
+            with pytest.raises(ValidationError) as exc:
+                check(reps)
+            assert exc.value.field == "reps"
 
     # the ranges a config's keys share with the Python API are judged by the
     # runner's own check, before any point is drawn
