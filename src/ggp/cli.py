@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import math
 import os
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 from .errors import EmptyInput, GgpError, IoError, ParseError, ValidationError
 from .experiments import (
-    ExperimentRecord,
+    RecordTable,
     check_clt,
     check_concentration,
     check_gumbel,
@@ -287,35 +287,33 @@ def _format_value(x) -> str:
     return repr(float(x))
 
 
-def _record_rows(records):
-    for rec in records:
-        for metric in sorted(rec.metrics):
-            yield [
-                rec.experiment,
-                _format_value(rec.lam),
-                str(rec.d),
-                _format_value(rec.alpha),
-                _format_value(rec.beta),
-                str(rec.seed),
-                str(rec.replication),
-                metric,
-                _format_value(rec.metrics[metric]),
-            ]
+def _record_rows(tables):
+    """The records' CSV rows, table by table: the constant columns formatted
+    once per table, then each row's metrics in sorted order."""
+    for table in tables:
+        p = table.params
+        head = [table.experiment, _format_value(p.lam), str(p.d), _format_value(p.alpha),
+                _format_value(p.beta), str(table.seed)]
+        for rep, items in zip(table.replication.tolist(), table.row_items()):
+            rep = str(rep)
+            for metric, value in items:
+                yield [*head, rep, metric, repr(value)]
 
 
-def emit_summary(records):
-    """Group records into per-(lambda, metric) summary rows.
+def emit_summary(tables):
+    """Group the tables' values into per-(experiment, lambda, metric) summary rows.
 
     Rows come back sorted by experiment, ascending lambda, then metric:
     count, mean, unbiased variance, and the 95% CI half-width of the mean
-    (variance and CI empty when a group has a single record).
+    (variance and CI empty when a group has a single value).
     """
-    if not records:
+    if not any(len(table.replication) for table in tables):
         raise EmptyInput("no records to summarize")
     groups: dict = {}
-    for rec in records:
-        for metric, value in rec.metrics.items():
-            groups.setdefault((rec.experiment, rec.lam, metric), []).append(float(value))
+    for table in tables:
+        for metric, (_, values) in table.metrics.items():
+            groups.setdefault((table.experiment, table.params.lam, metric), []).extend(
+                values.tolist())
     rows = []
     for (experiment, lam, metric) in sorted(groups):
         vals = groups[(experiment, lam, metric)]
@@ -363,10 +361,9 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     ext = config.output_format
     records_path = os.path.join(base, f"{config.experiment}_records.{ext}")
     summary_path = os.path.join(base, f"{config.experiment}_summary.{ext}")
-    rows = list(_record_rows(result.records))
-    summary = emit_summary(result.records)
+    summary = emit_summary(result.tables)
     writer = _write_csv if ext == "csv" else _write_json
-    writer(records_path, RECORDS_HEADER, rows)
+    writer(records_path, RECORDS_HEADER, _record_rows(result.tables))
     writer(summary_path, SUMMARY_HEADER, summary)
     for check in result.checks:
         print(f"{check.status} {check.name}: {check.detail}")
@@ -375,22 +372,9 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     return 1 if result.failed() else 0
 
 
-def _read_records_csv(path):
-    """The data rows of a records CSV, each with its line number."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != RECORDS_HEADER:
-                raise ValidationError("header", f"unexpected records header {header}")
-            return [(reader.line_num, row) for row in reader]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_record(line, row) -> ExperimentRecord:
-    """One records-CSV row as a record; ValidationError names the line and
-    the column of a field that is missing or unreadable, or an extra one."""
+def _parse_row(line, row) -> list:
+    """One records-CSV row's fields; ValidationError names the line and the
+    column of a field that is missing or unreadable, or an extra one."""
     kinds = (str, float, int, float, float, int, int, str, float)  # of each RECORDS_HEADER column
     if len(row) > len(kinds):
         raise ValidationError(f"line {line}", f"{len(row)} columns, expected {len(kinds)}")
@@ -401,22 +385,41 @@ def _parse_record(line, row) -> ExperimentRecord:
         except (IndexError, ValueError):
             problem = f"cannot read {row[k]!r} as {kind.__name__}" if k < len(row) else "missing"
             raise ValidationError(f"line {line}, column {column}", problem) from None
-    experiment, lam, d, alpha, beta, seed, rep, metric, value = fields
-    return ExperimentRecord(experiment, lam, d, alpha, beta, seed, rep, {metric: value})
+    return fields
+
+
+def _read_tables(path) -> list:
+    """A records CSV as tables, one per (experiment, lambda, d, alpha, beta,
+    seed), each line a row."""
+    groups: dict = {}
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != RECORDS_HEADER:
+                raise ValidationError("header", f"unexpected records header {header}")
+            for row in reader:
+                *key, rep, metric, value = _parse_row(reader.line_num, row)
+                groups.setdefault(tuple(key), []).append((rep, {metric: value}))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    return [RecordTable.from_rows(experiment, ModelParams(d, alpha, beta, lam), seed,
+                                  [rep for rep, _ in rows], [metrics for _, metrics in rows],
+                                  [0.0] * len(rows))
+            for (experiment, lam, d, alpha, beta, seed), rows in groups.items()]
 
 
 def summarize_file(path, out=None):
     """Summarize an existing records CSV to CSV text on `out` (default stdout)."""
-    out = out if out is not None else sys.stdout
-    records = [_parse_record(line, row) for line, row in _read_records_csv(path)]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    rows = emit_summary(_read_tables(path))
+    writer = csv.writer(out if out is not None else sys.stdout)
     writer.writerow(SUMMARY_HEADER)
-    writer.writerows(emit_summary(records))
-    out.write(buf.getvalue())
+    writer.writerows(rows)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first main call of a process."""
     parser = argparse.ArgumentParser(prog="ggp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
@@ -428,7 +431,11 @@ def main(argv=None) -> int:
     p_val.add_argument("--config", required=True)
     p_sum = sub.add_parser("summarize", help="summarize a records CSV to stdout")
     p_sum.add_argument("records")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "summarize":

@@ -12,6 +12,7 @@ pass rule.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -50,6 +51,7 @@ from .stats import bootstrap_median_ci, fit_line, gumbel_cdf, ks_statistic, summ
 
 __all__ = [
     "ExperimentRecord",
+    "RecordTable",
     "CheckOutcome",
     "RunResult",
     "run_gumbel",
@@ -133,7 +135,7 @@ GAUSS_NODES = 24
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One replication's metrics with full provenance."""
+    """One replication's metrics with full provenance: one row of a RecordTable."""
 
     experiment: str
     lam: float
@@ -147,6 +149,55 @@ class ExperimentRecord:
 
 
 @dataclass(frozen=True)
+class RecordTable:
+    """One parameter group's records as columns.
+
+    Row k is replication replication[k], which took wall_time[k] seconds.
+    metrics maps each metric name to (rows, values): the ascending indices
+    of the rows that hold the metric, and its values there. A skipped row
+    holds only `skipped`, so every other metric's values are the kept rows'.
+    """
+
+    experiment: str
+    params: ModelParams
+    seed: int
+    replication: np.ndarray
+    metrics: dict
+    wall_time: np.ndarray
+
+    @classmethod
+    def from_rows(cls, experiment, params, seed, replications, row_metrics, wall_times):
+        """The table of one metrics dict per row."""
+        columns: dict = {}
+        for k, metrics in enumerate(row_metrics):
+            for name, value in metrics.items():
+                rows, values = columns.setdefault(name, ([], []))
+                rows.append(k)
+                values.append(value)
+        return cls(experiment, params, seed, np.asarray(replications, dtype=np.int64),
+                   {name: (np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=float))
+                    for name, (rows, values) in columns.items()},
+                   np.asarray(wall_times, dtype=float))
+
+    def values(self, name) -> np.ndarray:
+        """The values of metric name over the rows that hold it; empty if none does."""
+        return self.metrics[name][1] if name in self.metrics else np.empty(0)
+
+    def n_kept(self) -> int:
+        """The rows not skipped."""
+        return len(self.replication) - int(np.count_nonzero(self.values("skipped")))
+
+    def row_items(self) -> list:
+        """Per row, its (metric, value) pairs in sorted metric order, as Python floats."""
+        items = [[] for _ in range(len(self.replication))]
+        for name in sorted(self.metrics):
+            rows, values = self.metrics[name]
+            for k, value in zip(rows.tolist(), values.tolist()):
+                items[k].append((name, value))
+        return items
+
+
+@dataclass(frozen=True)
 class CheckOutcome:
     """One embedded acceptance check: PASS, FAIL or INFO plus detail."""
 
@@ -157,9 +208,20 @@ class CheckOutcome:
 
 @dataclass
 class RunResult:
+    """A run's records as tables, in output order (the groups' replications,
+    then the aggregate rows where the runner adds them), and its checks."""
+
     experiment: str
-    records: list = field(default_factory=list)
+    tables: list = field(default_factory=list)
     checks: list = field(default_factory=list)
+
+    @property
+    def records(self) -> tuple:
+        """Read-only view: each table row as an ExperimentRecord, built on access."""
+        return tuple(ExperimentRecord(t.experiment, t.params.lam, t.params.d, t.params.alpha,
+                                      t.params.beta, t.seed, rep, dict(items), wall)
+                     for t in self.tables for rep, items, wall in
+                     zip(t.replication.tolist(), t.row_items(), t.wall_time.tolist()))
 
     def failed(self) -> bool:
         return any(c.status == "FAIL" for c in self.checks)
@@ -246,10 +308,18 @@ def _too_short(grid):
 # judges only JSON shape and types and its own seed and workers.
 
 
+def _check_integer(field, value):
+    """Refuse, naming field, a value that is not an integer; bools are
+    refused, though Python counts them as ints."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(field, f"must be an integer, got {value!r}")
+
+
 def check_reps(reps, n_groups=1, minimum=1):
-    """Bounds shared by every runner: at least minimum replications and one
-    parameter group, and distinct (group, rep) pairs get distinct streams,
-    all below the reserved BOOTSTRAP_STREAM."""
+    """Bounds shared by every runner: an integer count of at least minimum
+    replications and one parameter group, and distinct (group, rep) pairs
+    get distinct streams, all below the reserved BOOTSTRAP_STREAM."""
+    _check_integer("reps", reps)
     if not minimum <= reps < STREAM_STRIDE:
         raise ValidationError("reps", f"need {minimum} <= reps < {STREAM_STRIDE}")
     if not 1 <= n_groups <= BOOTSTRAP_STREAM // STREAM_STRIDE:
@@ -297,10 +367,9 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     in this process, or on a pool that _map_tasks starts only when the
     timed probe replication says the pool would pay for itself.
     A task returns its replication's metrics, or (metrics, side) to hand
-    back a side value that is not recorded. Returns the per-replication
-    records, group-major and replication-minor; per group, each metric's
-    values over the kept replications, those not skipped by _sample_shell,
-    without the skipped flag; per group, the kept count; and the side values.
+    back a side value that is not recorded. Returns one RecordTable per
+    group, its rows the replications in order, and the side values,
+    group-major and replication-minor.
     """
     check_reps(reps, len(groups))
     ids = [pi * STREAM_STRIDE + rep for pi in range(len(groups)) for rep in range(reps)]
@@ -309,26 +378,18 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     # probe the likely costliest replication: the last of the largest lambda
     last = max(range(len(groups)), key=lambda pi: (groups[pi].lam, pi), default=0)
     rows = _map_tasks(_replication, jobs, workers, last * reps + reps - 1)
-    records, kept, n_kept, sides = [], [{} for _ in groups], [0] * len(groups), []
-    for (_, _, stream_id, _, params, _), (out, wall) in zip(jobs, rows):
-        metrics, side = out if isinstance(out, tuple) else (out, None)
-        pi, rep = divmod(stream_id, STREAM_STRIDE)
-        records.append(ExperimentRecord(experiment, params.lam, params.d, params.alpha,
-                                        params.beta, seed, rep, metrics, wall))
-        sides.append(side)
-        if metrics.get("skipped"):
-            continue
-        n_kept[pi] += 1
-        for name, value in metrics.items():
-            if name != "skipped":
-                kept[pi].setdefault(name, []).append(value)
-    return records, kept, n_kept, sides
+    outs = [out if isinstance(out, tuple) else (out, None) for out, _ in rows]
+    tables = [RecordTable.from_rows(experiment, params, seed, range(reps),
+                                    [metrics for metrics, _ in outs[pi * reps:(pi + 1) * reps]],
+                                    [wall for _, wall in rows[pi * reps:(pi + 1) * reps]])
+              for pi, params in enumerate(groups)]
+    return tables, [side for _, side in outs]
 
 
-def _aggregate(experiment, params, seed, metrics) -> ExperimentRecord:
-    """The run-level record of one parameter group."""
-    return ExperimentRecord(experiment, params.lam, params.d, params.alpha, params.beta, seed,
-                            AGGREGATE_REPLICATION, metrics)
+def _aggregate(experiment, params, seed, metrics) -> RecordTable:
+    """The run-level row of one parameter group."""
+    return RecordTable.from_rows(experiment, params, seed, [AGGREGATE_REPLICATION], [metrics],
+                                 [0.0])
 
 
 def _by_law(groups) -> dict:
@@ -364,23 +425,21 @@ def run_gumbel(alpha, beta, n, reps, seed, workers=1) -> RunResult:
     when their KS distance is below GUMBEL_KS_THRESHOLD.
 
     Replication b * GUMBEL_BLOCK + j is draw j of block b, which draws from
-    stream b; each replication keeps its own record, with its block's wall
-    time shared evenly.
+    stream b; the group's table holds one row per replication, with its
+    block's wall time shared evenly.
     """
     check_gumbel(alpha, beta, n, reps)
     # one group of 1-d maxima of n points, with n in the lambda column
     group = ModelParams(1, float(alpha), float(beta), float(n))
-    blocks, _, _, maxima = replicate("gumbel", _gumbel_block_task, [group],
-                                     math.ceil(reps / GUMBEL_BLOCK), seed, workers, reps)
-    result = RunResult("gumbel")
-    for block, values in zip(blocks, maxima):
-        first, wall = block.replication * GUMBEL_BLOCK, block.wall_time / len(values)
-        result.records += [ExperimentRecord("gumbel", group.lam, 1, group.alpha, group.beta, seed,
-                                            first + j, {"std_max": x}, wall)
-                           for j, x in enumerate(values.tolist())]
-    ks = ks_statistic(np.concatenate(maxima), gumbel_cdf)
-    result.records.append(_aggregate("gumbel", group, seed,
-                                     {"ks": ks, "n": float(n), "reps": float(reps)}))
+    (blocks,), maxima = replicate("gumbel", _gumbel_block_task, [group],
+                                  math.ceil(reps / GUMBEL_BLOCK), seed, workers, reps)
+    values, sizes, rows = np.concatenate(maxima), [len(m) for m in maxima], np.arange(reps)
+    result = RunResult("gumbel", [RecordTable("gumbel", group, seed, rows,
+                                              {"std_max": (rows, values)},
+                                              np.repeat(blocks.wall_time / sizes, sizes))])
+    ks = ks_statistic(values, gumbel_cdf)
+    result.tables.append(_aggregate("gumbel", group, seed,
+                                    {"ks": ks, "n": float(n), "reps": float(reps)}))
     result.checks.append(
         _check(
             f"gumbel_ks[alpha={alpha},beta={beta}]",
@@ -461,6 +520,8 @@ def check_intensity(params, window, bins, reps):
     evaluates the exact intensity over the window at each of these
     intensities, so the window must lie in the rescaled space of the smallest
     R among them: spatial_radius <= pi R^(beta/2) and h_max <= R^beta."""
+    for count in bins:
+        _check_integer("bins", count)
     if min(bins) < 1:
         raise ValidationError("bins", "need both bin counts >= 1")
     check_reps(reps)
@@ -498,9 +559,9 @@ def run_intensity(params, window, bins, reps, seed, workers=1) -> RunResult:
     h_edges = np.log(lo + (hi - lo) * np.linspace(0.0, 1.0, n_h + 1))
     h_edges[0], h_edges[-1] = window.h_min, window.h_max
 
-    records, _, _, hists = replicate("intensity", _intensity_task, [params], reps, seed, workers,
-                                     window, rho_edges, h_edges, r_lambda)
-    result = RunResult("intensity", records)
+    tables, hists = replicate("intensity", _intensity_task, [params], reps, seed, workers,
+                              window, rho_edges, h_edges, r_lambda)
+    result = RunResult("intensity", tables)
     counts = sum(hists, np.zeros((n_rho, n_h)))
 
     expected = reps * _cell_masses(params, r_lambda, rho_edges, h_edges, "exact")
@@ -547,7 +608,7 @@ def run_intensity(params, window, bins, reps, seed, workers=1) -> RunResult:
                         for l, e in zip(INTENSITY_LIMIT_LAMS, limit_errs)),
         )
     )
-    result.records.append(_aggregate("intensity", params, seed, {
+    result.tables.append(_aggregate("intensity", params, seed, {
         "max_rel_err": max_rel,
         "chi_square": chi2,
         "mass_rel_err": mass_err,
@@ -582,6 +643,7 @@ def _scaling_task(rng, params, L, grid_n):
 def check_scaling_limit(params_list, L, reps, grid_n=GRID_N) -> list:
     """Preconditions of run_scaling_limit; returns the validated parameters."""
     _check_L(L)
+    _check_integer("grid_n", grid_n)
     if not grid_n >= 2:
         raise ValidationError("grid_n", "need grid_n >= 2")
     check_reps(reps, len(params_list), minimum=2)
@@ -599,18 +661,18 @@ def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=GRID_N) -> R
     intervals of the endpoint medians must not overlap.
     """
     params_list = check_scaling_limit(params_list, L, reps, grid_n)
-    records, kept, n_kept, _ = replicate("scaling_limit", _scaling_task, params_list, reps, seed,
-                                         workers, float(L), int(grid_n))
-    result = RunResult("scaling_limit", records)
+    tables, _ = replicate("scaling_limit", _scaling_task, params_list, reps, seed, workers,
+                          float(L), int(grid_n))
+    result = RunResult("scaling_limit", tables)
     for (d, alpha, beta), pis in _by_law(params_list).items():
         if not all([_judged(result, f"scaling_judged[d={d},alpha={alpha},beta={beta},"
-                                    f"lambda={params_list[pi].lam:g}]", n_kept[pi], reps)
+                                    f"lambda={params_list[pi].lam:g}]", tables[pi].n_kept(), reps)
                     for pi in pis]):
             continue
         lams = [params_list[pi].lam for pi in pis]
         meds, cis = [], []
         for k, pi in enumerate(pis):
-            med, lo, hi = bootstrap_median_ci(kept[pi]["sup_dist"],
+            med, lo, hi = bootstrap_median_ci(tables[pi].values("sup_dist"),
                                               RngStream(seed, BOOTSTRAP_STREAM + k))
             meds.append(med)
             cis.append((lo, hi))
@@ -767,6 +829,7 @@ def expected_intrinsic_scale(params, i: int) -> float:
 
 def _check_intrinsic_index(i: int, d: int):
     """Polytope records carry only V_{d-1} and V_d, so no other i can be judged."""
+    _check_integer("i", i)
     if i not in (d - 1, d):
         raise ValidationError("i", f"need i in {{{d - 1}, {d}}} for d = {d}, got {i}")
 
@@ -787,19 +850,18 @@ def run_moments(params_grid, reps, seed, workers=1) -> RunResult:
     (d-1)/2 within MOMENTS_F0_SLOPE_BAND and MOMENTS_VAR_SLOPE_BAND.
     """
     params_grid = check_moments(params_grid, reps)
-    records, kept, n_kept, _ = replicate("moments", _polytope_task, params_grid, reps, seed,
-                                         workers)
-    result = RunResult("moments", records)
+    tables, _ = replicate("moments", _polytope_task, params_grid, reps, seed, workers)
+    result = RunResult("moments", tables)
     laws = _by_law(params_grid)
     for (d, alpha, beta), pis in laws.items():
         if not all([_judged(result, f"moments_judged[d={d},alpha={alpha},beta={beta},"
-                                    f"lambda={params_grid[pi].lam:g}]", n_kept[pi], reps)
+                                    f"lambda={params_grid[pi].lam:g}]", tables[pi].n_kept(), reps)
                     for pi in pis]):
             continue
         lams = np.array([params_grid[pi].lam for pi in pis])
         tag = f"[d={d},alpha={alpha},beta={beta}]"
-        ratios = [np.mean(kept[pi][f"v{d}"]) / expected_intrinsic_scale(params_grid[pi], d)
-                  for pi in pis]
+        ratios = [np.mean(tables[pi].values(f"v{d}"))
+                  / expected_intrinsic_scale(params_grid[pi], d) for pi in pis]
         increasing = all(ratios[k + 1] > ratios[k] for k in range(len(ratios) - 1))
         in_band = MOMENTS_RATIO_BAND[0] <= ratios[-1] <= MOMENTS_RATIO_BAND[1]
         ratio_detail = (f"E[V_{d}]/scale = " + ", ".join(f"{r:.4f}" for r in ratios)
@@ -814,8 +876,8 @@ def run_moments(params_grid, reps, seed, workers=1) -> RunResult:
                 _check(f"moments_volume_ratio{tag}", in_band and increasing, ratio_detail)
             )
             log_bl = np.log(beta * np.log(lams))
-            mean_f0 = np.array([np.mean(kept[pi]["f0"]) for pi in pis])
-            var_f0 = np.array([np.var(kept[pi]["f0"], ddof=1) for pi in pis])
+            mean_f0 = np.array([np.mean(tables[pi].values("f0")) for pi in pis])
+            var_f0 = np.array([np.var(tables[pi].values("f0"), ddof=1) for pi in pis])
             target = (d - 1) / 2.0
             slope_e, _, r2_e = fit_line(log_bl, np.log(mean_f0))
             slope_v, _, r2_v = fit_line(log_bl, np.log(var_f0))
@@ -838,12 +900,12 @@ def run_moments(params_grid, reps, seed, workers=1) -> RunResult:
     for pis in laws.values():
         for pi in pis:
             agg = {}
-            for k, vals in kept[pi].items():
-                arr = np.asarray(vals)
-                agg[f"mean_{k}"] = float(arr.mean())
-                if len(arr) > 1:
-                    agg[f"var_{k}"] = float(arr.var(ddof=1))
-            result.records.append(_aggregate("moments", params_grid[pi], seed, agg))
+            for k, (_, arr) in tables[pi].metrics.items():
+                if k != "skipped":
+                    agg[f"mean_{k}"] = float(arr.mean())
+                    if len(arr) > 1:
+                        agg[f"var_{k}"] = float(arr.var(ddof=1))
+            result.tables.append(_aggregate("moments", params_grid[pi], seed, agg))
     return result
 
 
@@ -857,15 +919,15 @@ def run_clt(params, reps, seed, workers=1) -> RunResult:
     """Normality of standardized face counts and intrinsic volumes, judged
     against CLT_SKEW_TOL, CLT_KURT_TOL and CLT_KS_TOL."""
     params = check_clt(params, reps)
-    records, kept, n_kept, _ = replicate("clt", _polytope_task, [params], reps, seed, workers)
-    result = RunResult("clt", records)
+    (table,), _ = replicate("clt", _polytope_task, [params], reps, seed, workers)
+    result = RunResult("clt", [table])
     d = params.d
     metrics = ["f0", f"v{d}"]
     agg = {}
     for name in ["f0", f"f{d - 1}", "v1", f"v{d}"]:
-        judged = name in metrics and _judged(result, f"clt_judged[{name}]", n_kept[0], reps)
-        vals = kept[0].get(name, [])
-        if not vals:
+        judged = name in metrics and _judged(result, f"clt_judged[{name}]", table.n_kept(), reps)
+        vals = table.values(name)
+        if len(vals) == 0:
             continue
         st = summary_stats(vals)
         agg[f"skew_{name}"] = st.skewness
@@ -880,7 +942,7 @@ def run_clt(params, reps, seed, workers=1) -> RunResult:
                 _check(f"clt_ks_normal[{name}]", st.ks_normal < CLT_KS_TOL,
                        f"ks = {st.ks_normal:.4f} vs {CLT_KS_TOL}"),
             ]
-    result.records.append(_aggregate("clt", params, seed, agg))
+    result.tables.append(_aggregate("clt", params, seed, agg))
     return result
 
 
@@ -929,10 +991,10 @@ def run_tails(params, M, t_grid, reps, seed, workers=1) -> RunResult:
     params, r_lambda = check_tails(params, M, t_grid, reps)
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     h_cap = float(t_grid[-1]) + 2.0
-    records, kept, _, _ = replicate("tails", _tails_task, [params], reps, seed, workers,
-                                    float(M), h_cap, r_lambda)
-    result = RunResult("tails", records)
-    sups = np.asarray(kept[0]["sup_abs"])
+    (table,), _ = replicate("tails", _tails_task, [params], reps, seed, workers,
+                            float(M), h_cap, r_lambda)
+    result = RunResult("tails", [table])
+    sups = table.values("sup_abs")
     probs = np.array([(sups >= t).mean() for t in t_grid])
     monotone = bool(np.all(np.diff(probs) <= 0))
     positive = probs > 0
@@ -945,7 +1007,7 @@ def run_tails(params, M, t_grid, reps, seed, workers=1) -> RunResult:
         slope, _, r2 = fit_line(t_grid[positive], np.log(probs[positive]))
     agg["tail_slope"] = slope
     agg["tail_r2"] = r2
-    result.records.append(_aggregate("tails", params, seed, agg))
+    result.tables.append(_aggregate("tails", params, seed, agg))
     result.checks.append(
         _check(
             "tails_monotone",
@@ -974,6 +1036,7 @@ def check_slln(params_base, a, k_max, p, i, reps) -> list:
         raise ValidationError("p", f"need p > {threshold:.4f}")
     if not a > 1:
         raise ValidationError("a", "need a > 1")
+    _check_integer("k_max", k_max)
     if not 4 <= k_max <= BOOTSTRAP_STREAM // STREAM_STRIDE:
         raise ValidationError("k_max", f"need 4 <= k_max <= {BOOTSTRAP_STREAM // STREAM_STRIDE}")
     check_reps(reps, minimum=2)
@@ -992,19 +1055,19 @@ def run_slln_trend(params_base, a, k_max, p, i, reps, seed, workers=1) -> RunRes
     (4i - beta(d+3)) / (4i) and a > 1.
     """
     params_grid = check_slln(params_base, a, k_max, p, i, reps)
-    records, kept, n_kept, _ = replicate("slln", _polytope_task, params_grid, reps, seed, workers)
-    result = RunResult("slln", records)
-    judged = all([_judged(result, f"slln_judged[k={k}]", n, reps)
-                  for k, n in enumerate(n_kept, start=1)])
+    tables, _ = replicate("slln", _polytope_task, params_grid, reps, seed, workers)
+    result = RunResult("slln", tables)
+    judged = all([_judged(result, f"slln_judged[k={k}]", table.n_kept(), reps)
+                  for k, table in enumerate(tables, start=1)])
     meds = []
     for k, params in enumerate(params_grid, start=1):
-        vals = np.asarray(kept[k - 1].get(f"v{i}", []))
+        vals = tables[k - 1].values(f"v{i}")
         if len(vals) == 0:
             continue
         dev = np.abs(vals - vals.mean()) / (math.log(params.lam)) ** (p * i / params.beta)
         meds.append(float(np.median(dev)))
-        result.records.append(_aggregate("slln", params, seed,
-                                         {"median_norm_dev": meds[-1], "k": float(k)}))
+        result.tables.append(_aggregate("slln", params, seed,
+                                        {"median_norm_dev": meds[-1], "k": float(k)}))
     if judged:
         result.checks.append(_check(
             "slln_normalized_deviations_decreasing",
@@ -1020,7 +1083,7 @@ def check_concentration(params, reps, y_grid, i=None):
     if len(y_grid) == 0:
         raise ValidationError("y_grid", "need at least one deviation level")
     params = validate_params(params.d, params.alpha, params.beta, params.lam)
-    i = params.d if i is None else int(i)
+    i = params.d if i is None else i
     _check_intrinsic_index(i, params.d)
     return params, i
 
@@ -1033,11 +1096,10 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     """
     params, i = check_concentration(params, reps, y_grid, i)
     d = params.d
-    records, kept, n_kept, _ = replicate("concentration", _polytope_task, [params], reps, seed,
-                                         workers)
-    result = RunResult("concentration", records)
-    judged = _judged(result, "concentration_judged", n_kept[0], reps)
-    vals = np.asarray(kept[0].get(f"v{i}", []))
+    (table,), _ = replicate("concentration", _polytope_task, [params], reps, seed, workers)
+    result = RunResult("concentration", [table])
+    judged = _judged(result, "concentration_judged", table.n_kept(), reps)
+    vals = table.values(f"v{i}")
     if len(vals) == 0:
         return result
     # One value has no sd: nothing exceeds y * nan, so every p_exceed reads 0.
@@ -1048,7 +1110,7 @@ def concentration_check(params, reps, y_grid, seed, i=None, workers=1) -> RunRes
     se = np.sqrt(np.maximum(emp * (1 - emp), 1e-12) / len(vals))
     violated = emp > bound + 3 * se
     agg = {f"p_exceed_{y:g}": float(p) for y, p in zip(y_grid, emp)}
-    result.records.append(_aggregate("concentration", params, seed, agg))
+    result.tables.append(_aggregate("concentration", params, seed, agg))
     if not judged:
         return result
     result.checks.append(
@@ -1132,12 +1194,12 @@ def run_vertex_correspondence(params, L, reps, seed, workers=1) -> RunResult:
     VERTEX_MATCH_THRESHOLD.
     """
     params, r_lambda = check_vertex_correspondence(params, L, reps)
-    records, kept, n_kept, _ = replicate("vertex_correspondence", _vertex_task, [params], reps,
-                                         seed, workers, float(L), r_lambda)
-    result = RunResult("vertex_correspondence", records)
-    if not _judged(result, "vertex_correspondence_judged", n_kept[0], reps):
+    (table,), _ = replicate("vertex_correspondence", _vertex_task, [params], reps, seed,
+                            workers, float(L), r_lambda)
+    result = RunResult("vertex_correspondence", [table])
+    if not _judged(result, "vertex_correspondence_judged", table.n_kept(), reps):
         return result
-    counts = {k: sum(v) for k, v in kept[0].items()}
+    counts = {k: sum(v.tolist()) for k, (_, v) in table.metrics.items()}
     match = counts["n_match"]
     union = counts["n_hull_window"] + counts["n_extreme_window"] - match
     exceptions = counts["n_boundary_exceptions"]
@@ -1149,6 +1211,6 @@ def run_vertex_correspondence(params, L, reps, seed, workers=1) -> RunResult:
         f"matched {match:.0f} of {effective:.0f} window vertices ({rate:.4f} >= "
         f"{VERTEX_MATCH_THRESHOLD}); {exceptions:.0f} near-boundary exceptions logged "
         f"({exception_rate:.4f} of {union:.0f})"))
-    result.records.append(_aggregate("vertex_correspondence", params, seed, {
+    result.tables.append(_aggregate("vertex_correspondence", params, seed, {
         "match_rate": rate, "exception_rate": exception_rate}))
     return result

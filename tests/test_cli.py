@@ -1,5 +1,6 @@
 import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -23,7 +24,8 @@ from ggp.cli import (
     parse_config,
 )
 from ggp.errors import EmptyInput, GgpError, ParseError, ValidationError
-from ggp.experiments import CheckOutcome, ExperimentRecord, RunResult
+from ggp.experiments import CheckOutcome, ExperimentRecord, RecordTable, RunResult
+from ggp.params import ModelParams
 
 MINIMAL_GUMBEL = {
     "experiment": "gumbel",
@@ -430,8 +432,9 @@ class TestOneArgumentList:
         def runner(*args, seed, workers, **kwargs):
             calls["runner"] = (args, kwargs)
             calls["seed, workers"] = (seed, workers)
-            return RunResult(config["experiment"], [ExperimentRecord(
-                config["experiment"], 1.0, 2, 0.0, 2.0, seed, 0, {"x": 1.0})])
+            return RunResult(config["experiment"], [RecordTable.from_rows(
+                config["experiment"], ModelParams(2, 0.0, 2.0, 1.0), seed, [0], [{"x": 1.0}],
+                [0.0])])
 
         monkeypatch.setattr(cli_module, entry.check.__name__, check)
         monkeypatch.setattr(cli_module, entry.runner.__name__, runner)
@@ -548,7 +551,8 @@ class TestRunAndDeterminism:
     def test_failing_check_gives_nonzero_exit(self, tmp_path, monkeypatch):
         fake = RunResult(
             experiment="gumbel",
-            records=[ExperimentRecord("gumbel", 1.0, 1, 0.0, 1.0, 1, 0, {"x": 1.0})],
+            tables=[RecordTable.from_rows("gumbel", ModelParams(1, 0.0, 1.0, 1.0), 1, [0],
+                                          [{"x": 1.0}], [0.0])],
             checks=[CheckOutcome("forced", "FAIL", "forced failure")],
         )
         monkeypatch.setattr(cli_module, "_dispatch", lambda config: fake)
@@ -556,17 +560,79 @@ class TestRunAndDeterminism:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def records_csv(records):
+    """Records CSV text written from ExperimentRecords, one record per
+    replication, formatted record by record: the writer's old path."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(RECORDS_HEADER)
+    for rec in records:
+        for metric in sorted(rec.metrics):
+            writer.writerow([rec.experiment, repr(float(rec.lam)), str(rec.d),
+                             repr(float(rec.alpha)), repr(float(rec.beta)), str(rec.seed),
+                             str(rec.replication), metric, repr(float(rec.metrics[metric]))])
+    return buf.getvalue()
+
+
+class TestRecordsView:
+    # 250 maxima: blocks of 100, 100 and 50
+    GUMBEL = {"experiment": "gumbel", "alpha": 0.5, "beta": 1.5, "n": 1000, "reps": 250,
+              "seed": 3}
+    # at seed 11, replications 3 and 5 of lambda = 10 have no hull in d = 4
+    SKIPPING_SLLN = {"experiment": "slln", "d": 4, "alpha": 0, "beta": 2, "a": 10, "k_max": 4,
+                     "p": 0.6, "i": 4, "reps": 8, "seed": 11}
+
+    def run(self, tmp_path, monkeypatch, config):
+        """The RunResult of `ggp run` on config at one worker, and the
+        records file it wrote."""
+        results = []
+        dispatch = cli_module._dispatch
+        monkeypatch.setattr(cli_module, "_dispatch",
+                            lambda cfg: results.append(dispatch(cfg)) or results[-1])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out), "--workers", "1"]) in (0, 1)
+        (result,) = results
+        return result, (out / f"{config['experiment']}_records.csv").read_bytes()
+
+    @pytest.mark.parametrize("config", [GUMBEL, SKIPPING_SLLN], ids=["gumbel", "slln_d4"])
+    def test_view_rebuilds_the_written_records(self, tmp_path, monkeypatch, config):
+        result, written = self.run(tmp_path, monkeypatch, config)
+        records = result.records
+        assert isinstance(records, tuple)
+        if config["experiment"] == "slln":
+            assert [r.replication for r in records if r.metrics.get("skipped")] == [3, 5]
+        assert records_csv(records).encode() == written
+
+    def test_run_builds_no_record(self, tmp_path, monkeypatch):
+        built = []
+        init = ExperimentRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentRecord, "__init__", counting_init)
+        for k, config in enumerate([self.GUMBEL, self.SKIPPING_SLLN]):
+            (tmp_path / str(k)).mkdir()
+            result, _ = self.run(tmp_path / str(k), monkeypatch, config)
+            assert built == []
+            assert len(result.records) == len(built) > 0  # the count sees the view's records
+            built.clear()
+
+
 class TestSummaries:
-    def make_records(self):
+    def make_tables(self):
         return [
-            ExperimentRecord("moments", 100.0, 2, 0.0, 2.0, 1, rep, {"f0": float(10 + rep)})
-            for rep in range(4)
-        ] + [
-            ExperimentRecord("moments", 10.0, 2, 0.0, 2.0, 1, 0, {"f0": 5.0}),
+            RecordTable.from_rows("moments", ModelParams(2, 0.0, 2.0, 100.0), 1, range(4),
+                                  [{"f0": float(10 + rep)} for rep in range(4)], [0.0] * 4),
+            RecordTable.from_rows("moments", ModelParams(2, 0.0, 2.0, 10.0), 1, [0],
+                                  [{"f0": 5.0}], [0.0]),
         ]
 
     def test_group_stats_and_ordering(self):
-        rows = emit_summary(self.make_records())
+        rows = emit_summary(self.make_tables())
         assert [r[1] for r in rows] == ["10.0", "100.0"]  # ascending lambda
         lam100 = rows[1]
         assert lam100[3] == "4"
@@ -576,12 +642,12 @@ class TestSummaries:
         assert float(lam100[6]) == pytest.approx(1.96 * math.sqrt(var / 4), rel=1e-12)
 
     def test_single_record_group_has_empty_variance(self):
-        rows = emit_summary(self.make_records())
+        rows = emit_summary(self.make_tables())
         assert rows[0][5] == "" and rows[0][6] == ""
 
     def test_summary_means_match_recompute(self):
-        records = self.make_records()
-        rows = emit_summary(records)
+        records = RunResult("moments", self.make_tables()).records
+        rows = emit_summary(self.make_tables())
         for row in rows:
             lam, metric = float(row[1]), row[2]
             vals = [r.metrics[metric] for r in records if r.lam == lam and metric in r.metrics]

@@ -46,6 +46,11 @@ def record_key(records):
     ]
 
 
+def table_records(tables):
+    """The records of replicate's tables, group by group."""
+    return experiments.RunResult("stub", tables).records
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Per process pool the engine starts, the sizes of the shares submitted
@@ -374,8 +379,8 @@ class TestDispatch:
         serial = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 1, 2.0, 0.01)
         parallel = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 2, 2.0, 0.01)
         assert pools == [[7]]
-        assert record_key(parallel[0]) == record_key(serial[0])
-        assert parallel[1:] == serial[1:]
+        assert record_key(table_records(parallel[0])) == record_key(table_records(serial[0]))
+        assert parallel[1] == serial[1]
 
     def test_fast_probe_keeps_every_replication_here(self, pools):
         # the probe (lambda 2) is fast, so the rest runs in this process to
@@ -383,8 +388,8 @@ class TestDispatch:
         serial = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 1, 1.0, 0.03)
         parallel = experiments.replicate("stub", _stub_task, self.GROUPS, 8, 5, 2, 1.0, 0.03)
         assert pools == []
-        assert record_key(parallel[0]) == record_key(serial[0])
-        assert parallel[1:] == serial[1:]
+        assert record_key(table_records(parallel[0])) == record_key(table_records(serial[0]))
+        assert parallel[1] == serial[1]
 
     @pytest.mark.parametrize("delay, mapped", [(0.175, []), (0.25, [[1]])])
     def test_break_even_counts_the_pool_that_would_start(self, monkeypatch, pools, delay, mapped):
@@ -396,7 +401,7 @@ class TestDispatch:
         serial = experiments.replicate("stub", _slow_probe_task, self.GROUPS[1:], 3, 5, 1, 0.0)
         parallel = experiments.replicate("stub", _slow_probe_task, self.GROUPS[1:], 3, 5, 3, delay)
         assert pools == mapped
-        assert record_key(parallel[0]) == record_key(serial[0])
+        assert record_key(table_records(parallel[0])) == record_key(table_records(serial[0]))
 
     def test_probe_exception_propagates(self, pools):
         with pytest.raises(ValueError, match=r"replication 1000001 failed"):
@@ -410,9 +415,8 @@ class TestDispatch:
         serial = experiments.replicate("stub", _pid_task, self.GROUPS, 8, 5, 1)
         parallel = experiments.replicate("stub", _pid_task, self.GROUPS, 8, 5, 3)
         assert pools == [[5, 5]]
-        assert record_key(parallel[0]) == record_key(serial[0])
-        assert parallel[1] == serial[1]
-        pids = parallel[3]
+        assert record_key(table_records(parallel[0])) == record_key(table_records(serial[0]))
+        pids = parallel[1]
         here = [k for k, pid in enumerate(pids) if pid == os.getpid()]
         assert here == [0, 3, 6, 9, 12, 15]  # the first share and the probe
         assert multiprocessing.active_children() == []
@@ -423,7 +427,7 @@ class TestDispatch:
         serial = experiments.replicate("stub", _stub_task, self.GROUPS[:1], 2, 5, 1, 1.0, 0.01)
         parallel = experiments.replicate("stub", _stub_task, self.GROUPS[:1], 2, 5, 2, 1.0, 0.01)
         assert pools == []
-        assert record_key(parallel[0]) == record_key(serial[0])
+        assert record_key(table_records(parallel[0])) == record_key(table_records(serial[0]))
 
     def test_one_worker_takes_the_probe_path_and_starts_no_pool(self, monkeypatch, pools):
         # at one worker the break-even has no pool to weigh: the probe runs
@@ -432,24 +436,23 @@ class TestDispatch:
         calls = []
         rows = experiments._map_tasks(lambda t: calls.append(t) or 2 * t, list(range(6)), 1, 4)
         assert rows == [0, 2, 4, 6, 8, 10] and calls == [4, 0, 1, 2, 3, 5]
-        records, kept, n_kept, _ = experiments.replicate("stub", _stub_task, self.GROUPS, 4, 5,
-                                                         1, 2.0, 0.0)
+        tables, _ = experiments.replicate("stub", _stub_task, self.GROUPS, 4, 5, 1, 2.0, 0.0)
+        records = table_records(tables)
         assert pools == []
         streams = [(params, pi * experiments.STREAM_STRIDE + rep)
                    for pi, params in enumerate(self.GROUPS) for rep in range(4)]
         assert [r.metrics for r in records] == [_stub_task(RngStream(5, sid), params, 2.0, 0.0)
                                                 for params, sid in streams]
-        assert n_kept == [4, 4]
-        assert [group["u"] for group in kept] == [[r.metrics["u"] for r in records[:4]],
-                                                  [r.metrics["u"] for r in records[4:]]]
+        assert [table.n_kept() for table in tables] == [4, 4]
+        assert [table.values("u").tolist() for table in tables] == [
+            [r.metrics["u"] for r in records[:4]], [r.metrics["u"] for r in records[4:]]]
 
     @pytest.mark.parametrize("workers, mapped", [(1, []), (2, [[7]])])
     def test_every_task_draws_its_own_stream(self, monkeypatch, pools, workers, mapped):
         # the engine's precomputed seed words give each task, here or on the
         # pool, the generator that RngStream(seed, stream_id) builds alone
         monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
-        _, _, _, sides = experiments.replicate("stub", _three_draws_task, self.GROUPS, 8, 11,
-                                               workers)
+        _, sides = experiments.replicate("stub", _three_draws_task, self.GROUPS, 8, 11, workers)
         assert pools == mapped
         stride = experiments.STREAM_STRIDE
         assert [sid for sid, _, _ in sides] == [pi * stride + rep for pi in range(2)
@@ -573,6 +576,46 @@ class TestPreconditionChecks:
             with pytest.raises(ValidationError) as exc:
                 check(reps)
             assert exc.value.field == "reps"
+
+    # each check refuses a count that is not an integer, naming its field: an
+    # integral float, a fractional one and a bool, which Python counts as an
+    # int; ok is an integer the check accepts in that place
+    @pytest.mark.parametrize("check, field, ok", [
+        pytest.param(lambda x: experiments.check_gumbel(0, 2, 1000, x), "reps", 100,
+                     id="gumbel-reps"),
+        pytest.param(lambda x: experiments.check_intensity(
+            P2, ScaledWindow(2.0, -5.0, 1.0), (1, 4), x), "reps", 1, id="intensity-reps"),
+        pytest.param(lambda x: experiments.check_intensity(
+            P2, ScaledWindow(2.0, -5.0, 1.0), (x, 4), 10), "bins", 1, id="intensity-bins_rho"),
+        pytest.param(lambda x: experiments.check_intensity(
+            P2, ScaledWindow(2.0, -5.0, 1.0), (1, x), 10), "bins", 4, id="intensity-bins_h"),
+        pytest.param(lambda x: experiments.check_scaling_limit([P2], 1.0, x), "reps", 2,
+                     id="scaling_limit-reps"),
+        pytest.param(lambda x: experiments.check_scaling_limit([P2], 1.0, 2, x), "grid_n", 2,
+                     id="scaling_limit-grid_n"),
+        pytest.param(lambda x: experiments.check_moments([P2], x), "reps", 200, id="moments-reps"),
+        pytest.param(lambda x: experiments.check_clt(P2, x), "reps", 1000, id="clt-reps"),
+        pytest.param(lambda x: experiments.check_tails(P2, 1.0, [1, 2], x), "reps", 500,
+                     id="tails-reps"),
+        pytest.param(lambda x: experiments.check_slln(P2, 4.0, 4, 0.6, 2, x), "reps", 2,
+                     id="slln-reps"),
+        pytest.param(lambda x: experiments.check_slln(P2, 4.0, x, 0.6, 2, 2), "k_max", 4,
+                     id="slln-k_max"),
+        pytest.param(lambda x: experiments.check_slln(P2, 4.0, 4, 0.6, x, 2), "i", 1,
+                     id="slln-i"),
+        pytest.param(lambda x: experiments.check_concentration(P2, x, [1.0]), "reps", 2000,
+                     id="concentration-reps"),
+        pytest.param(lambda x: experiments.check_concentration(P2, 2000, [1.0], x), "i", 1,
+                     id="concentration-i"),
+        pytest.param(lambda x: experiments.check_vertex_correspondence(P2, 1.0, x), "reps", 2,
+                     id="vertex_correspondence-reps"),
+    ])
+    def test_check_refuses_non_integer_counts(self, check, field, ok):
+        check(ok)
+        for bad in (float(ok), ok + 0.5, True):
+            with pytest.raises(ValidationError, match="must be an integer") as exc:
+                check(bad)
+            assert exc.value.field == field
 
     # the ranges a config's keys share with the Python API are judged by the
     # runner's own check, before any point is drawn

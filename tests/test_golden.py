@@ -77,3 +77,16 @@ def test_outputs_match_golden_digests(name, workers, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     got = output_digests(name, CONFIGS[name], workers, tmp_path)
     assert got == {k: v for k, v in golden.items() if k.startswith(f"{name}/")}
+
+
+@pytest.mark.parametrize("name", sorted(name for name, config in CONFIGS.items()
+                                        if config.get("output_format", "csv") == "csv"))
+def test_summarize_prints_the_run_summary(name, tmp_path, capsysbinary):
+    # one summary function serves both commands: `ggp summarize` on the
+    # records file a run wrote prints that run's summary file, byte for byte
+    output_digests(name, CONFIGS[name], 1, tmp_path)
+    out = tmp_path / f"{name}_w1"
+    experiment = CONFIGS[name]["experiment"]
+    capsysbinary.readouterr()
+    assert main(["summarize", str(out / f"{experiment}_records.csv")]) == 0
+    assert capsysbinary.readouterr().out == (out / f"{experiment}_summary.csv").read_bytes()
