@@ -175,8 +175,8 @@ class _Experiment:
 _MODEL = {"d": _integer, "alpha": _number, "beta": _number}
 _REGISTRY = {
     "gumbel": _Experiment(
-        {"alpha": _number, "beta": _number, "n": _number}, {}, check_gumbel, run_gumbel,
-        lambda o, reps: ((o["alpha"], o["beta"], int(o["n"]), reps), {})),
+        {"alpha": _number, "beta": _number, "n": _integer}, {}, check_gumbel, run_gumbel,
+        lambda o, reps: ((o["alpha"], o["beta"], o["n"], reps), {})),
     "intensity": _Experiment(
         dict(_MODEL, **{"lambda": _number, "window": _window}), {"bins": _bins},
         check_intensity, run_intensity,

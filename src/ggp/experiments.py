@@ -12,7 +12,6 @@ pass rule.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from .hull import convex_hull
 from .params import (
     ModelParams,
     check_exponents,
+    check_integer,
     critical_radius,
     normalization,
     sphere_surface_area,
@@ -45,7 +45,6 @@ from .sampling import (
     radial_tail_inverse,
     sample_polytope_input,
     sample_standardized_max,
-    stream_states,
 )
 from .stats import bootstrap_median_ci, fit_line, gumbel_cdf, ks_statistic, summary_stats
 
@@ -308,18 +307,11 @@ def _too_short(grid):
 # judges only JSON shape and types and its own seed and workers.
 
 
-def _check_integer(field, value):
-    """Refuse, naming field, a value that is not an integer; bools are
-    refused, though Python counts them as ints."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(field, f"must be an integer, got {value!r}")
-
-
 def check_reps(reps, n_groups=1, minimum=1):
     """Bounds shared by every runner: an integer count of at least minimum
     replications and one parameter group, and distinct (group, rep) pairs
     get distinct streams, all below the reserved BOOTSTRAP_STREAM."""
-    _check_integer("reps", reps)
+    check_integer("reps", reps)
     if not minimum <= reps < STREAM_STRIDE:
         raise ValidationError("reps", f"need {minimum} <= reps < {STREAM_STRIDE}")
     if not 1 <= n_groups <= BOOTSTRAP_STREAM // STREAM_STRIDE:
@@ -352,9 +344,9 @@ def _check_grid(grid_n, d, field):
 
 def _replication(job):
     """One replication: the task's output on its own stream, and its wall time."""
-    task, seed, stream_id, state, params, args = job
+    task, seed, stream_id, params, args = job
     t0 = time.perf_counter()
-    out = task(RngStream(seed, stream_id, state), params, *args)
+    out = task(RngStream(seed, stream_id), params, *args)
     return out, time.perf_counter() - t0
 
 
@@ -362,19 +354,18 @@ def replicate(experiment, task, groups, reps, seed, workers, *args):
     """reps replications of task(stream, params, *args) for each parameter group.
 
     Replication rep of group pi draws from stream pi * STREAM_STRIDE + rep,
-    whose seed words stream_states computes for all replications at once,
-    so results do not depend on where or in which order replications run:
-    in this process, or on a pool that _map_tasks starts only when the
-    timed probe replication says the pool would pay for itself.
+    which it seeds where it runs, so results do not depend on where or in
+    which order replications run: in this process, or on a pool that
+    _map_tasks starts only when the timed probe replication says the pool
+    would pay for itself.
     A task returns its replication's metrics, or (metrics, side) to hand
     back a side value that is not recorded. Returns one RecordTable per
     group, its rows the replications in order, and the side values,
     group-major and replication-minor.
     """
     check_reps(reps, len(groups))
-    ids = [pi * STREAM_STRIDE + rep for pi in range(len(groups)) for rep in range(reps)]
-    jobs = [(task, seed, sid, state, groups[sid // STREAM_STRIDE], args)
-            for sid, state in zip(ids, stream_states(seed, ids))]
+    jobs = [(task, seed, pi * STREAM_STRIDE + rep, params, args)
+            for pi, params in enumerate(groups) for rep in range(reps)]
     # probe the likely costliest replication: the last of the largest lambda
     last = max(range(len(groups)), key=lambda pi: (groups[pi].lam, pi), default=0)
     rows = _map_tasks(_replication, jobs, workers, last * reps + reps - 1)
@@ -415,6 +406,7 @@ def _gumbel_block_task(rng, group, reps):
 def check_gumbel(alpha, beta, n, reps):
     """Preconditions of run_gumbel."""
     check_exponents(alpha, beta)
+    check_integer("n", n)
     if not 100 <= n < 2**63:  # the point count is drawn as a 64-bit binomial
         raise ValidationError("n", "need 100 <= n < 2**63")
     check_reps(reps, minimum=100)
@@ -521,7 +513,7 @@ def check_intensity(params, window, bins, reps):
     intensities, so the window must lie in the rescaled space of the smallest
     R among them: spatial_radius <= pi R^(beta/2) and h_max <= R^beta."""
     for count in bins:
-        _check_integer("bins", count)
+        check_integer("bins", count)
     if min(bins) < 1:
         raise ValidationError("bins", "need both bin counts >= 1")
     check_reps(reps)
@@ -643,7 +635,7 @@ def _scaling_task(rng, params, L, grid_n):
 def check_scaling_limit(params_list, L, reps, grid_n=GRID_N) -> list:
     """Preconditions of run_scaling_limit; returns the validated parameters."""
     _check_L(L)
-    _check_integer("grid_n", grid_n)
+    check_integer("grid_n", grid_n)
     if not grid_n >= 2:
         raise ValidationError("grid_n", "need grid_n >= 2")
     check_reps(reps, len(params_list), minimum=2)
@@ -829,7 +821,7 @@ def expected_intrinsic_scale(params, i: int) -> float:
 
 def _check_intrinsic_index(i: int, d: int):
     """Polytope records carry only V_{d-1} and V_d, so no other i can be judged."""
-    _check_integer("i", i)
+    check_integer("i", i)
     if i not in (d - 1, d):
         raise ValidationError("i", f"need i in {{{d - 1}, {d}}} for d = {d}, got {i}")
 
@@ -1036,7 +1028,7 @@ def check_slln(params_base, a, k_max, p, i, reps) -> list:
         raise ValidationError("p", f"need p > {threshold:.4f}")
     if not a > 1:
         raise ValidationError("a", "need a > 1")
-    _check_integer("k_max", k_max)
+    check_integer("k_max", k_max)
     if not 4 <= k_max <= BOOTSTRAP_STREAM // STREAM_STRIDE:
         raise ValidationError("k_max", f"need 4 <= k_max <= {BOOTSTRAP_STREAM // STREAM_STRIDE}")
     check_reps(reps, minimum=2)

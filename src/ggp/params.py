@@ -16,6 +16,7 @@ d-dimensional density. All samplers and the rescaled intensity use
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,7 @@ __all__ = [
     "ModelParams",
     "NormalizationConstants",
     "validate_params",
+    "check_integer",
     "check_exponents",
     "normalization",
     "critical_radius",
@@ -48,9 +50,11 @@ class ModelParams:
 def validate_params(d, alpha, beta, lam) -> ModelParams:
     """Validate the raw tuple (d, alpha, beta, lambda) and freeze it.
 
-    Raises ValidationError naming the first field out of range: "d" below 2,
-    "alpha" or "beta" as check_exponents judges them, "lambda" not above 0.
+    Raises ValidationError naming the first field out of range: "d" not an
+    integer or below 2, "alpha" or "beta" as check_exponents judges them,
+    "lambda" not above 0.
     """
+    check_integer("d", d)
     d = int(d)
     if d < 2:
         raise ValidationError("d", f"d = {d} < 2")
@@ -60,6 +64,13 @@ def validate_params(d, alpha, beta, lam) -> ModelParams:
     if not lam > 0:
         raise ValidationError("lambda", f"lambda = {lam} <= 0")
     return ModelParams(d=d, alpha=alpha, beta=beta, lam=lam)
+
+
+def check_integer(field, value):
+    """Refuse, naming field, a value that is not an integer; bools are
+    refused, though Python counts them as ints."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(field, f"must be an integer, got {value!r}")
 
 
 def check_exponents(alpha, beta):
@@ -179,7 +190,7 @@ def gumbel_centering(n: int, alpha: float, beta: float) -> tuple[float, float]:
 
     written in expanded form so the alpha = beta - 1 case stays finite.
     Uses the one-dimensional normalizer, which is exact in 1-d. Cached, since
-    every Gumbel replication asks for the same (n, alpha, beta). Raises
+    every Gumbel block asks for the same (n, alpha, beta). Raises
     ValidationError naming n below 2, or alpha or beta as check_exponents
     judges them.
     """

@@ -4,17 +4,13 @@ Streams are addressed by (seed, stream_id): the PCG64 generator seeded by
 numpy's SeedSequence([seed, stream_id]) gives statistically independent
 generators for distinct ids and bit-identical output for repeated ids, which
 is what makes replications safe to run in parallel and merge
-deterministically. The replication engine computes those seed words for all
-of a run's ids in one vectorized pass (stream_states), which reproduces
-SeedSequence's hash bit for bit; every other stream builds its SeedSequence
-when asked for its generator.
+deterministically.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +19,6 @@ from .params import ModelParams, gumbel_centering
 
 __all__ = [
     "RngStream",
-    "stream_states",
     "ScaledWindow",
     "sample_radius",
     "sample_direction",
@@ -38,115 +33,18 @@ __all__ = [
 class RngStream:
     """Addressable random stream; stream_id is typically the replication index.
 
-    Its generator is PCG64 seeded by SeedSequence([seed, stream_id]). state,
-    which only the replication engine fills, holds the four uint64 seed words
-    that stream_states computed for (seed, stream_id), so the generator is
-    built from them without hashing again; the streams are the same.
+    Its generator is PCG64 seeded by SeedSequence([seed, stream_id]).
     """
 
     seed: int
     stream_id: int = 0
-    state: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.seed < 0 or self.stream_id < 0:
             raise ValidationError("seed", "seed and stream_id must be non-negative")
 
     def generator(self) -> np.random.Generator:
-        if self.state is None:
-            return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
-        return np.random.Generator(np.random.PCG64(_state_seed_class()(self.state)))
-
-
-# numpy's SeedSequence hash on uint32 words (numpy/random/bit_generator.pyx):
-# a pool of 4 words, filled and mixed with the INIT_A/MULT_A hash, read out
-# with the INIT_B/MULT_B hash
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_constants(init, mult):
-    """(xor, multiplier) of each successive hash step: every step multiplies
-    the running constant by mult, and no step depends on the data."""
-    c = init
-    while True:
-        nxt = c * mult & _MASK32
-        yield c, nxt
-        c = nxt
-
-
-def _hash(value, constants):
-    xor, mult = next(constants)
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> 16)
-
-
-def _uint32_words(n: int) -> list:
-    """numpy's coercion of a non-negative int to uint32 words, low word first."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def stream_states(seed: int, stream_ids) -> list:
-    """For each id, the 4 words SeedSequence([seed, id]).generate_state(4,
-    np.uint64) gives, as a tuple of Python ints, hashed for all ids at once.
-
-    The entropy is seed's uint32 words followed by the id's one word, so ids
-    must lie in [0, 2**32). Words are uint32 arrays over the ids, so each
-    product and difference wraps modulo 2**32 as in numpy's hash.
-    """
-    seed, ids = int(seed), [int(i) for i in stream_ids]
-    if seed < 0:
-        raise ValidationError("seed", "must be non-negative")
-    if not all(0 <= i <= _MASK32 for i in ids):
-        raise ValidationError("stream_id", "need 0 <= stream_id < 2**32")
-    id_words = np.array(ids, dtype=np.uint32)
-    entropy = [np.full(len(ids), w, dtype=np.uint32) for w in _uint32_words(seed)] + [id_words]
-    a = _hash_constants(_INIT_A, _MULT_A)
-    zeros = np.zeros(len(ids), dtype=np.uint32)
-    pool = [_hash(entropy[i] if i < len(entropy) else zeros, a) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], a))
-    for word in entropy[_POOL_SIZE:]:  # entropy past the pool mixes into every pool word
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(word, a))
-    b = _hash_constants(_INIT_B, _MULT_B)
-    out = [_hash(pool[i % _POOL_SIZE], b).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-    # uint32 pairs read as little-endian uint64 words
-    words = np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(out[::2], out[1::2])], axis=1)
-    return list(map(tuple, words.tolist()))
-
-
-@functools.cache
-def _state_seed_class():
-    """The seed sequence class that hands PCG64 precomputed words; numpy.random
-    loads here, at the first generator, not when the package is imported."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateSeed(ISeedSequence):
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 asks for 4 uint64 words; anything else means numpy changed
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"precomputed stream state holds 4 uint64 words, "
-                                 f"asked for {n_words} of {np.dtype(dtype)}")
-            return np.array(self.state, dtype=np.uint64)
-
-    return StateSeed
+        return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
 
 
 def _gen(rng) -> np.random.Generator:

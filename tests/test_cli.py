@@ -239,7 +239,7 @@ class TestParseConfig:
         (dict(INTENSITY, window=dict(INTENSITY["window"], h_max=math.inf)), "window"),
         (dict(INTENSITY, window=dict(INTENSITY["window"], h_max=1000.0)), "window"),
         (dict(SLLN, a=1e100), "a"),  # a**4 overflows
-        (dict(MINIMAL_GUMBEL, n=1e300), "n"),
+        (dict(MINIMAL_GUMBEL, n=2**63), "n"),
         (dict(TAILS, M=-1), "M"),
         (dict(TAILS, M=0), "M"),
         # the window must lie in the rescaled space of lambda and of each

@@ -100,9 +100,8 @@ def _pid_task(rng, params, bad_stream=-1):
 
 
 def _three_draws_task(rng, params):
-    """The stream's first three uniforms as the side value, with its id and
-    whether the engine handed it precomputed seed words."""
-    return {}, (rng.stream_id, rng.state is not None, tuple(rng.generator().random(3)))
+    """The stream's first three uniforms as the side value, with its id."""
+    return {}, (rng.stream_id, tuple(rng.generator().random(3)))
 
 
 class TestGumbelRunner:
@@ -449,16 +448,15 @@ class TestDispatch:
 
     @pytest.mark.parametrize("workers, mapped", [(1, []), (2, [[7]])])
     def test_every_task_draws_its_own_stream(self, monkeypatch, pools, workers, mapped):
-        # the engine's precomputed seed words give each task, here or on the
-        # pool, the generator that RngStream(seed, stream_id) builds alone
+        # each task, here or on the pool, draws from the generator that
+        # RngStream(seed, stream_id) builds alone
         monkeypatch.setattr(experiments, "POOL_START_S", 0.0)
         _, sides = experiments.replicate("stub", _three_draws_task, self.GROUPS, 8, 11, workers)
         assert pools == mapped
         stride = experiments.STREAM_STRIDE
-        assert [sid for sid, _, _ in sides] == [pi * stride + rep for pi in range(2)
-                                                for rep in range(8)]
-        for sid, precomputed, draws in sides:
-            assert precomputed
+        assert [sid for sid, _ in sides] == [pi * stride + rep for pi in range(2)
+                                             for rep in range(8)]
+        for sid, draws in sides:
             assert draws == tuple(RngStream(11, sid).generator().random(3))
 
     @pytest.mark.parametrize("bad_stream", [1, 2], ids=["pool_share", "own_share"])
@@ -583,6 +581,8 @@ class TestPreconditionChecks:
     @pytest.mark.parametrize("check, field, ok", [
         pytest.param(lambda x: experiments.check_gumbel(0, 2, 1000, x), "reps", 100,
                      id="gumbel-reps"),
+        pytest.param(lambda x: experiments.check_gumbel(0, 2, x, 100), "n", 1000,
+                     id="gumbel-n"),
         pytest.param(lambda x: experiments.check_intensity(
             P2, ScaledWindow(2.0, -5.0, 1.0), (1, 4), x), "reps", 1, id="intensity-reps"),
         pytest.param(lambda x: experiments.check_intensity(
@@ -595,6 +595,8 @@ class TestPreconditionChecks:
                      id="scaling_limit-grid_n"),
         pytest.param(lambda x: experiments.check_moments([P2], x), "reps", 200, id="moments-reps"),
         pytest.param(lambda x: experiments.check_clt(P2, x), "reps", 1000, id="clt-reps"),
+        pytest.param(lambda x: experiments.check_clt(ModelParams(x, 0, 2, 1e3), 1000), "d", 2,
+                     id="clt-d"),
         pytest.param(lambda x: experiments.check_tails(P2, 1.0, [1, 2], x), "reps", 500,
                      id="tails-reps"),
         pytest.param(lambda x: experiments.check_slln(P2, 4.0, 4, 0.6, 2, x), "reps", 2,

@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.special import gammaincc
 from scipy.stats import chi2, ks_2samp, kstest
@@ -20,7 +18,6 @@ from ggp.sampling import (
     sample_polytope_input,
     sample_radius,
     sample_standardized_max,
-    stream_states,
 )
 from ggp.params import critical_radius, gumbel_centering, validate_params
 from ggp.stats import gumbel_cdf, ks_statistic
@@ -67,60 +64,6 @@ class TestDeterminism:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):
             RngStream(-1, 0)
-
-
-def seed_sequence_state(seed, stream_id):
-    words = np.random.SeedSequence([seed, stream_id]).generate_state(4, np.uint64)
-    return tuple(int(w) for w in words)
-
-
-class TestStreamStates:
-    """stream_states reproduces SeedSequence([seed, id]).generate_state(4,
-    np.uint64) word for word, for all ids in one call."""
-
-    # 1 to 5 uint32 words of seed, so the entropy (seed words and the id's
-    # word) reaches past the 4-word pool from a 4-word seed on
-    SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**128 + 17]
-    IDS = [0, 1, 999_999, 2_000_000_003, 2**32 - 1]
-
-    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "2^32-1", "2^32", "2^64+3", "2^96+5",
-                                                 "2^128+17"])
-    def test_matches_seed_sequence(self, seed):
-        assert stream_states(seed, self.IDS) == [seed_sequence_state(seed, i) for i in self.IDS]
-
-    @given(seed=st.integers(0, 2**160 - 1), stream_id=st.integers(0, 2**32 - 1))
-    def test_matches_seed_sequence_property(self, seed, stream_id):
-        assert stream_states(seed, [stream_id]) == [seed_sequence_state(seed, stream_id)]
-
-    @pytest.mark.parametrize("stream_ids, field", [
-        ([-1], "stream_id"), ([2**32], "stream_id"), ([0, 2**40], "stream_id"),
-    ])
-    def test_refuses_ids_outside_32_bits(self, stream_ids, field):
-        with pytest.raises(ValidationError) as exc:
-            stream_states(1, stream_ids)
-        assert exc.value.field == field
-
-    def test_refuses_negative_seed(self):
-        with pytest.raises(ValidationError) as exc:
-            stream_states(-1, [0])
-        assert exc.value.field == "seed"
-
-    def test_stream_from_state_draws_the_same(self):
-        for seed, stream_id in [(5, 7), (2**64 + 3, 2**32 - 1)]:
-            (state,) = stream_states(seed, [stream_id])
-            fast = RngStream(seed, stream_id, state)
-            assert fast == RngStream(seed, stream_id)
-            assert repr(fast) == repr(RngStream(seed, stream_id))
-            assert np.array_equal(fast.generator().random(100),
-                                  RngStream(seed, stream_id).generator().random(100))
-
-    def test_state_serves_only_pcg64s_request(self):
-        (state,) = stream_states(5, [7])
-        seed_seq = RngStream(5, 7, state).generator().bit_generator.seed_seq
-        assert seed_seq.generate_state(4, np.uint64).tolist() == list(state)
-        for n_words, dtype in [(8, np.uint64), (4, np.uint32), (8, np.uint32)]:
-            with pytest.raises(ValueError, match="4 uint64 words"):
-                seed_seq.generate_state(n_words, dtype)
 
 
 class TestRadialLaw:
@@ -390,9 +333,8 @@ class TestStandardizedMax:
         count, block = 20000, experiments.GUMBEL_BLOCK
         blocks = np.concatenate([sample_standardized_max(RngStream(23, b), n, alpha, beta, block)
                                  for b in range(count // block)])
-        ids = range(count)
-        singles = [sample_standardized_max(RngStream(24, sid, state), n, alpha, beta)
-                   for sid, state in zip(ids, stream_states(24, ids))]
+        singles = [sample_standardized_max(RngStream(24, sid), n, alpha, beta)
+                   for sid in range(count)]
         assert len(blocks) == len(singles) == count
         assert ks_2samp(blocks, singles).pvalue > 1e-3
 
