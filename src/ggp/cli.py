@@ -44,7 +44,7 @@ from .experiments import (
     run_tails,
     run_vertex_correspondence,
 )
-from .params import ModelParams
+from .params import ModelParams, check_integer, check_number
 from .sampling import ScaledWindow
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_summary", "main"]
@@ -100,9 +100,7 @@ def _number(field: str, value, integer: bool = False, finite: bool = True):
     """Reject a JSON value that is not a number (or not an integer), bools
     included, or that no float holds; NaN and infinities pass only where
     finite is False."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ValidationError(field, f"must be {'an integer' if integer else 'a number'}, "
-                                     f"got {value!r}")
+    (check_integer if integer else check_number)(field, value)
     in_range = abs(value) <= sys.float_info.max  # False for NaN, infinities and huge ints
     if not in_range and (finite or isinstance(value, int)):
         raise ValidationError(field, "must be a finite number within the float range")
@@ -409,10 +407,10 @@ def _read_tables(path) -> list:
             for (experiment, lam, d, alpha, beta, seed), rows in groups.items()]
 
 
-def summarize_file(path, out=None):
-    """Summarize an existing records CSV to CSV text on `out` (default stdout)."""
+def summarize_file(path):
+    """Summarize an existing records CSV to CSV text on stdout."""
     rows = emit_summary(_read_tables(path))
-    writer = csv.writer(out if out is not None else sys.stdout)
+    writer = csv.writer(sys.stdout)
     writer.writerow(SUMMARY_HEADER)
     writer.writerows(rows)
 

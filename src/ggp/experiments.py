@@ -33,7 +33,6 @@ from .params import (
     check_exponents,
     check_integer,
     critical_radius,
-    normalization,
     sphere_surface_area,
     unit_ball_volume,
     validate_params,
@@ -399,8 +398,8 @@ def _by_law(groups) -> dict:
 def _gumbel_block_task(rng, group, reps):
     """Block rng.stream_id of run_gumbel: the next GUMBEL_BLOCK of its reps
     maxima, fewer in the last block, as the side value."""
-    size = min(GUMBEL_BLOCK, reps - rng.stream_id * GUMBEL_BLOCK)
-    return {}, sample_standardized_max(rng, int(group.lam), group.alpha, group.beta, size)
+    g, size = rng.generator(), min(GUMBEL_BLOCK, reps - rng.stream_id * GUMBEL_BLOCK)
+    return {}, sample_standardized_max(g, int(group.lam), group.alpha, group.beta, size)
 
 
 def check_gumbel(alpha, beta, n, reps):
@@ -465,9 +464,7 @@ def _cell_masses(params, r_lambda, rho_edges, h_edges, mode):
     hh = 0.5 * (h1 - h0) * nodes + 0.5 * (h1 + h0)  # (h cells, n_gauss)
     wh = 0.5 * (h1 - h0) * weights
     n_rho, n_h = len(rho), len(hh)
-    if mode == "exact":
-        consts = normalization(params.d, params.alpha, params.beta)
-    else:  # e^h depends on h alone, so one (n_h, n_gauss, n_gauss) table serves every row
+    if mode != "exact":  # e^h depends on h alone, so one table serves every row
         vals = np.repeat(np.exp(hh)[:, None, :], GAUSS_NODES, axis=1)
     out = np.empty((n_rho, n_h))
     for i in range(n_rho):
@@ -477,8 +474,8 @@ def _cell_masses(params, r_lambda, rho_edges, h_edges, mode):
             pts = np.zeros((n_h, GAUSS_NODES, GAUSS_NODES, params.d))
             pts[..., 0] = rho[i, None, :, None]
             pts[..., -1] = hh[:, None, :]
-            vals = rescaled_intensity(pts.reshape(-1, params.d), params, r_lambda,
-                                      consts).reshape(n_h, GAUSS_NODES, GAUSS_NODES)
+            vals = rescaled_intensity(pts.reshape(-1, params.d), params,
+                                      r_lambda).reshape(n_h, GAUSS_NODES, GAUSS_NODES)
         for j in range(n_h):
             out[i, j] = float(wr[i] @ vals[j] @ wh[j])
     return out
@@ -494,7 +491,7 @@ def _intensity_task(rng, params, window, rho_edges, h_edges, r_lambda):
     r_max = (r_lambda - window.h_min * per_height) * (1.0 + 1e-9)
     counts = np.zeros((len(rho_edges) - 1, len(h_edges) - 1))
     n_window = 0
-    cloud = sample_polytope_input(rng, params, r_min, r_max)
+    cloud = sample_polytope_input(rng.generator(), params, r_min, r_max)
     if len(cloud):
         w = transform_batch(cloud, params.beta, r_lambda)
         rho = np.linalg.norm(w[:, :-1], axis=1)
@@ -512,9 +509,13 @@ def check_intensity(params, window, bins, reps):
     evaluates the exact intensity over the window at each of these
     intensities, so the window must lie in the rescaled space of the smallest
     R among them: spatial_radius <= pi R^(beta/2) and h_max <= R^beta."""
-    for count in bins:
-        check_integer("bins", count)
-    if min(bins) < 1:
+    try:
+        n_rho, n_h = bins
+    except (TypeError, ValueError):
+        raise ValidationError("bins", f"need two bin counts, got {bins!r}") from None
+    check_integer("bins", n_rho)
+    check_integer("bins", n_h)
+    if min(n_rho, n_h) < 1:
         raise ValidationError("bins", "need both bin counts >= 1")
     check_reps(reps)
     # the height slabs divide [e^h_min, e^h_max], so e^h_max must be a finite float
@@ -665,7 +666,7 @@ def run_scaling_limit(params_list, L, reps, seed, workers=1, grid_n=GRID_N) -> R
         meds, cis = [], []
         for k, pi in enumerate(pis):
             med, lo, hi = bootstrap_median_ci(tables[pi].values("sup_dist"),
-                                              RngStream(seed, BOOTSTRAP_STREAM + k))
+                                              RngStream(seed, BOOTSTRAP_STREAM + k).generator())
             meds.append(med)
             cis.append((lo, hi))
         decreasing = all(meds[k + 1] < meds[k] for k in range(len(meds) - 1))
@@ -944,7 +945,7 @@ def run_clt(params, reps, seed, workers=1) -> RunResult:
 
 
 def _tails_task(rng, params, M, h_cap, r_lambda):
-    cloud = sample_polytope_input(rng, params)
+    cloud = sample_polytope_input(rng.generator(), params)
     # with no grain below the cap the envelope exceeds h_cap everywhere,
     # which already decides every threshold below it
     if len(cloud) == 0:

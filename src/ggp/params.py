@@ -27,6 +27,7 @@ __all__ = [
     "NormalizationConstants",
     "validate_params",
     "check_integer",
+    "check_number",
     "check_exponents",
     "normalization",
     "critical_radius",
@@ -52,18 +53,16 @@ def validate_params(d, alpha, beta, lam) -> ModelParams:
 
     Raises ValidationError naming the first field out of range: "d" not an
     integer or below 2, "alpha" or "beta" as check_exponents judges them,
-    "lambda" not above 0.
+    "lambda" not a number above 0.
     """
     check_integer("d", d)
-    d = int(d)
     if d < 2:
         raise ValidationError("d", f"d = {d} < 2")
-    alpha, beta = float(alpha), float(beta)
     check_exponents(alpha, beta)
-    lam = float(lam)
+    check_number("lambda", lam)
     if not lam > 0:
-        raise ValidationError("lambda", f"lambda = {lam} <= 0")
-    return ModelParams(d=d, alpha=alpha, beta=beta, lam=lam)
+        raise ValidationError("lambda", f"lambda = {float(lam)} <= 0")
+    return ModelParams(d=int(d), alpha=float(alpha), beta=float(beta), lam=float(lam))
 
 
 def check_integer(field, value):
@@ -73,14 +72,24 @@ def check_integer(field, value):
         raise ValidationError(field, f"must be an integer, got {value!r}")
 
 
+def check_number(field, value):
+    """Refuse, naming field, a value that is not a real number; bools are
+    refused, though Python counts them as numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(field, f"must be a number, got {value!r}")
+
+
 def check_exponents(alpha, beta):
-    """Refuse alpha <= -1, then beta < 1, with ValidationError naming the field.
+    """Refuse a non-number or alpha <= -1, then a non-number or beta < 1,
+    with ValidationError naming the field.
 
     Boundaries are rejected exactly as stated: alpha = -1 is invalid, beta = 1
     is valid.
     """
+    check_number("alpha", alpha)
     if not alpha > -1:
         raise ValidationError("alpha", f"alpha = {float(alpha)} <= -1")
+    check_number("beta", beta)
     if not beta >= 1:
         raise ValidationError("beta", f"beta = {float(beta)} < 1")
 
@@ -111,9 +120,6 @@ class NormalizationConstants:
     c_star = z_total^(-1/d) makes the density a probability density.
     """
 
-    d: int
-    alpha: float
-    beta: float
     z_total: float
     c_star: float
     c_paper: float
@@ -143,14 +149,7 @@ def normalization(d: int, alpha: float, beta: float) -> NormalizationConstants:
         raise ParameterOverflow(f"d = {d}, alpha = {alpha}, beta = {beta}") from exc
     if not 0.0 < c_star < math.inf:
         raise ParameterOverflow(f"d = {d}, alpha = {alpha}, beta = {beta}")
-    return NormalizationConstants(
-        d=d,
-        alpha=alpha,
-        beta=beta,
-        z_total=z_total,
-        c_star=c_star,
-        c_paper=c_paper,
-    )
+    return NormalizationConstants(z_total=z_total, c_star=c_star, c_paper=c_paper)
 
 
 def critical_exponent(d: int, alpha: float, beta: float) -> float:

@@ -107,19 +107,18 @@ def inverse_transform(w, params: ModelParams, r_lambda: float) -> np.ndarray:
     return r[:, None] * exp_map(arr[:, :-1] / r_lambda ** (beta / 2.0))
 
 
-def rescaled_intensity(w, params: ModelParams, r_lambda: float, constants=None):
+def rescaled_intensity(w, params: ModelParams, r_lambda: float):
     """Exact intensity density of the rescaled process at (v, h).
 
     nu(v, h) = lam * phi(r) * r^(d-1) * |dr/dh| * (sin(theta)/theta)^(d-2)
                * R^(-beta(d-1)/2),
 
     with r the preimage radius, theta = R^(-beta/2) ||v||, and phi the
-    normalized density (using c_star), at each row of an (n, d) array;
-    integrates to lam over the window.
+    normalized density (using c_star, which it computes from params), at
+    each row of an (n, d) array; integrates to lam over the window.
     """
     d, alpha, beta = params.d, params.alpha, params.beta
-    if constants is None:
-        constants = normalization(d, alpha, beta)
+    c_star = normalization(d, alpha, beta).c_star
     arr = np.asarray(w, dtype=float)
     _check_window(arr, beta, r_lambda)
     v, h = arr[:, :-1], arr[:, -1]
@@ -128,7 +127,7 @@ def rescaled_intensity(w, params: ModelParams, r_lambda: float, constants=None):
     r = np.maximum(r, 0.0)
     theta = vnorm / r_lambda ** (beta / 2.0)
     sinc = np.sinc(theta / np.pi) ** (d - 2)  # sin(theta)/theta, equal to 1 at 0
-    log_phi = d * math.log(constants.c_star) - r**beta / beta
+    log_phi = d * math.log(c_star) - r**beta / beta
     # combined radial power d-1+alpha is > 0 for every valid (d, alpha),
     # so the density vanishes at r = 0 (the image of the origin)
     log_r_part = np.where(r > 0, (d - 1 + alpha) * np.log(np.where(r > 0, r, 1.0)), -np.inf)

@@ -4,7 +4,8 @@ Streams are addressed by (seed, stream_id): the PCG64 generator seeded by
 numpy's SeedSequence([seed, stream_id]) gives statistically independent
 generators for distinct ids and bit-identical output for repeated ids, which
 is what makes replications safe to run in parallel and merge
-deterministically.
+deterministically. Every sampler takes a numpy Generator; a task turns its
+RngStream into one with RngStream.generator(), once.
 """
 
 from __future__ import annotations
@@ -37,23 +38,15 @@ class RngStream:
     """
 
     seed: int
-    stream_id: int = 0
+    stream_id: int
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream_id < 0:
-            raise ValidationError("seed", "seed and stream_id must be non-negative")
+        for field in ("seed", "stream_id"):
+            if getattr(self, field) < 0:
+                raise ValidationError(field, "must be non-negative")
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
-
-
-def _gen(rng) -> np.random.Generator:
-    """Accept an RngStream or a ready Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
 @dataclass(frozen=True)
@@ -72,22 +65,20 @@ class ScaledWindow:
             raise ValidationError("window.h_min", "must be < h_max")
 
 
-def sample_radius(rng, d: int, alpha: float, beta: float, size=None):
+def sample_radius(g: np.random.Generator, d: int, alpha: float, beta: float, size: int):
     """Draw radii with density proportional to r^(d-1+alpha) exp(-r^beta/beta).
 
     Substituting t = r^beta/beta turns the law into Gamma((d+alpha)/beta),
     so r = (beta * G)^(1/beta) is exact.
     """
-    g = _gen(rng)
     shape = (d + alpha) / beta
     t = g.gamma(shape, size=size)
     return (beta * t) ** (1.0 / beta)
 
 
-def sample_direction(rng, d: int, size: int):
+def sample_direction(g: np.random.Generator, d: int, size: int):
     """size uniform directions on S^{d-1}, shape (size, d), via normalized
     Gaussian vectors."""
-    g = _gen(rng)
     u = g.standard_normal((size, d))
     n = np.linalg.norm(u, axis=1, keepdims=True)
     bad = n[:, 0] == 0.0
@@ -115,7 +106,7 @@ def radial_tail_inverse(params: ModelParams, q):
     return (params.beta * gammainccinv(shape, q)) ** (1.0 / params.beta)
 
 
-def sample_polytope_input(rng, params: ModelParams, r_min: float = 0.0,
+def sample_polytope_input(g: np.random.Generator, params: ModelParams, r_min: float = 0.0,
                           r_max: float = math.inf) -> np.ndarray:
     """Poisson(lambda) many isotropic points with the generalized gamma radial law,
     restricted to the annulus r_min < ||x|| <= r_max, as an (n, d) array.
@@ -129,7 +120,6 @@ def sample_polytope_input(rng, params: ModelParams, r_min: float = 0.0,
     """
     if not 0.0 <= r_min < r_max:
         raise ValidationError("r_min", f"need 0 <= r_min < r_max, got ({r_min}, {r_max})")
-    g = _gen(rng)
     if r_min > 0.0 or r_max < math.inf:
         q_lo, q_hi = radial_tail(params, r_max), radial_tail(params, r_min)
         n = int(g.poisson(params.lam * (q_hi - q_lo)))
@@ -142,7 +132,8 @@ def sample_polytope_input(rng, params: ModelParams, r_min: float = 0.0,
     return u * r[:, None]
 
 
-def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
+def sample_standardized_max(g: np.random.Generator, n: int, alpha: float, beta: float,
+                            size: int):
     """Standardized maxima of n iid draws from the 1-d generalized gamma density.
 
     The sign of each draw is symmetric, so a maximum is the largest of the
@@ -155,20 +146,14 @@ def sample_standardized_max(rng, n: int, alpha: float, beta: float, size=None):
     Q(t) = 1, t = 0, in both branches, so every value is finite. The size
     maxima take size binomials, then size uniforms, from the generator.
     Returns (beta log n)^((beta-1)/beta) * (M_n - a_n) as an array of size
-    values, or as a float when size is None. gumbel_centering judges n,
-    alpha and beta before any draw.
+    values. gumbel_centering judges n, alpha and beta before any draw.
     """
     from scipy.special import gammainccinv
 
     a_n, scale = gumbel_centering(n, alpha, beta)
-    g = _gen(rng)
-    # size None is the one-element block: the same array arithmetic, since a
-    # scalar ** (pow) and an array ** (SIMD pow) differ in the last bit
-    count = 1 if size is None else size
-    k, u = g.binomial(n, 0.5, size=count), g.random(count)
+    k, u = g.binomial(n, 0.5, size=size), g.random(size)
     negative = k == 0
     with np.errstate(divide="ignore"):  # log(0) = -inf gives Q = 1 exactly
         q = np.where(negative, np.exp(np.log1p(-u) / n), -np.expm1(np.log(u) / np.maximum(k, 1)))
     r = (beta * gammainccinv((1.0 + alpha) / beta, q)) ** (1.0 / beta)
-    x = scale * (np.where(negative, -r, r) - a_n)
-    return float(x[0]) if size is None else x
+    return scale * (np.where(negative, -r, r) - a_n)

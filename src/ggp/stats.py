@@ -1,4 +1,5 @@
-"""Estimators and goodness-of-fit statistics for the experiment harness."""
+"""Estimators and goodness-of-fit statistics for the experiment harness; the
+one randomized estimator, the median bootstrap, draws from a numpy Generator."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput
-from .sampling import _gen
 
 __all__ = [
     "ks_statistic",
@@ -72,13 +72,13 @@ def summary_stats(sample) -> SummaryStats:
     return SummaryStats(n, mean, var, skew, kurt, ks)
 
 
-def bootstrap_median_ci(sample, rng):
+def bootstrap_median_ci(sample, g: np.random.Generator):
     """Percentile bootstrap confidence interval for the median, at
-    BOOTSTRAP_LEVEL from BOOTSTRAP_RESAMPLES resamples."""
+    BOOTSTRAP_LEVEL from BOOTSTRAP_RESAMPLES resamples drawn from the
+    numpy Generator g."""
     x = np.asarray(sample, dtype=float)
     if len(x) == 0:
         raise EmptyInput("empty sample")
-    g = _gen(rng)
     idx = g.integers(0, len(x), size=(BOOTSTRAP_RESAMPLES, len(x)))
     meds = np.median(x[idx], axis=1)
     lo = float(np.quantile(meds, (1 - BOOTSTRAP_LEVEL) / 2))

@@ -140,7 +140,8 @@ class TestGumbelRunner:
         assert pools == mapped
         sizes = [min(block, reps - b * block) for b in range(-(-reps // block))]
         assert sizes == [100, 100, 50]
-        expected = np.concatenate([sample_standardized_max(RngStream(4, b), 1000, 0.5, 1.5, size)
+        expected = np.concatenate([sample_standardized_max(RngStream(4, b).generator(), 1000,
+                                                           0.5, 1.5, size)
                                    for b, size in enumerate(sizes)])
         records = result.records[:-1]
         assert [r.replication for r in records] == list(range(reps))
@@ -282,7 +283,7 @@ class TestIntensityRunner:
 
 def whole_cloud_intensity_counts(seed, rep, params, window, rho_edges, h_edges, r_lambda):
     """Window cell counts from every point of one cloud (the runner samples an annulus)."""
-    cloud = sample_polytope_input(RngStream(seed, rep), params)
+    cloud = sample_polytope_input(RngStream(seed, rep).generator(), params)
     w = transform_batch(cloud, params.beta, r_lambda)
     rho, h = np.linalg.norm(w[:, :-1], axis=1), w[:, -1]
     keep = (rho <= window.spatial_radius) & (h > window.h_min) & (h <= window.h_max)
@@ -636,6 +637,18 @@ class TestPreconditionChecks:
                      id="vertex_correspondence-reps"),
         pytest.param(lambda: run_slln_trend(P2, a=4.0, k_max=4, p=0.6, i=2, reps=0, seed=1),
                      "reps", id="slln-reps"),
+        # the Python API refuses what a config's type rules refuse: a bool,
+        # which Python counts as a number, and bins that are not two counts
+        pytest.param(lambda: run_gumbel(0, True, 1000, 200, seed=1), "beta",
+                     id="gumbel-beta_bool"),
+        pytest.param(lambda: run_clt(ModelParams(2, True, 2, 1e3), 1000, seed=1), "alpha",
+                     id="clt-alpha_bool"),
+        pytest.param(lambda: run_clt(ModelParams(2, 0, 2, True), 1000, seed=1), "lambda",
+                     id="clt-lambda_bool"),
+        pytest.param(lambda: run_intensity(P2, ScaledWindow(2.0, -5.0, 1.0), (3,), 10, seed=1),
+                     "bins", id="intensity-one_bin_count"),
+        # a stream names the part of its address that is negative
+        pytest.param(lambda: RngStream(1, -1), "stream_id", id="stream-negative_stream_id"),
     ])
     def test_range_rejected_before_any_draw(self, monkeypatch, call, field):
         def refuse(*args, **kwargs):
@@ -861,7 +874,7 @@ class TestShellSampling:
             assert lam <= experiments._shell_points(d)
             p = validate_params(d, 0, 2, lam)
             for sid in range(5):
-                cloud = sample_polytope_input(RngStream(5, sid), p)
+                cloud = sample_polytope_input(RngStream(5, sid).generator(), p)
                 got = experiments._polytope_task(RngStream(5, sid), p)
                 assert got == polytope_metrics(cloud, d)
 
@@ -875,7 +888,7 @@ class TestShellSampling:
         r0 = float(radial_tail_inverse(p, shell / lam))
         certified = 0
         for sid in range(20):
-            pts = sample_polytope_input(RngStream(13, sid), p)
+            pts = sample_polytope_input(RngStream(13, sid).generator(), p)
             outer = pts[np.linalg.norm(pts, axis=1) > r0]
             if len(outer) < d + 1:
                 continue
@@ -990,7 +1003,7 @@ class TestFestoonShell:
         p = validate_params(d, alpha, beta, lam)
         certified = 0
         for sid in range(12):
-            points = sample_polytope_input(RngStream(23, sid), p)
+            points = sample_polytope_input(RngStream(23, sid).generator(), p)
             task = lambda: experiments._scaling_task(RngStream(23, sid), p, 1.0, 21)  # noqa: E731
             whole, _ = self.run_split(monkeypatch, task, points, shell_table(math.inf))
             shell, calls = self.run_split(monkeypatch, task, points, SHELL_POINTS)
@@ -1007,7 +1020,7 @@ class TestFestoonShell:
         r_lambda = critical_radius(p)
         compared = 0
         for sid in range(8):
-            points = sample_polytope_input(RngStream(29, sid), p)
+            points = sample_polytope_input(RngStream(29, sid).generator(), p)
             task = lambda: experiments._vertex_task(RngStream(29, sid), p, 1.0, r_lambda)  # noqa: E731
             results = []
             for table in (shell_table(math.inf), SHELL_POINTS):
@@ -1031,7 +1044,7 @@ class TestFestoonShell:
         r_lambda = critical_radius(p)
         widened = {"annulus": 0, "whole": 0}
         for sid in range(30):
-            points = sample_polytope_input(RngStream(31, sid), p)
+            points = sample_polytope_input(RngStream(31, sid).generator(), p)
             args = (RngStream(31, sid), p, 1.0, 21 if task_name == "_scaling_task" else r_lambda)
             task = lambda: getattr(experiments, task_name)(*args)  # noqa: E731
             whole, _ = self.run_split(monkeypatch, task, points, shell_table(math.inf))
@@ -1093,7 +1106,7 @@ class TestFestoonShell:
         # a certificate that still falls short after round 2 gets the whole cloud
         p = validate_params(2, 0, 2, 1e4)
         r0 = float(radial_tail_inverse(p, experiments._shell_points(p.d) / p.lam))
-        points = sample_polytope_input(RngStream(3, 0), p)
+        points = sample_polytope_input(RngStream(3, 0).generator(), p)
         sample, calls = split_sampler(points)
         monkeypatch.setattr(experiments, "sample_polytope_input", sample)
         seen = []

@@ -443,7 +443,7 @@ class TestRescaledHullBoundary:
     def test_discretized_critical_ball(self):
         params = validate_params(3, 0, 2, 1e5)
         r = critical_radius(params)
-        dirs = sample_direction(RngStream(1, 0), 3, size=2000)
+        dirs = sample_direction(RngStream(1, 0).generator(), 3, size=2000)
         poly = convex_hull(dirs * r)
         grid = ball_grid(1.0, 9, 2)
         heights = rescaled_hull_boundary(poly, grid, params, r)
@@ -452,7 +452,7 @@ class TestRescaledHullBoundary:
     def test_compositional_identity(self):
         params = validate_params(2, 0, 2, 1e4)
         r = critical_radius(params)
-        cloud = sample_polytope_input(RngStream(2, 0), params)
+        cloud = sample_polytope_input(RngStream(2, 0).generator(), params)
         poly = convex_hull(cloud)
         vs = np.linspace(-1, 1, 7)[:, None]
         u = exp_map(vs / r)
@@ -463,7 +463,7 @@ class TestRescaledHullBoundary:
     def test_far_point_pushes_boundary_down(self):
         params = validate_params(2, 0, 2, 1e4)
         r = critical_radius(params)
-        cloud = sample_polytope_input(RngStream(3, 0), params)
+        cloud = sample_polytope_input(RngStream(3, 0).generator(), params)
         base = convex_hull(cloud)
         (h0,) = rescaled_hull_boundary(base, np.zeros((1, 1)), params, r)
         spiked = convex_hull(np.vstack([cloud, [[0.0, 10.0 * r]]]))
@@ -505,7 +505,7 @@ class TestWindowedFestoon:
         r = critical_radius(params)
         rates = []
         for rep in range(5):
-            cloud = sample_polytope_input(RngStream(12, rep), params)
+            cloud = sample_polytope_input(RngStream(12, rep).generator(), params)
             poly = convex_hull(cloud)
             w = transform_batch(cloud, params.beta, r)
             fest, kept, _ = windowed_festoon(w, 1.0)

@@ -337,7 +337,7 @@ class TestRadialFunction:
         rng = np.random.default_rng(10)
         pts = rng.standard_normal((50, 3))
         p = convex_hull(pts)
-        dirs = sample_direction(RngStream(6, 0), 3, size=200)
+        dirs = sample_direction(RngStream(6, 0).generator(), 3, size=200)
         rho = radial_function_batch(p, dirs)
         x = dirs * rho[:, None]
         slack = x @ p.facet_normals.T - p.facet_offsets[None, :]

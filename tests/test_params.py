@@ -47,6 +47,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("args, field", [
         ((0, 0, 2), "d"), ((2, -1, 2), "alpha"), ((2, 0, 0.5), "beta"),
+        ((2, True, 2), "alpha"), ((2, 0, "2"), "beta"),
     ])
     def test_normalization_names_the_field(self, args, field):
         with pytest.raises(ValidationError) as exc:

@@ -36,7 +36,7 @@ class TestExpMap:
         assert np.linalg.norm(v) == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_roundtrip_random_directions(self):
-        u = sample_direction(RngStream(1, 0), 4, size=500)
+        u = sample_direction(RngStream(1, 0).generator(), 4, size=500)
         v = exp_inverse(u)
         back = exp_map(v)
         assert np.max(np.abs(back - u)) < 1e-12
@@ -71,7 +71,7 @@ class TestTransform:
             assert np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x))) < 1e-9
 
     def test_image_containment(self):
-        cloud = sample_polytope_input(RngStream(3, 0), self.params)
+        cloud = sample_polytope_input(RngStream(3, 0).generator(), self.params)
         w = transform_batch(cloud, self.params.beta, self.r)
         assert np.all(w[:, -1] <= self.r**2 + 1e-9)
         assert np.all(np.linalg.norm(w[:, :-1], axis=1) <= math.pi * self.r + 1e-9)
@@ -88,7 +88,7 @@ class TestTransform:
             inverse_transform(np.vstack([inside, [0.0, self.r**2 + 1.0]]), self.params, self.r)
 
     def test_height_decreasing_along_rays(self):
-        u = sample_direction(RngStream(4, 0), 3, size=20)
+        u = sample_direction(RngStream(4, 0).generator(), 3, size=20)
         params = validate_params(3, 0.5, 1.5, 1e5)
         r = critical_radius(params)
         for direction in u:

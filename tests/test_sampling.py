@@ -52,13 +52,13 @@ def radial_cdf_oracle(d, alpha, beta):
 
 class TestDeterminism:
     def test_bit_identical_streams(self):
-        a = sample_radius(RngStream(7, 3), 3, 0.5, 1.5, size=1000)
-        b = sample_radius(RngStream(7, 3), 3, 0.5, 1.5, size=1000)
+        a = sample_radius(RngStream(7, 3).generator(), 3, 0.5, 1.5, size=1000)
+        b = sample_radius(RngStream(7, 3).generator(), 3, 0.5, 1.5, size=1000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_radius(RngStream(7, 3), 3, 0.5, 1.5, size=100)
-        b = sample_radius(RngStream(7, 4), 3, 0.5, 1.5, size=100)
+        a = sample_radius(RngStream(7, 3).generator(), 3, 0.5, 1.5, size=100)
+        b = sample_radius(RngStream(7, 4).generator(), 3, 0.5, 1.5, size=100)
         assert not np.array_equal(a, b)
 
     def test_negative_seed_rejected(self):
@@ -68,17 +68,17 @@ class TestDeterminism:
 
 class TestRadialLaw:
     def test_rayleigh_case(self):
-        r = sample_radius(RngStream(1, 0), 2, 0, 2, size=10**5)
+        r = sample_radius(RngStream(1, 0).generator(), 2, 0, 2, size=10**5)
         ks = ks_statistic(r, lambda x: 1 - np.exp(-(x**2) / 2))
         assert ks < 0.01
 
     def test_exponential_case(self):
-        r = sample_radius(RngStream(2, 0), 1, 0, 1, size=10**5)
+        r = sample_radius(RngStream(2, 0).generator(), 1, 0, 1, size=10**5)
         ks = ks_statistic(r, lambda x: 1 - np.exp(-x))
         assert ks < 0.01
 
     def test_generalized_case_vs_quadrature(self):
-        r = sample_radius(RngStream(3, 0), 3, 0.5, 1.5, size=10**5)
+        r = sample_radius(RngStream(3, 0).generator(), 3, 0.5, 1.5, size=10**5)
         ks = ks_statistic(r, radial_cdf_oracle(3, 0.5, 1.5))
         assert ks < 0.01
 
@@ -88,7 +88,7 @@ class TestRadialLaw:
             d = int(rng.integers(1, 6))
             alpha = float(rng.uniform(-0.9, 3.0))
             beta = float(rng.uniform(1.0, 3.0))
-            r = sample_radius(RngStream(10, k), d, alpha, beta, size=10**5)
+            r = sample_radius(RngStream(10, k).generator(), d, alpha, beta, size=10**5)
             ks = ks_statistic(r, radial_cdf_oracle(d, alpha, beta))
             assert ks < 0.015, (d, alpha, beta, ks)
 
@@ -96,11 +96,11 @@ class TestRadialLaw:
 class TestDirections:
     def test_unit_norm(self):
         for d in (1, 2, 3, 6):
-            u = sample_direction(RngStream(4, d), d, size=1000)
+            u = sample_direction(RngStream(4, d).generator(), d, size=1000)
             assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) < 1e-12
 
     def test_angular_uniformity_chi_square(self):
-        u = sample_direction(RngStream(5, 0), 2, size=10**4)
+        u = sample_direction(RngStream(5, 0).generator(), 2, size=10**4)
         angles = np.mod(np.arctan2(u[:, 1], u[:, 0]), 2 * np.pi)
         counts, _ = np.histogram(angles, bins=36, range=(0, 2 * np.pi))
         expected = len(u) / 36
@@ -108,12 +108,12 @@ class TestDirections:
         assert stat < chi2.ppf(0.99, df=35)
 
     def test_mean_direction_small(self):
-        u = sample_direction(RngStream(6, 0), 3, size=10**5)
+        u = sample_direction(RngStream(6, 0).generator(), 3, size=10**5)
         assert np.linalg.norm(u.mean(axis=0)) < 0.02
 
     def test_covariance_isotropy(self):
         for d in (2, 3):
-            u = sample_direction(RngStream(7, d), d, size=10**5)
+            u = sample_direction(RngStream(7, d).generator(), d, size=10**5)
             cov = (u.T @ u) / len(u)
             assert np.max(np.abs(cov - np.eye(d) / d)) < 0.05 / d
 
@@ -121,19 +121,20 @@ class TestDirections:
 class TestPolytopeInput:
     def test_poisson_mean(self):
         counts = [
-            len(sample_polytope_input(RngStream(8, k), validate_params(2, 0, 2, 100)))
+            len(sample_polytope_input(RngStream(8, k).generator(), validate_params(2, 0, 2, 100)))
             for k in range(10**4)
         ]
         assert 97 <= np.mean(counts) <= 103
 
     def test_gaussian_second_moment(self):
-        cloud = sample_polytope_input(RngStream(9, 0), validate_params(2, 0, 2, 10**5))
+        cloud = sample_polytope_input(RngStream(9, 0).generator(), validate_params(2, 0, 2, 10**5))
         m2 = np.mean(np.sum(cloud**2, axis=1))
         assert abs(m2 - 2.0) < 0.1
 
     def test_empty_cloud_valid(self):
         empties = sum(
-            len(sample_polytope_input(RngStream(10, k), validate_params(2, 0, 2, 0.01))) == 0
+            len(sample_polytope_input(RngStream(10, k).generator(),
+                                      validate_params(2, 0, 2, 0.01))) == 0
             for k in range(100)
         )
         assert empties >= 95
@@ -149,7 +150,7 @@ class TestRestrictedPolytopeInput:
             r = (p.beta * g.gamma((p.d + p.alpha) / p.beta, size=n)) ** (1.0 / p.beta)
             u = g.standard_normal((n, p.d))
             u = u / np.linalg.norm(u, axis=1, keepdims=True)
-            got = sample_polytope_input(RngStream(21, k), p)
+            got = sample_polytope_input(RngStream(21, k).generator(), p)
             np.testing.assert_array_equal(got, u * r[:, None])
 
     def test_radial_tail_against_quadrature(self):
@@ -171,7 +172,7 @@ class TestRestrictedPolytopeInput:
         r_lo, r_hi = float(radial_tail_inverse(p, 0.6)), float(radial_tail_inverse(p, 0.01))
         # an inner annulus, and the outer shell beyond the 99% radial quantile
         for r_min, r_max, streams in ((r_lo, r_hi, 2), (r_hi, math.inf, 60)):
-            clouds = [sample_polytope_input(RngStream(31, k), p, r_min, r_max)
+            clouds = [sample_polytope_input(RngStream(31, k).generator(), p, r_min, r_max)
                       for k in range(streams)]
             r = np.linalg.norm(np.vstack(clouds), axis=1)
             assert np.all((r > r_min) & (r <= r_max))
@@ -184,7 +185,7 @@ class TestRestrictedPolytopeInput:
         p = validate_params(2, 0.0, 2.0, 100.0)
         for r_min, r_max in ((-1.0, 2.0), (2.0, 2.0), (3.0, 1.0)):
             with pytest.raises(ValidationError):
-                sample_polytope_input(RngStream(1, 0), p, r_min, r_max)
+                sample_polytope_input(RngStream(1, 0).generator(), p, r_min, r_max)
 
 
 class TestLimitProcess:
@@ -265,14 +266,14 @@ class TestStandardizedMax:
     @pytest.mark.parametrize("n", [2, 3, 5, 10**3, 10**5])
     def test_exact_law(self, n, alpha, beta):
         # n = 2 and 3 put 1/4 and 1/8 of the mass in the all-negative branch
-        vals = sample_standardized_max(RngStream(17, n), n, alpha, beta, 20000)
+        vals = sample_standardized_max(RngStream(17, n).generator(), n, alpha, beta, 20000)
         assert kstest(vals, standardized_max_cdf(n, alpha, beta)).pvalue > 1e-3
 
     @pytest.mark.parametrize("alpha, beta", MAX_LAWS)
     def test_matches_reference_sampler(self, alpha, beta):
         for n, reps in ((10, 2000), (10**3, 2000), (10**5, 300)):
             ref = reference_standardized_max(np.random.default_rng(18), n, alpha, beta, reps)
-            new = sample_standardized_max(RngStream(19, n), n, alpha, beta, reps)
+            new = sample_standardized_max(RngStream(19, n).generator(), n, alpha, beta, reps)
             assert ks_2samp(ref, new).pvalue > 1e-3, (n, alpha, beta)
 
     def test_uniform_endpoints_give_finite_values(self):
@@ -280,7 +281,7 @@ class TestStandardizedMax:
         for k in (0, 4):  # the all-negative branch and the maximum branch
             for u in (0.0, np.nextafter(1.0, 0.0)):
                 g = FixedGenerator(k, u)
-                assert math.isfinite(sample_standardized_max(g, n, 0.5, 1.5))
+                assert math.isfinite(sample_standardized_max(g, n, 0.5, 1.5, 1)[0])
 
     # Block draws pinned bit for bit (float.hex), since every Gumbel record
     # is one: a block of four from default_rng(3), whose binomials are
@@ -300,17 +301,10 @@ class TestStandardizedMax:
 
     @pytest.mark.parametrize("n, alpha, beta", list(PINNED))
     def test_scalar_draws_are_pinned(self, n, alpha, beta):
-        # a scalar draw is the one-element block: the same draws and the same
-        # array arithmetic, to the last bit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             block = sample_standardized_max(np.random.default_rng(3), n, alpha, beta, size=4)
-            g, h = np.random.default_rng(4), np.random.default_rng(4)
-            scalars = [sample_standardized_max(g, n, alpha, beta) for _ in range(3)]
-            ones = [sample_standardized_max(h, n, alpha, beta, size=1) for _ in range(3)]
         assert [x.hex() for x in block.tolist()] == self.PINNED[n, alpha, beta]
-        assert all(type(x) is float for x in scalars)
-        assert [x.hex() for x in scalars] == [float(x[0]).hex() for x in ones]
 
     @pytest.mark.parametrize("alpha, beta, pinned", [(0.0, 1.0, "-0x1.8dbc239b0b862p+2"),
                                                      (0.5, 1.5, "-0x1.35643c33c5c19p+3")])
@@ -320,7 +314,7 @@ class TestStandardizedMax:
             warnings.simplefilter("error")
             for k in (0, 1, 700):
                 g = FixedGenerator(k, 0.0)
-                assert sample_standardized_max(g, 1000, alpha, beta).hex() == pinned
+                assert sample_standardized_max(g, 1000, alpha, beta, 1)[0].hex() == pinned
                 block = sample_standardized_max(g, 1000, alpha, beta, size=3)
                 assert [x.hex() for x in block.tolist()] == [pinned] * 3
 
@@ -331,23 +325,24 @@ class TestStandardizedMax:
         # run_gumbel draws them, against one draw from each of as many
         # streams; n = 3 puts 1/8 of the mass in the all-negative branch
         count, block = 20000, experiments.GUMBEL_BLOCK
-        blocks = np.concatenate([sample_standardized_max(RngStream(23, b), n, alpha, beta, block)
+        blocks = np.concatenate([sample_standardized_max(RngStream(23, b).generator(), n, alpha,
+                                                         beta, block)
                                  for b in range(count // block)])
-        singles = [sample_standardized_max(RngStream(24, sid), n, alpha, beta)
+        singles = [sample_standardized_max(RngStream(24, sid).generator(), n, alpha, beta, 1)[0]
                    for sid in range(count)]
         assert len(blocks) == len(singles) == count
         assert ks_2samp(blocks, singles).pvalue > 1e-3
 
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError):
-            sample_standardized_max(RngStream(15, 0), 1, 0, 1)
+            sample_standardized_max(RngStream(15, 0).generator(), 1, 0, 1, 1)
 
     @pytest.mark.parametrize("alpha, beta, field", [(-1, 2, "alpha"), (0, 0.5, "beta")])
     def test_exponent_out_of_range_names_its_field(self, alpha, beta, field):
         with pytest.raises(ValidationError) as exc:
-            sample_standardized_max(RngStream(15, 0), 1000, alpha, beta)
+            sample_standardized_max(RngStream(15, 0).generator(), 1000, alpha, beta, 1)
         assert exc.value.field == field
 
     def test_laplace_matches_gumbel_at_moderate_scale(self):
-        vals = sample_standardized_max(RngStream(16, 0), 10**4, 0, 1, 2000)
+        vals = sample_standardized_max(RngStream(16, 0).generator(), 10**4, 0, 1, 2000)
         assert ks_statistic(vals, gumbel_cdf) < 0.06

@@ -58,7 +58,7 @@ class TestFits:
         hits = 0
         for k in range(50):
             sample = rng.standard_normal(200)
-            med, lo, hi = bootstrap_median_ci(sample, RngStream(4, k))
+            med, lo, hi = bootstrap_median_ci(sample, RngStream(4, k).generator())
             assert lo <= med <= hi
             hits += lo <= 0.0 <= hi
         assert hits >= 42  # 95% nominal coverage, allow slack
