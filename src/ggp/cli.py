@@ -285,17 +285,64 @@ def _format_value(x) -> str:
     return repr(float(x))
 
 
-def _record_rows(tables):
-    """The records' CSV rows, table by table: the constant columns formatted
-    once per table, then each row's metrics in sorted order."""
-    for table in tables:
-        p = table.params
-        head = [table.experiment, _format_value(p.lam), str(p.d), _format_value(p.alpha),
-                _format_value(p.beta), str(table.seed)]
-        for rep, items in zip(table.replication.tolist(), table.row_items()):
-            rep = str(rep)
-            for metric, value in items:
-                yield [*head, rep, metric, repr(value)]
+# The records and summary files are CSV as csv.writer's default dialect writes
+# it, built here without it: a field holding a comma, quote, CR or LF is
+# quoted, its quotes doubled, and every line ends in CRLF.
+_LINE_END = "\r\n"
+
+
+def _csv_field(text: str) -> str:
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(fields, end=_LINE_END) -> str:
+    return ",".join(map(_csv_field, fields)) + end
+
+
+def _csv_lines(rows) -> str:
+    return "".join(map(_csv_line, rows))
+
+
+def _table_records(table, make) -> list:
+    """The table's records in file order: rows in order, each row's metrics
+    in sorted order. make(reps, metric, values) builds one metric's records,
+    one per row that holds it, from those rows' replications and values."""
+    records, rows = [], []
+    for name in sorted(table.metrics):
+        index, values = table.metrics[name]
+        records += make(table.replication[index].tolist(), name, values.tolist())
+        rows += index.tolist()
+    if len(table.metrics) > 1:  # a stable sort by row keeps each row's metrics sorted
+        records = [records[k] for k in sorted(range(len(rows)), key=rows.__getitem__)]
+    return records
+
+
+def _head_fields(table) -> list:
+    """The records columns constant over a table: experiment to seed."""
+    p = table.params
+    return [table.experiment, _format_value(p.lam), str(p.d), _format_value(p.alpha),
+            _format_value(p.beta), str(table.seed)]
+
+
+def _csv_records(table) -> str:
+    """The table's records-CSV lines as one string, each metric's lines
+    made by one comprehension."""
+    head = _csv_line(_head_fields(table), end=",")
+
+    def make(reps, metric, values):
+        metric = _csv_field(metric)
+        return [f"{head}{rep},{metric},{value!r}{_LINE_END}" for rep, value in zip(reps, values)]
+
+    return "".join(_table_records(table, make))
+
+
+def _record_fields(table) -> list:
+    """The table's records as lists of RECORDS_HEADER fields."""
+    head = _head_fields(table)
+    return _table_records(table, lambda reps, metric, values: [
+        [*head, str(rep), metric, repr(value)] for rep, value in zip(reps, values)])
 
 
 def emit_summary(tables):
@@ -328,12 +375,13 @@ def emit_summary(tables):
     return rows
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, chunks):
+    """Write the header line, then each string of chunks in one call."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(_csv_line(header))
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -360,9 +408,13 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     records_path = os.path.join(base, f"{config.experiment}_records.{ext}")
     summary_path = os.path.join(base, f"{config.experiment}_summary.{ext}")
     summary = emit_summary(result.tables)
-    writer = _write_csv if ext == "csv" else _write_json
-    writer(records_path, RECORDS_HEADER, _record_rows(result.tables))
-    writer(summary_path, SUMMARY_HEADER, summary)
+    if ext == "csv":  # one write per table, so no string holds the whole run
+        _write_csv(records_path, RECORDS_HEADER, map(_csv_records, result.tables))
+        _write_csv(summary_path, SUMMARY_HEADER, [_csv_lines(summary)])
+    else:
+        _write_json(records_path, RECORDS_HEADER,
+                    [fields for table in result.tables for fields in _record_fields(table)])
+        _write_json(summary_path, SUMMARY_HEADER, summary)
     for check in result.checks:
         print(f"{check.status} {check.name}: {check.detail}")
     print(f"records: {records_path}")
@@ -409,10 +461,7 @@ def _read_tables(path) -> list:
 
 def summarize_file(path):
     """Summarize an existing records CSV to CSV text on stdout."""
-    rows = emit_summary(_read_tables(path))
-    writer = csv.writer(sys.stdout)
-    writer.writerow(SUMMARY_HEADER)
-    writer.writerows(rows)
+    sys.stdout.write(_csv_lines([SUMMARY_HEADER, *emit_summary(_read_tables(path))]))
 
 
 @functools.cache

@@ -26,6 +26,8 @@ from ggp.cli import (
 from ggp.errors import EmptyInput, GgpError, ParseError, ValidationError
 from ggp.experiments import CheckOutcome, ExperimentRecord, RecordTable, RunResult
 from ggp.params import ModelParams
+from tests.test_golden import CONFIGS as GOLDEN_CONFIGS
+from tests.test_golden import SEED as GOLDEN_SEED
 
 MINIMAL_GUMBEL = {
     "experiment": "gumbel",
@@ -574,6 +576,28 @@ def records_csv(records):
     return buf.getvalue()
 
 
+def summary_csv(rows):
+    """Summary CSV text written by csv.writer from emit_summary's rows."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([SUMMARY_HEADER, *rows])
+    return buf.getvalue()
+
+
+def run_keeping_result(tmp_path, monkeypatch, config):
+    """The RunResult of `ggp run` on config at one worker, and the directory
+    it wrote to."""
+    results = []
+    dispatch = cli_module._dispatch
+    monkeypatch.setattr(cli_module, "_dispatch",
+                        lambda cfg: results.append(dispatch(cfg)) or results[-1])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out), "--workers", "1"]) in (0, 1)
+    (result,) = results
+    return result, out
+
+
 class TestRecordsView:
     # 250 maxima: blocks of 100, 100 and 50
     GUMBEL = {"experiment": "gumbel", "alpha": 0.5, "beta": 1.5, "n": 1000, "reps": 250,
@@ -585,15 +609,7 @@ class TestRecordsView:
     def run(self, tmp_path, monkeypatch, config):
         """The RunResult of `ggp run` on config at one worker, and the
         records file it wrote."""
-        results = []
-        dispatch = cli_module._dispatch
-        monkeypatch.setattr(cli_module, "_dispatch",
-                            lambda cfg: results.append(dispatch(cfg)) or results[-1])
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(path), "--out", str(out), "--workers", "1"]) in (0, 1)
-        (result,) = results
+        result, out = run_keeping_result(tmp_path, monkeypatch, config)
         return result, (out / f"{config['experiment']}_records.csv").read_bytes()
 
     @pytest.mark.parametrize("config", [GUMBEL, SKIPPING_SLLN], ids=["gumbel", "slln_d4"])
@@ -606,20 +622,105 @@ class TestRecordsView:
         assert records_csv(records).encode() == written
 
     def test_run_builds_no_record(self, tmp_path, monkeypatch):
-        built = []
-        init = ExperimentRecord.__init__
+        # the writer formats each metric column whole: it neither builds an
+        # ExperimentRecord nor walks a table row by row through row_items
+        built, walked = [], []
+        init, row_items = ExperimentRecord.__init__, RecordTable.row_items
 
         def counting_init(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
+        def counting_row_items(self):
+            walked.append(self)
+            return row_items(self)
+
         monkeypatch.setattr(ExperimentRecord, "__init__", counting_init)
+        monkeypatch.setattr(RecordTable, "row_items", counting_row_items)
         for k, config in enumerate([self.GUMBEL, self.SKIPPING_SLLN]):
             (tmp_path / str(k)).mkdir()
             result, _ = self.run(tmp_path / str(k), monkeypatch, config)
-            assert built == []
+            assert built == [] and walked == []
             assert len(result.records) == len(built) > 0  # the count sees the view's records
+            assert len(walked) == len(result.tables)  # and the view's walks
             built.clear()
+            walked.clear()
+
+
+GOLDEN_CSV = sorted(name for name, config in GOLDEN_CONFIGS.items()
+                    if config.get("output_format", "csv") == "csv")
+
+
+class TestWriterOracle:
+    """What `ggp run` writes equals csv.writer's rendering of the run's
+    records view and summary rows: each record's metrics in sorted order,
+    every line ending in CRLF."""
+
+    # three metrics, one needing quotes, inserted out of order, with nan, inf
+    # and -0.0; a skipped row; and an aggregate row
+    TABLES = [
+        RecordTable.from_rows("scaling_limit", ModelParams(2, 0.0, 2.0, 1e3), 7, [0, 1, 2, 3], [
+            {"sup_dist": 0.25, 'n,"x"': 3.0, "n_extreme": -0.0},
+            {"skipped": 1.0},
+            {"sup_dist": math.nan, 'n,"x"': math.inf, "n_extreme": 4.0},
+            {"sup_dist": 1e-300, 'n,"x"': 2.0, "n_extreme": -math.inf},
+        ], [0.0] * 4),
+        RecordTable.from_rows("scaling_limit", ModelParams(2, 0.0, 2.0, 1e3), 7, [-1],
+                              [{"mean_sup": 0.125, "count": 3.0}], [0.0]),
+    ]
+
+    def written(self, tmp_path, monkeypatch, output_format, tables=TABLES):
+        """The records and summary that `ggp run` writes for a run of tables."""
+        monkeypatch.setattr(cli_module, "_dispatch",
+                            lambda config: RunResult("scaling_limit", tables))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SCALING, output_format=output_format)))
+        out = tmp_path / output_format
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        return [(out / f"scaling_limit_{kind}.{output_format}").read_bytes()
+                for kind in ("records", "summary")]
+
+    @staticmethod
+    def json_rows(text, header):
+        return [dict(zip(header, row)) for row in list(csv.reader(io.StringIO(text)))[1:]]
+
+    @pytest.mark.parametrize("name", GOLDEN_CSV)
+    def test_golden_config_records(self, tmp_path, monkeypatch, name):
+        config = dict(GOLDEN_CONFIGS[name], seed=GOLDEN_SEED)
+        result, out = run_keeping_result(tmp_path, monkeypatch, config)
+        experiment = config["experiment"]
+        assert (out / f"{experiment}_records.csv").read_bytes() == \
+            records_csv(result.records).encode()
+        assert (out / f"{experiment}_summary.csv").read_bytes() == \
+            summary_csv(emit_summary(result.tables)).encode()
+
+    def test_golden_json_config_fields(self, tmp_path, monkeypatch):
+        config = dict(GOLDEN_CONFIGS["gumbel_json"], seed=GOLDEN_SEED)
+        result, out = run_keeping_result(tmp_path, monkeypatch, config)
+        records = json.loads((out / "gumbel_records.json").read_text())
+        assert records == self.json_rows(records_csv(result.records), RECORDS_HEADER)
+        assert len(records) == sum(len(r.metrics) for r in result.records) > 0
+
+    def test_synthetic_table(self, tmp_path, monkeypatch):
+        records, summary = self.written(tmp_path, monkeypatch, "csv")
+        view = RunResult("scaling_limit", self.TABLES).records
+        assert records == records_csv(view).encode()
+        assert summary == summary_csv(emit_summary(self.TABLES)).encode()
+        lines = records.decode().split("\r\n")
+        assert lines[1:4] == ['scaling_limit,1000.0,2,0.0,2.0,7,0,"n,""x""",3.0',
+                              "scaling_limit,1000.0,2,0.0,2.0,7,0,n_extreme,-0.0",
+                              "scaling_limit,1000.0,2,0.0,2.0,7,0,sup_dist,0.25"]
+        assert lines[4] == "scaling_limit,1000.0,2,0.0,2.0,7,1,skipped,1.0"
+        assert {"nan", "inf", "-inf", "1e-300"} <= {line.rpartition(",")[2] for line in lines}
+        assert lines[-3:] == ["scaling_limit,1000.0,2,0.0,2.0,7,-1,count,3.0",
+                              "scaling_limit,1000.0,2,0.0,2.0,7,-1,mean_sup,0.125", ""]
+
+    def test_synthetic_table_json(self, tmp_path, monkeypatch):
+        records, summary = self.written(tmp_path, monkeypatch, "json")
+        view = RunResult("scaling_limit", self.TABLES).records
+        assert json.loads(records) == self.json_rows(records_csv(view), RECORDS_HEADER)
+        assert json.loads(summary) == self.json_rows(summary_csv(emit_summary(self.TABLES)),
+                                                     SUMMARY_HEADER)
 
 
 class TestSummaries:
